@@ -10,9 +10,7 @@ Exit codes: 0 on success or all checks passing, 1 on a verification failure,
 2 on a usage error.  Rational parameters are accepted only as fractions
 (``1/2``), never decimals, so exactness survives the command line.  The
 environment variable ``QTAB_MAX_N`` caps brute-force enumeration sizes as a
-safety rail.  Identical invocations produce byte-identical output; a
-``--threads`` flag sizes the worker pool for verification and convergence
-grids without affecting the output.
+safety rail.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
@@ -312,12 +309,7 @@ def _verify_instances(args) -> list[Callable[[], containment.IdentityReport]]:
 
 
 def _cmd_verify(args) -> int:
-    jobs = _verify_instances(args)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda job: job(), jobs))
-    else:
-        reports = [job() for job in jobs]
+    reports = [job() for job in _verify_instances(args)]
     failures = sum(len(r.failures) for r in reports)
     checked = sum(r.checked for r in reports)
     if args.json:
@@ -351,7 +343,11 @@ def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
     elif which == "alim":
         _require(args, "p", "q", "n")
         p, q = args.p, args.q
-        limit = (1 - limits.contraction(p)) * (1 - limits.contraction(q))
+        if (p - 1) * (q - 1) < 0:
+            # opposite sides of 1: the ratio drops to 0 (see limits.a_ratio)
+            limit = Fraction(0)
+        else:
+            limit = (1 - limits.contraction(p)) * (1 - limits.contraction(q))
         finite = lambda n: limits.a_ratio(p, q, n)
         lo = 1
         label = f"alim p={p} q={q}"
@@ -419,13 +415,7 @@ def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
     else:
         raise UsageError(f"unknown limit computation {which!r}")
     grid = limits.default_grid(lo, args.n, grid_points) if args.csv else [args.n]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda n: (n, finite(n)), grid))
-        report = limits.ConvergenceReport(label, limit, rows)
-    else:
-        report = limits.convergence_report(label, finite, limit, grid)
-    return report, []
+    return limits.convergence_report(label, finite, limit, grid), []
 
 
 def _cmd_limit(args) -> int:
@@ -534,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on the ambient enumeration size (theorem-specific default)",
     )
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -558,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument(
         "--digits", type=int, default=12, help="significant digits in rendered output"
     )
-    p_limit.add_argument("--threads", type=int, default=1)
     p_limit.add_argument("--json", action="store_true")
     p_limit.set_defaults(func=_cmd_limit)
 

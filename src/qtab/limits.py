@@ -115,8 +115,6 @@ def a_ratio(p: Fraction, q: Fraction, n: int) -> Fraction:
     only one factor can be reduced, the relevant generating function becomes
     entire, and the ratio drops to 0 instead.
     """
-    from .stats import a_scaled_value
-
     p, q = Fraction(p), Fraction(q)
     if p <= 0 or q <= 0:
         raise ValueError("parameters must be positive")

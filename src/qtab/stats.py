@@ -10,8 +10,13 @@ cross-check band in the test suite passes, and the CLI reports which path
 produced a number.
 
 Exact rational evaluators (``t_scaled_value`` and friends) evaluate the same
-partition sums at a fixed rational point without materializing polynomials;
-they are the workhorses of :mod:`qtab.limits`.
+sums at a fixed rational point without materializing polynomials; they are
+the workhorses of :mod:`qtab.limits`.  They do not sum over partitions: the
+scaled values are the coefficients of Littlewood's and Cauchy's Schur-function
+products, whose logarithms have closed forms, so one O(n^2) exact recurrence
+gives the whole prefix b_0..b_n.  Each parameter's prefix is cached and grows
+on demand, so every caller at one parameter shares a single series.  The test
+suite pins the series to the partition/hook-length sum they replace.
 """
 
 from __future__ import annotations
@@ -130,44 +135,47 @@ def q_binomial_value(n: int, k: int, q: Fraction) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
-def _hook_profiles(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per partition of n: the exponent offset sum((i-1) * part_i) and hooks."""
-    out = []
-    for shape in partitions(n):
-        shift = sum(i * p for i, p in enumerate(shape.parts))
-        out.append((shift, shape.hook_lengths()))
-    return tuple(out)
+# Each scaled value is the coefficient b_n of a generating function whose
+# logarithm is known in closed form, so the whole prefix b_0..b_n follows from
+# m b_m = sum_{k=1..m} c_k b_{m-k}.  Per parameter the cache holds
+# ([c_0, c_1, ...], [b_0, b_1, ...]); both lists only ever grow, and c_0 is an
+# unused placeholder so that c[k] is c_k.
+_T_SERIES: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
+_A_SERIES: dict[tuple[Fraction, Fraction], tuple[list[Fraction], list[Fraction]]] = {}
 
 
-def _q_integer_table(n: int, q: Fraction) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of the q-integers 1..n at a rational point."""
-    nums = [0] * (n + 1)
-    dens = [1] * (n + 1)
-    for h in range(1, n + 1):
-        value = q_integer_value(h, q)
-        nums[h], dens[h] = value.numerator, value.denominator
-    return nums, dens
+def _series_value(series, n: int, log_coefficient) -> Fraction:
+    """b_n of the cached series, extending both lists as far as n first."""
+    c, b = series
+    while len(b) <= n:
+        m = len(b)
+        c.append(log_coefficient(m))
+        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) / m)
+    return b[n]
 
 
 def t_scaled_value(n: int, q: Fraction) -> Fraction:
     """Involutions' maj polynomial at q, divided by the q-factorial of n.
 
-    Computed per partition as q^offset over the product of hook q-integers,
-    which avoids ever forming the large polynomial.  Products accumulate as
-    bare integers so each partition costs one rational normalization.
+    The coefficient of t^n in Littlewood's product sum_lambda s_lambda(x) =
+    prod_i (1 - x_i)^-1 prod_{i<j} (1 - x_i x_j)^-1 at x_i = t(1-q)q^i.  Its
+    logarithm is sum_k p_k/k + sum_r (p_r^2 - p_2r)/(2r) with power sums
+    p_k = (1-q)^k t^k / (1-q^k), so k times its t^k coefficient is
+    (1-q)^(k-1)/[k]_q for odd k and (1-q)^(k-2)/[k/2]_q^2 for even k.  As an
+    identity of rational functions in q this needs no case split at q = 1
+    (where the series is e^(t + t^2/2)) or for q > 1.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     q = Fraction(q)
-    nums, dens = _q_integer_table(n, q)
-    total = Fraction(0)
-    for shift, hooks in _hook_profiles(n):
-        num = q.numerator**shift
-        den = q.denominator**shift
-        for h in hooks:
-            num *= dens[h]
-            den *= nums[h]
-        total += Fraction(num, den)
-    return total
+
+    def log_coefficient(k: int) -> Fraction:
+        if k % 2:
+            return (1 - q) ** (k - 1) / q_integer_value(k, q)
+        return (1 - q) ** (k - 2) / q_integer_value(k // 2, q) ** 2
+
+    series = _T_SERIES.setdefault(q, ([Fraction(0)], [Fraction(1)]))
+    return _series_value(series, n, log_coefficient)
 
 
 def t_value(n: int, q: Fraction) -> Fraction:
@@ -176,20 +184,25 @@ def t_value(n: int, q: Fraction) -> Fraction:
 
 
 def a_scaled_value(n: int, p: Fraction, q: Fraction) -> Fraction:
-    """Joint (imaj, maj) polynomial at (p, q), divided by both factorials."""
-    p = Fraction(p)
-    q = Fraction(q)
-    p_nums, p_dens = _q_integer_table(n, p)
-    q_nums, q_dens = _q_integer_table(n, q)
-    total = Fraction(0)
-    for shift, hooks in _hook_profiles(n):
-        num = (p.numerator * q.numerator) ** shift
-        den = (p.denominator * q.denominator) ** shift
-        for h in hooks:
-            num *= p_dens[h] * q_dens[h]
-            den *= p_nums[h] * q_nums[h]
-        total += Fraction(num, den)
-    return total
+    """Joint (imaj, maj) polynomial at (p, q), divided by both factorials.
+
+    The coefficient of t^n in the Cauchy product sum_lambda s_lambda(x)
+    s_lambda(y) = prod_{i,j} (1 - x_i y_j)^-1 at x_i = t(1-p)p^i,
+    y_j = (1-q)q^j.  Its logarithm is sum_k p_k(x) p_k(y)/k, so k times its
+    t^k coefficient is (1-p)^(k-1) (1-q)^(k-1) / ([k]_p [k]_q), again valid
+    as a rational identity for every positive p and q (e^t at p = q = 1).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p, q = Fraction(p), Fraction(q)
+
+    def log_coefficient(k: int) -> Fraction:
+        return ((1 - p) * (1 - q)) ** (k - 1) / (
+            q_integer_value(k, p) * q_integer_value(k, q)
+        )
+
+    series = _A_SERIES.setdefault((p, q), ([Fraction(0)], [Fraction(1)]))
+    return _series_value(series, n, log_coefficient)
 
 
 def a_value(n: int, p: Fraction, q: Fraction) -> Fraction:

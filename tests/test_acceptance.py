@@ -472,6 +472,17 @@ def test_criterion_11b_partition_sum_vs_product():
     )
 
 
+def test_partition_sum_gap_decays_like_q_to_half_n():
+    # The C q^(n/2) term that 11b cancels, observed directly: far enough out
+    # the O(n q^n) remainder is ~1e-34, so successive even-n gaps shrink by q
+    # and gap(n) / q^(n/2) settles on C.
+    product, _ = xi_product_with_tail(HALF, Fraction(1, 10**45))
+    gap_118 = product - xi_partial(HALF, 118)
+    gap_120 = product - xi_partial(HALF, 120)
+    assert abs(gap_120 / gap_118 - HALF) < Fraction(1, 10**10)
+    assert abs(gap_120 / HALF**60 - Fraction("65.5508032361")) < Fraction(1, 10**6)
+
+
 def test_criterion_11c_involution_ratio_trend():
     report = eq8_check(1, 2000)
     gap_end = abs(report.ratio_offset - 1)

@@ -120,19 +120,29 @@ def test_verify_exit_code_and_json(capsys):
     assert {r["theorem"] for r in reports} == {"permcont1"}
 
 
-def test_verify_threads_output_identical(capsys):
-    assert run(["verify", "majgen", "--max-size", "2", "--max-total", "2"]) == 0
-    single = out_of(capsys)
-    assert run(
-        ["verify", "majgen", "--max-size", "2", "--max-total", "2", "--threads", "4"]
-    ) == 0
-    assert out_of(capsys) == single
+def test_threads_flag_is_a_usage_error(capsys):
+    for argv in (
+        ["verify", "majgen", "--max-size", "2", "--max-total", "2", "--threads", "4"],
+        ["limit", "tlim", "--q", "1/2", "--n", "8", "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 def test_limit_tlim(capsys):
     assert run(["limit", "tlim", "--q", "1/2", "--n", "8"]) == 0
     text = out_of(capsys)
     assert "limit=0.5" in text and "n=8" in text
+
+
+def test_limit_alim_opposite_sides_tends_to_zero(capsys):
+    # with p and q on opposite sides of 1 the ratio sinks to 0, not to the
+    # product (1 - 1/2)(1 - 1/2) that the same-side formula would give
+    assert run(["limit", "alim", "--p", "1/2", "--q", "2", "--n", "12"]) == 0
+    assert " limit=0 " in out_of(capsys)
+    assert run(["limit", "alim", "--p", "2", "--q", "2", "--n", "12"]) == 0
+    assert " limit=0.25 " in out_of(capsys)
 
 
 def test_limit_csv_grid(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtab.limits import xi_partial
 from qtab.permutation import involutions
 from qtab.polynomial import ONE, BivarPoly, qfactorial
 from qtab.stats import (
@@ -18,6 +19,7 @@ from qtab.stats import (
     t_scaled_value,
     t_value,
 )
+from qtab.tableau import partitions
 
 
 def test_t_poly_enum_small():
@@ -132,3 +134,60 @@ def test_single_flip_is_not_an_invariance():
     assert a_scaled_value(2, Fraction(2, 3), Fraction(1, 5)) != a_scaled_value(
         2, Fraction(2, 3), Fraction(5)
     )
+
+
+# -- the series evaluators against the partition/hook-length sum ---------------
+
+
+def _hook_sum(n, *params):
+    """Reference for the scaled values: the sum over partitions of n of
+    prod over the parameters x of x^(sum_i (i-1) lambda_i) / prod_h [h]_x.
+
+    Each term is accumulated as a bare numerator and denominator, so that a
+    partition costs one rational normalization."""
+    tables = [(x, [q_integer_value(h, x) for h in range(n + 1)]) for x in params]
+    total = Fraction(0)
+    for shape in partitions(n):
+        shift = sum(i * part for i, part in enumerate(shape.parts))
+        hooks = shape.hook_lengths()
+        num = den = 1
+        for x, q_integers in tables:
+            num *= x.numerator**shift
+            den *= x.denominator**shift
+            for h in hooks:
+                num *= q_integers[h].denominator
+                den *= q_integers[h].numerator
+        total += Fraction(num, den)
+    return total
+
+
+@pytest.mark.parametrize(
+    "q", [Fraction(1, 2), Fraction(2), Fraction(1), Fraction(2, 3), Fraction(3, 2), Fraction(1, 3)]
+)
+def test_t_scaled_value_matches_hook_sum(q):
+    for n in range(26):
+        assert t_scaled_value(n, q) == _hook_sum(n, q), n
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Fraction(1, 2), Fraction(2, 3)),
+        (Fraction(2), Fraction(3, 2)),
+        (Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(2)),
+        (Fraction(2, 3), Fraction(5)),
+        (Fraction(1), Fraction(1, 2)),
+        (Fraction(1), Fraction(1)),
+    ],
+)
+def test_a_scaled_value_matches_hook_sum(p, q):
+    for n in range(19):
+        assert a_scaled_value(n, p, q) == _hook_sum(n, p, q), n
+
+
+def test_xi_partial_matches_hook_sum_at_40():
+    # criterion 11b's own Littlewood series runs the same recurrence as the
+    # production path, so this keeps an independent check at its size
+    q = Fraction(1, 2)
+    assert xi_partial(q, 40) == _hook_sum(40, q) / (1 - q) ** 40
