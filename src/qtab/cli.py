@@ -230,6 +230,8 @@ def _cmd_j2(args) -> int:
     if args.action != "count":
         raise UsageError("supported: j2 count")
     n_max = args.max
+    if n_max < 0:
+        raise UsageError(f"--max must be nonnegative, got {n_max}")
     if args.method == "brute":
         _check_enum_size(n_max, "permutation enumeration")
         counts = [jsets.j2_count(n) for n in range(n_max + 1)]
@@ -249,6 +251,9 @@ def _cmd_j2(args) -> int:
 def _verify_instances(args) -> list[Callable[[], containment.IdentityReport]]:
     which = args.which
     k = args.max_size
+    for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
     jobs: list[Callable[[], containment.IdentityReport]] = []
     if which == "permcont1":
         total_cap = args.max_total if args.max_total is not None else 8

@@ -21,6 +21,7 @@ than a bare assertion.  The identities verified:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .jsets import j2_set, j_set
-from .permutation import Permutation, involutions, permutations
+from .permutation import Permutation, involution_words, involutions, permutations
+from .permutation import word_high, word_imaj, word_low, word_maj, word_std
 from .polynomial import ZERO, BivarPoly, qbinomial, qfactorial
 from .rsk import rs
 from .stats import a_poly, t_count, t_poly
@@ -169,10 +171,9 @@ def verify_permcont1(m: int, n: int) -> IdentityReport:
     total = n + m
     buckets: dict[tuple[int, ...], dict[int, int]] = {}
     all_counts: dict[int, int] = {}
-    for pi in involutions(total):
-        stat = pi.suffix(m).maj()
-        key = pi.restrict_low(m).word
-        bucket = buckets.setdefault(key, {})
+    for w in involution_words(total):
+        stat = word_maj(w[m:])
+        bucket = buckets.setdefault(word_low(w, m), {})
         bucket[stat] = bucket.get(stat, 0) + 1
         all_counts[stat] = all_counts.get(stat, 0) + 1
 
@@ -223,15 +224,11 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
     m, n = total - a, total - b
     buckets: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, int], int]] = {}
     all_counts: dict[tuple[int, int], int] = {}
-    for pi in permutations(total):
-        stat = (pi.restrict_high(a).imaj(), pi.suffix(b).maj())
-        key = (pi.restrict_low(a).word, pi.prefix(b).word)
-        bucket = buckets.setdefault(key, {})
+    for w in itertools.permutations(range(1, total + 1)):
+        stat = (word_imaj(word_high(w, a)), word_maj(w[b:]))
+        bucket = buckets.setdefault((word_low(w, a), word_std(w[:b])), {})
         bucket[stat] = bucket.get(stat, 0) + 1
         all_counts[stat] = all_counts.get(stat, 0) + 1
-
-    def pq_poly(counts: dict[tuple[int, int], int]) -> BivarPoly:
-        return BivarPoly(counts)
 
     rhs_all = ZERO
     for j in range(a + 1):
@@ -248,12 +245,12 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
             * qbinomial(n, k)
             * a_poly(k)
         )
-    report.record("all permutations", pq_poly(all_counts), rhs_all)
+    report.record("all permutations", BivarPoly(all_counts), rhs_all)
 
     for sigma in permutations(a):
         for tau in permutations(b):
             jset = j2_set(sigma, tau)
-            lhs = pq_poly(buckets.get((sigma.word, tau.word), {}))
+            lhs = BivarPoly(buckets.get((sigma.word, tau.word), {}))
             rhs = ZERO
             count_rhs = 0
             for j in sorted(jset):
@@ -274,31 +271,25 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
 
 
 @lru_cache(maxsize=None)
-def _perms_by_insertion_tableau(n: int) -> dict[Tableau, list[Permutation]]:
-    groups: dict[Tableau, list[Permutation]] = {}
+def _perms_by_tableau(n: int) -> tuple[dict[Tableau, list[Permutation]], ...]:
+    """Permutations of [n] grouped by insertion tableau and by recording tableau."""
+    by_insertion: dict[Tableau, list[Permutation]] = {}
+    by_recording: dict[Tableau, list[Permutation]] = {}
     for pi in permutations(n):
-        p_tab, _ = rs(pi)
-        groups.setdefault(p_tab, []).append(pi)
-    return groups
-
-
-@lru_cache(maxsize=None)
-def _perms_by_recording_tableau(n: int) -> dict[Tableau, list[Permutation]]:
-    groups: dict[Tableau, list[Permutation]] = {}
-    for pi in permutations(n):
-        _, q_tab = rs(pi)
-        groups.setdefault(q_tab, []).append(pi)
-    return groups
+        p_tab, q_tab = rs(pi)
+        by_insertion.setdefault(p_tab, []).append(pi)
+        by_recording.setdefault(q_tab, []).append(pi)
+    return by_insertion, by_recording
 
 
 def perms_with_insertion_tableau(tab: Tableau) -> list[Permutation]:
     """Permutations whose insertion tableau equals the given tableau."""
-    return list(_perms_by_insertion_tableau(tab.size).get(tab, []))
+    return list(_perms_by_tableau(tab.size)[0].get(tab, []))
 
 
 def perms_with_recording_tableau(tab: Tableau) -> list[Permutation]:
     """Permutations whose recording tableau equals the given tableau."""
-    return list(_perms_by_recording_tableau(tab.size).get(tab, []))
+    return list(_perms_by_tableau(tab.size)[1].get(tab, []))
 
 
 def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:

@@ -23,11 +23,12 @@ carry a boolean flag in JSON.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .permutation import Permutation, permutations
+from .permutation import Permutation, word_is_involution, word_low, word_std
 
 __all__ = [
     "JProfile",
@@ -216,19 +217,23 @@ def is_j2_set(values: Iterable[int]) -> bool:
     return True
 
 
+def _j_set_word(word: Sequence[int]) -> frozenset[int]:
+    return frozenset([j for j in range(len(word) + 1) if word_is_involution(word_std(word[:j]))])
+
+
+def _j2_set_words(sigma: Sequence[int], tau: Sequence[int]) -> frozenset[int]:
+    cuts = range(min(len(sigma), len(tau)) + 1)
+    return frozenset([j for j in cuts if word_std(sigma[:j]) == word_low(tau, j)])
+
+
 def j_set(perm: Permutation) -> frozenset[int]:
     """Cut points whose standardized prefix is an involution; 0 always is."""
-    return frozenset(
-        j for j in range(perm.size + 1) if perm.prefix(j).is_involution()
-    )
+    return _j_set_word(perm.word)
 
 
 def j2_set(sigma: Permutation, tau: Permutation) -> frozenset[int]:
     """Cut points j where the prefix of sigma equals the low restriction of tau."""
-    top = min(sigma.size, tau.size)
-    return frozenset(
-        j for j in range(top + 1) if sigma.prefix(j) == tau.restrict_low(j)
-    )
+    return _j2_set_words(sigma.word, tau.word)
 
 
 def j_extend_ok(j_values: Iterable[int], n: int) -> bool:
@@ -272,7 +277,7 @@ def j2_extend_ok(j_values: Iterable[int], m: int) -> bool:
 @lru_cache(maxsize=None)
 def j_sets_of(n: int) -> frozenset[frozenset[int]]:
     """All j-sets arising from permutations of [n] (brute force)."""
-    return frozenset(j_set(perm) for perm in permutations(n))
+    return frozenset(_j_set_word(w) for w in itertools.permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +287,7 @@ def j2_sets_of(n: int) -> frozenset[frozenset[int]]:
     Every j2-set with largest element n arises this way, so this is the full
     list of j2-sets with maximum n.
     """
-    return frozenset(j2_set(perm, perm) for perm in permutations(n))
+    return frozenset(_j2_set_words(w, w) for w in itertools.permutations(range(1, n + 1)))
 
 
 def j2_count(n: int) -> int:

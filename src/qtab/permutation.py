@@ -1,12 +1,14 @@
 """Permutations, descent statistics, restriction operators, and 0-1 matrices.
 
-A permutation is stored in one-line notation with values 1..n.  Four
-restriction operators act on it:
-
-* ``restrict_low(k)``  -- the subword of values <= k (already a permutation of [k]);
-* ``restrict_high(k)`` -- the subword of values > k, shifted down by k;
-* ``prefix(k)``        -- the first k letters, standardized;
-* ``suffix(k)``        -- the letters after position k, standardized.
+A permutation is stored in one-line notation with values 1..n.  A kernel of
+plain tuple functions, with no validation, computes its statistics and its
+four restriction operators: ``word_std`` (standardization), ``word_low`` /
+``word_high`` (the subword of values <= k / of values > k shifted down by k),
+``word_maj``, ``word_imaj`` and ``word_is_involution``.  ``standardize`` and
+the ``Permutation`` methods -- ``restrict_low``, ``restrict_high``, ``prefix``
+and ``suffix`` (the letters before / after a cut, standardized), ``maj``,
+``imaj``, ``is_involution`` -- are validated wrappers over it.  Brute-force
+sweeps run the kernel on ``itertools.permutations`` and ``involution_words``.
 
 The module also provides the block decomposition of a permutation matrix cut
 into four submatrices by a column split at ``a`` and a row split at ``b``,
@@ -36,10 +38,37 @@ __all__ = [
 ]
 
 
+def word_std(values: Sequence[int]) -> tuple[int, ...]:
+    """The word of 1..len order-isomorphic to a sequence of distinct integers."""
+    ranks = {v: r for r, v in enumerate(sorted(values), start=1)}
+    return tuple([ranks[v] for v in values])
+
+
+def word_low(word: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple([v for v in word if v <= k])
+
+
+def word_high(word: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple([v - k for v in word if v > k])
+
+
+def word_maj(word: Sequence[int]) -> int:
+    """Sum of the positions i with word[i-1] > word[i]; any distinct letters."""
+    return sum([i for i in range(1, len(word)) if word[i - 1] > word[i]])
+
+
+def word_imaj(word: Sequence[int]) -> int:
+    """imaj of the standardized word: maj of its positions listed by increasing value."""
+    return word_maj(sorted(range(len(word)), key=word.__getitem__))
+
+
+def word_is_involution(word: Sequence[int]) -> bool:
+    return all(word[v - 1] == i for i, v in enumerate(word, start=1))
+
+
 def standardize(values: Sequence[int]) -> "Permutation":
     """The permutation order-isomorphic to a sequence of distinct integers."""
-    ranks = {v: r + 1 for r, v in enumerate(sorted(values))}
-    return Permutation(tuple(ranks[v] for v in values))
+    return Permutation(word_std(values))
 
 
 @dataclass(frozen=True)
@@ -68,12 +97,10 @@ class Permutation:
         if not text:
             return cls(())
         if any(ch in text for ch in " ,"):
-            values = tuple(int(tok) for tok in text.replace(",", " ").split())
-        else:
-            if not text.isdigit():
-                raise ValueError(f"cannot parse permutation from {text!r}")
-            values = tuple(int(ch) for ch in text)
-        return cls(values)
+            return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
+        if not text.isdigit():
+            raise ValueError(f"cannot parse permutation from {text!r}")
+        return cls(tuple(int(ch) for ch in text))
 
     @property
     def size(self) -> int:
@@ -101,7 +128,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def is_involution(self) -> bool:
-        return all(self.word[v - 1] == i + 1 for i, v in enumerate(self.word))
+        return word_is_involution(self.word)
 
     # -- statistics ---------------------------------------------------------
 
@@ -112,12 +139,11 @@ class Permutation:
 
     def maj(self) -> int:
         """Major index: the sum of the descent positions."""
-        w = self.word
-        return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+        return word_maj(self.word)
 
     def imaj(self) -> int:
         """Major index of the inverse permutation."""
-        return self.inverse().maj()
+        return word_imaj(self.word)
 
     # -- restriction operators ------------------------------------------------
 
@@ -128,22 +154,22 @@ class Permutation:
     def restrict_low(self, k: int) -> "Permutation":
         """Subword of values <= k; already a permutation of [k]."""
         self._check_cut(k)
-        return Permutation(tuple(v for v in self.word if v <= k))
+        return Permutation(word_low(self.word, k))
 
     def restrict_high(self, k: int) -> "Permutation":
         """Subword of values > k, shifted down to a permutation of [n-k]."""
         self._check_cut(k)
-        return Permutation(tuple(v - k for v in self.word if v > k))
+        return Permutation(word_high(self.word, k))
 
     def prefix(self, k: int) -> "Permutation":
         """Standardization of the first k letters."""
         self._check_cut(k)
-        return standardize(self.word[:k])
+        return Permutation(word_std(self.word[:k]))
 
     def suffix(self, k: int) -> "Permutation":
         """Standardization of the letters after position k."""
         self._check_cut(k)
-        return standardize(self.word[k:])
+        return Permutation(word_std(self.word[k:]))
 
 
 def permutations(n: int) -> Iterator[Permutation]:
@@ -152,26 +178,30 @@ def permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(word)
 
 
-def involutions(n: int) -> Iterator[Permutation]:
-    """All involutions of [n], in a deterministic order.
+def involution_words(n: int) -> Iterator[tuple[int, ...]]:
+    """Words of all involutions of [n]: the smallest free value is fixed, then
+    paired with each larger free value in turn.  The cost is the involution
+    count, not n!.  One buffer is reused; every slot is rewritten per word."""
+    word = [0] * n
 
-    Built directly from fixed points and 2-cycles, so the cost is the
-    involution count rather than n!.
-    """
-
-    def build(remaining: tuple[int, ...], mapping: dict[int, int]) -> Iterator[dict[int, int]]:
-        if not remaining:
-            yield mapping
+    def build(free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if not free:
+            yield tuple(word)
             return
-        x = remaining[0]
-        rest = remaining[1:]
-        yield from build(rest, {**mapping, x: x})
+        x, rest = free[0], free[1:]
+        word[x - 1] = x
+        yield from build(rest)
         for idx, y in enumerate(rest):
-            rest2 = rest[:idx] + rest[idx + 1 :]
-            yield from build(rest2, {**mapping, x: y, y: x})
+            word[x - 1], word[y - 1] = y, x
+            yield from build(rest[:idx] + rest[idx + 1 :])
 
-    for mapping in build(tuple(range(1, n + 1)), {}):
-        yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
+    yield from build(tuple(range(1, n + 1)))
+
+
+def involutions(n: int) -> Iterator[Permutation]:
+    """All involutions of [n], in the order of ``involution_words``."""
+    for word in involution_words(n):
+        yield Permutation(word)
 
 
 @dataclass(frozen=True)
@@ -186,8 +216,7 @@ class BinaryWord:
 
     @classmethod
     def parse(cls, text: str) -> "BinaryWord":
-        text = text.strip()
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(int(ch) for ch in text.strip()))
 
     @property
     def length(self) -> int:
@@ -207,10 +236,7 @@ class BinaryWord:
 def binary_words(length: int, weight: int) -> Iterator[BinaryWord]:
     """All 0/1 words of the given length and weight, lexicographically."""
     for ones in itertools.combinations(range(length), weight):
-        bits = [0] * length
-        for i in ones:
-            bits[i] = 1
-        yield BinaryWord(tuple(bits))
+        yield BinaryWord(tuple(int(i in ones) for i in range(length)))
 
 
 @dataclass(frozen=True)
@@ -228,9 +254,8 @@ class ZeroOneMatrix:
                 raise ValueError("entries must be 0 or 1")
             if sum(row) > 1:
                 raise ValueError("row with more than one 1")
-        for j in range(self.ncols):
-            if sum(row[j] for row in self.entries) > 1:
-                raise ValueError("column with more than one 1")
+        if any(sum(column) > 1 for column in zip(*self.entries)):
+            raise ValueError("column with more than one 1")
 
     @property
     def nrows(self) -> int:
@@ -242,32 +267,18 @@ class ZeroOneMatrix:
 
     @classmethod
     def from_permutation(cls, perm: Permutation) -> "ZeroOneMatrix":
-        n = perm.size
-        return cls(
-            tuple(tuple(1 if perm.word[i] == j + 1 else 0 for j in range(n)) for i in range(n))
-        )
+        columns = range(1, perm.size + 1)
+        return cls(tuple(tuple(int(v == j) for j in columns) for v in perm.word))
 
     def compress(self) -> Permutation:
         """The permutation left after deleting all-zero rows and columns."""
-        used_cols = sorted(
-            j for j in range(self.ncols) if any(row[j] for row in self.entries)
-        )
-        col_rank = {j: r + 1 for r, j in enumerate(used_cols)}
-        word = []
-        for row in self.entries:
-            for j, x in enumerate(row):
-                if x:
-                    word.append(col_rank[j])
-                    break
-        return Permutation(tuple(word))
+        return standardize([row.index(1) for row in self.entries if 1 in row])
 
     def row_word(self) -> BinaryWord:
         return BinaryWord(tuple(sum(row) for row in self.entries))
 
     def col_word(self) -> BinaryWord:
-        return BinaryWord(
-            tuple(sum(row[j] for row in self.entries) for j in range(self.ncols))
-        )
+        return BinaryWord(tuple(map(sum, zip(*self.entries))))
 
 
 def matrix_of(perm: Permutation) -> ZeroOneMatrix:
@@ -316,15 +327,11 @@ class PhiImage:
         ):
             raise ValueError("word weights do not match the block sizes")
 
-    def as_tuple(self):
-        return (self.p11, self.p12, self.p21, self.p22, self.c1, self.r1, self.c2, self.r2)
-
 
 def phi(perm: Permutation, a: int, b: int) -> PhiImage:
     """Decompose a permutation along a column cut at a and a row cut at b."""
     total = perm.size
-    m, n = total - a, total - b
-    if a < 0 or b < 0 or m < 0 or n < 0:
+    if not (0 <= a <= total and 0 <= b <= total):
         raise ValueError(f"cuts a={a}, b={b} out of range for size {total}")
     w = perm.word
     inv = perm.inverse().word  # inv[j-1] = position of value j
@@ -352,17 +359,16 @@ def phi(perm: Permutation, a: int, b: int) -> PhiImage:
 def phi_inverse(image: PhiImage) -> Permutation:
     """Reassemble the permutation from its block decomposition."""
     a, b = image.a, image.b
-    m, n = len(image.c2), len(image.r2)
-    total = a + m
-    word = [0] * total
-    top_left_rows = [i for i in range(1, b + 1) if image.r1.bits[i - 1] == 0]
-    top_right_rows = [i for i in range(1, b + 1) if image.r1.bits[i - 1] == 1]
-    bottom_left_rows = [b + i for i in range(1, n + 1) if image.r2.bits[i - 1] == 0]
-    bottom_right_rows = [b + i for i in range(1, n + 1) if image.r2.bits[i - 1] == 1]
-    left_top_cols = [j for j in range(1, a + 1) if image.c1.bits[j - 1] == 0]
-    left_bottom_cols = [j for j in range(1, a + 1) if image.c1.bits[j - 1] == 1]
-    right_top_cols = [a + j for j in range(1, m + 1) if image.c2.bits[j - 1] == 0]
-    right_bottom_cols = [a + j for j in range(1, m + 1) if image.c2.bits[j - 1] == 1]
+    word = [0] * (a + len(image.c2))
+
+    def slots(bits: BinaryWord, offset: int) -> list[list[int]]:
+        """1-based indices, shifted by offset, of the 0s and then of the 1s."""
+        return [[offset + i for i, x in enumerate(bits.bits, 1) if x == bit] for bit in (0, 1)]
+
+    top_left_rows, top_right_rows = slots(image.r1, 0)
+    bottom_left_rows, bottom_right_rows = slots(image.r2, b)
+    left_top_cols, left_bottom_cols = slots(image.c1, 0)
+    right_top_cols, right_bottom_cols = slots(image.c2, a)
     blocks = [
         (image.p11, top_left_rows, left_top_cols),
         (image.p12, top_right_rows, right_top_cols),
@@ -389,13 +395,5 @@ def shuffle(sigma: Permutation, tau: Permutation, word: BinaryWord) -> Permutati
             f"word of length {word.length}, weight {word.weight} cannot shuffle "
             f"sizes {a} and {b}"
         )
-    out = []
-    i = j = 0
-    for bit in word.bits:
-        if bit == 0:
-            out.append(sigma.word[i])
-            i += 1
-        else:
-            out.append(a + tau.word[j])
-            j += 1
-    return Permutation(tuple(out))
+    lows, highs = iter(sigma.word), iter(tau.word)
+    return Permutation(tuple(a + next(highs) if bit else next(lows) for bit in word.bits))

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtab.cli import run
 
@@ -118,6 +121,73 @@ def test_verify_exit_code_and_json(capsys):
     reports = json.loads(out_of(capsys))
     assert all(r["failures"] == [] for r in reports)
     assert {r["theorem"] for r in reports} == {"permcont1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "permcont1", "--max-size", "-1"],
+        ["verify", "majgen", "--max-size", "-2"],
+        ["verify", "permcont2", "--max-size", "1", "--max-total", "-1"],
+        ["j2", "count", "--max", "-1", "--method", "brute"],
+        ["j2", "count", "--max", "-1", "--method", "gf"],
+    ],
+)
+def test_negative_sizes_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+_SIZES = st.integers(-3, 4)
+
+
+def _operand():
+    """A permutation of a size in [-3, 4] (a bare number when negative), or
+    an arbitrary comma list of such sizes."""
+    perm = _SIZES.flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(lambda w: "".join(map(str, w)))
+        if n >= 0
+        else st.just(str(n))
+    )
+    return perm | st.lists(_SIZES, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+_ORACLE_ARGV = st.one_of(
+    st.tuples(
+        st.just("verify"),
+        st.sampled_from(["permcont1", "permcont2", "permtotab", "majgen", "majgen1"]),
+        st.just("--max-size"),
+        _SIZES.map(str),
+    ).flatmap(
+        lambda head: st.just(list(head))
+        | _SIZES.map(lambda t: [*head, "--max-total", str(t)])
+    ),
+    st.tuples(_SIZES, st.sampled_from(["gf", "brute"])).map(
+        lambda a: ["j2", "count", "--max", str(a[0]), "--method", a[1]]
+    ),
+    _operand().map(lambda w: ["jset", w]),
+    st.tuples(st.just("check") | _operand(), _operand()).map(lambda a: ["j2set", *a]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORACLE_ARGV, st.booleans())
+def test_oracle_commands_keep_exit_code_contract(argv, as_json):
+    argv = argv + ["--json"] if as_json else argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors, e.g. "-1,2"
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if any(tok[:1] == "-" and tok[1:2].isdigit() for tok in argv):
+        assert code == 2, argv  # a negative size or letter is a usage error
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_threads_flag_is_a_usage_error(capsys):

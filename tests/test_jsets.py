@@ -29,6 +29,50 @@ WORKED_SET = {0, 1, 2, 3, 5, 6, 9, 13, 17, 18, 19, 20, 22}
 WORKED_SET_2 = {0, 1, 3, 6, 7, 8, 12, 13, 14, 15, 17}
 
 
+# Oracles: the j-set and j2-set from validated Permutation objects, one per
+# cut, with standardization by counting smaller letters (no word kernel).
+def _prefix_oracle(perm, j):
+    head = perm.word[:j]
+    return Permutation(tuple(sum(u <= v for u in head) for v in head))
+
+
+def _j_set_oracle(perm):
+    return frozenset(
+        j
+        for j in range(perm.size + 1)
+        if _prefix_oracle(perm, j) == _prefix_oracle(perm, j).inverse()
+    )
+
+
+def _j2_set_oracle(sigma, tau):
+    top = min(sigma.size, tau.size)
+    return frozenset(
+        j
+        for j in range(top + 1)
+        if _prefix_oracle(sigma, j) == Permutation(tuple(v for v in tau.word if v <= j))
+    )
+
+
+def test_j_set_matches_oracle_through_7():
+    for n in range(8):
+        for perm in permutations(n):
+            assert j_set(perm) == _j_set_oracle(perm), perm
+
+
+def test_j2_set_matches_oracle_through_5():
+    perms = [perm for n in range(6) for perm in permutations(n)]
+    for sigma in perms:
+        for tau in perms:
+            assert j2_set(sigma, tau) == _j2_set_oracle(sigma, tau), (sigma, tau)
+
+
+def test_brute_set_lists_match_oracle():
+    for n in range(7):
+        perms = list(permutations(n))
+        assert j_sets_of(n) == {_j_set_oracle(perm) for perm in perms}
+        assert j2_sets_of(n) == {_j2_set_oracle(perm, perm) for perm in perms}
+
+
 def test_delta_worked_example():
     assert delta(WORKED_SET) == (2, 1, 1, 1, 4, 4, 3, 1, 2, 1, 1, 1)
 
@@ -153,8 +197,9 @@ def test_j2_realized_by_single_permutation():
     # every j2-set with maximum n arises from a diagonal pair on [n]
     for n in range(7):
         by_pairs = set()
-        for sigma in permutations(n):
-            for tau in permutations(n):
+        perms = list(permutations(n))
+        for sigma in perms:
+            for tau in perms:
                 values = j2_set(sigma, tau)
                 if values and max(values) == n:
                     by_pairs.add(values)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from qtab.permutation import (
     Permutation,
     ZeroOneMatrix,
     binary_words,
+    involution_words,
     involutions,
     matrix_of,
     permutations,
@@ -13,6 +16,12 @@ from qtab.permutation import (
     phi_inverse,
     shuffle,
     standardize,
+    word_high,
+    word_imaj,
+    word_is_involution,
+    word_low,
+    word_maj,
+    word_std,
 )
 from qtab.polynomial import BivarPoly, qbinomial
 from qtab.stats import t_count
@@ -92,6 +101,58 @@ def test_involution_generator(n):
     assert len(invs) == t_count(n)
     assert all(p.is_involution() for p in invs)
     assert len(set(invs)) == len(invs)
+
+
+# References for the word kernel, independent of it: standardization by
+# counting smaller letters, maj and imaj through descent sets, involutions
+# through the inverse, and the dict-building involution generator the kernel's
+# buffer generator replaced.
+def _std_reference(values):
+    return tuple(sum(u <= v for u in values) for v in values)
+
+
+def _involutions_reference(n):
+    def build(remaining, mapping):
+        if not remaining:
+            yield mapping
+            return
+        x, rest = remaining[0], remaining[1:]
+        yield from build(rest, {**mapping, x: x})
+        for idx, y in enumerate(rest):
+            yield from build(rest[:idx] + rest[idx + 1 :], {**mapping, x: y, y: x})
+
+    for mapping in build(tuple(range(1, n + 1)), {}):
+        yield tuple(mapping[i] for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_word_kernel_matches_references(n):
+    for word in itertools.permutations(range(1, n + 1)):
+        perm = Permutation(word)
+        inv = perm.inverse()
+        assert word_maj(word) == perm.maj() == sum(perm.descents())
+        assert word_imaj(word) == perm.imaj() == sum(inv.descents())
+        assert word_is_involution(word) == perm.is_involution() == (inv == perm)
+        for k in range(n + 1):
+            head, tail = word[:k], word[k:]
+            low = tuple(v for v in word if v <= k)
+            high = tuple(v - k for v in word if v > k)
+            assert word_std(head) == perm.prefix(k).word == _std_reference(head)
+            assert word_std(tail) == perm.suffix(k).word == _std_reference(tail)
+            assert word_low(word, k) == perm.restrict_low(k).word == low
+            assert word_high(word, k) == perm.restrict_high(k).word == high
+            # the sweeps take maj of a raw suffix and imaj of a raw high word
+            std_tail = Permutation(_std_reference(tail))
+            assert word_maj(tail) == sum(std_tail.descents())
+            assert word_imaj(tail) == sum(std_tail.inverse().descents())
+            assert word_imaj(high) == sum(Permutation(high).inverse().descents())
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_involution_words_keep_order(n):
+    words = list(involution_words(n))
+    assert words == list(_involutions_reference(n))
+    assert [perm.word for perm in involutions(n)] == words
 
 
 def test_standardize():
