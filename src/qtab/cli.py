@@ -328,105 +328,64 @@ def _cmd_verify(args) -> int:
 
 # -- limit -------------------------------------------------------------------------
 
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"limit {args.which} requires --{name.replace('_', '-')}")
+# kind -> (pattern options, parameter options, finite evaluator, limit evaluator).
+# Evaluators are names in ``limits``, looked up when a report is built, so a
+# wrapper installed on the module later is the one called.  The finite one
+# takes (*patterns, *parameters, n), the limit one (*patterns, *parameters).
+# xi and eq8 build their limits and trailing lines in _limit_report.
+_LIMIT_KINDS = {
+    "qlim1": (("sigma",), ("q",), "qlim1_lhs", "qlim1_rhs"),
+    "m2-1": (("sigma", "tau"), ("p", "q"), "m2_1_lhs", "m2_1_rhs"),
+    "m3": (("tableau",), ("q",), "m3_lhs", "m3_rhs"),
+    "m3-1": (("tableau", "tableau2"), ("p", "q"), "m3_1_lhs", "m3_1_rhs"),
+    "tlim": ((), ("q",), "t_ratio", "t_limit"),
+    "alim": ((), ("p", "q"), "a_ratio", "a_limit"),
+    "xi": ((), ("q",), "xi_partial", None),
+    "eq8": ((), ("a",), None, None),
+}
 
 
 def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
     which = args.which
-    grid_points = 8
-    if which == "tlim":
-        _require(args, "q", "n")
-        q = args.q
-        limit = 1 - limits.contraction(q)
-        finite = lambda n: limits.t_ratio(q, n)
-        lo = 1
-        label = f"tlim q={q}"
-    elif which == "alim":
-        _require(args, "p", "q", "n")
-        p, q = args.p, args.q
-        if (p - 1) * (q - 1) < 0:
-            # opposite sides of 1: the ratio drops to 0 (see limits.a_ratio)
-            limit = Fraction(0)
-        else:
-            limit = (1 - limits.contraction(p)) * (1 - limits.contraction(q))
-        finite = lambda n: limits.a_ratio(p, q, n)
-        lo = 1
-        label = f"alim p={p} q={q}"
-    elif which == "qlim1":
-        _require(args, "sigma", "q", "n")
-        sigma = Permutation.parse(args.sigma)
-        q = args.q
-        limit = limits.qlim1_rhs(sigma, q)
-        finite = lambda n: limits.qlim1_lhs(sigma, q, n)
-        lo = sigma.size
-        label = f"qlim1 sigma={args.sigma} q={q}"
-    elif which == "m2-1":
-        _require(args, "sigma", "tau", "p", "q", "n")
-        sigma = Permutation.parse(args.sigma)
-        tau = Permutation.parse(args.tau)
-        p, q = args.p, args.q
-        limit = limits.m2_1_rhs(sigma, tau, p, q)
-        finite = lambda n: limits.m2_1_lhs(sigma, tau, p, q, n)
-        lo = max(sigma.size, tau.size)
-        label = f"m2-1 sigma={args.sigma} tau={args.tau} p={p} q={q}"
-    elif which == "m3":
-        _require(args, "tableau", "q", "n")
-        tab = _parse_tableau(args.tableau)
-        q = args.q
-        limit = limits.m3_rhs(tab, q)
-        finite = lambda n: limits.m3_lhs(tab, q, n)
-        lo = tab.size
-        label = f"m3 q={q}"
-    elif which == "m3-1":
-        _require(args, "tableau", "tableau2", "p", "q", "n")
-        a_tab = _parse_tableau(args.tableau)
-        b_tab = _parse_tableau(args.tableau2)
-        p, q = args.p, args.q
-        limit = limits.m3_1_rhs(a_tab, b_tab, p, q)
-        finite = lambda n: limits.m3_1_lhs(a_tab, b_tab, p, q, n)
-        lo = max(a_tab.size, b_tab.size)
-        label = f"m3-1 p={p} q={q}"
-    elif which == "xi":
-        _require(args, "q", "n")
-        q = args.q
-        product, tail = limits.xi_product_with_tail(q, args.precision)
-        finite = lambda n: limits.xi_partial(q, n)
-        report = limits.convergence_report(
-            f"xi q={q}",
-            finite,
-            product,
-            limits.default_grid(1, args.n, grid_points) if args.csv else [args.n],
-        )
-        extra = [f"product tail bound: {format_decimal(tail)}"]
-        return report, extra
+    pattern_options, parameter_options, finite_name, limit_name = _LIMIT_KINDS[which]
+    options = (*pattern_options, *parameter_options)
+    for name in options:
+        if getattr(args, name) is None:
+            raise UsageError(f"limit {which} requires --{name}")
+    patterns = [
+        _parse_tableau(getattr(args, name))
+        if name.startswith("tableau")
+        else Permutation.parse(getattr(args, name))
+        for name in pattern_options
+    ]
+    parameters = [getattr(args, name) for name in parameter_options]
+    # tableau JSON or file references stay out of the label
+    shown = [name for name in options if not name.startswith("tableau")]
+    label = " ".join([which, *(f"{name}={getattr(args, name)}" for name in shown)])
+    lo = max((pattern.size for pattern in patterns), default=1)
+    finite = lambda n: getattr(limits, finite_name)(*patterns, *parameters, n)
+    extra = []
+    if which == "xi":
+        limit, tail = limits.xi_product_with_tail(args.q, args.precision)
+        extra.append(f"product tail bound: {format_decimal(tail)}")
     elif which == "eq8":
-        _require(args, "n")
-        a = args.a
-        finite = lambda n: limits.eq8_check(a, n).ratio_offset
-        lo = max(a, 1)
-        report = limits.convergence_report(
-            f"eq8 a={a}",
-            finite,
-            Fraction(1),
-            limits.default_grid(lo, args.n, grid_points) if args.csv else [args.n],
-        )
-        stride = limits.eq8_check(a, args.n).ratio_stride
-        extra = [f"stride ratio at n={args.n}: {format_decimal(stride)}"]
-        return report, extra
+        limit, lo = Fraction(1), max(args.a, 1)
+        finite = lambda n: limits.eq8_check(args.a, n).ratio_offset
     else:
-        raise UsageError(f"unknown limit computation {which!r}")
-    grid = limits.default_grid(lo, args.n, grid_points) if args.csv else [args.n]
-    return limits.convergence_report(label, finite, limit, grid), []
+        limit = getattr(limits, limit_name)(*patterns, *parameters)
+    grid = limits.default_grid(lo, args.n, 8) if args.csv else [args.n]
+    report = limits.convergence_report(label, finite, limit, grid)
+    if which == "eq8":
+        stride = limits.eq8_check(args.a, args.n).ratio_stride
+        extra.append(f"stride ratio at n={args.n}: {format_decimal(stride)}")
+    return report, extra
 
 
 def _cmd_limit(args) -> int:
     report, extra = _limit_report(args)
+    # rendered in full before printing, so a bad --digits prints nothing
     if args.csv:
-        print(report.to_csv(args.digits))
+        text = report.to_csv(args.digits)
     elif args.json:
         payload = {
             "label": report.label,
@@ -436,18 +395,18 @@ def _cmd_limit(args) -> int:
                 for n, v in report.rows
             ],
         }
-        print(json.dumps(payload, sort_keys=True))
+        text = json.dumps(payload, sort_keys=True)
     else:
-        print(report.label)
+        lines = [report.label]
         for n, value in report.rows:
             gap = abs(value - report.limit)
-            print(
+            lines.append(
                 f"n={n} value={format_decimal(value, args.digits)} "
                 f"limit={format_decimal(report.limit, args.digits)} "
                 f"gap={format_decimal(gap, args.digits)}"
             )
-        for line in extra:
-            print(line)
+        text = "\n".join(lines + extra)
+    print(text)
     return 0
 
 
@@ -533,10 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_limit = sub.add_parser("limit", help="finite-size values against limit formulas")
-    p_limit.add_argument(
-        "which",
-        choices=["qlim1", "m2-1", "m3", "m3-1", "tlim", "alim", "xi", "eq8"],
-    )
+    p_limit.add_argument("which", choices=list(_LIMIT_KINDS))
     p_limit.add_argument("--q", type=_parse_rational)
     p_limit.add_argument("--p", type=_parse_rational)
     p_limit.add_argument("--n", type=int, required=True)

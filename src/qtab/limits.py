@@ -5,6 +5,13 @@ closed-form identities (never from raw enumeration, which could not reach the
 sizes involved), limit values from the corresponding limit formulas, and gaps
 are differences of exact fractions.  Decimal output is presentation only.
 
+The four limit theorems share one assembly.  Each theorem is a weight w(j)
+on cut sizes j, read off the pattern's j-set (qlim1), its j2-set (m2-1) or
+the skew maj sums inside its shape (m3, m3-1).  The weight feeds the kernel
+of its family, involutions for qlim1 and m3 and permutation pairs for m2-1
+and m3-1.  A kernel returns sum_j w(j) T(j) / sum_j W(j) T(j) at finite n or
+in the limit, where W(j) is the weight summed over all patterns of the size.
+
 For a positive rational r the contraction factor min(r, 1/r) drives every
 limit; replacing a parameter by its reciprocal provably leaves all scaled
 quantities unchanged, which the test suite checks as exact equalities.
@@ -33,13 +40,15 @@ from .stats import (
     t_value,
 )
 from .jsets import j2_set, j_set
-from .tableau import Partition, SkewShape, Tableau, f_poly, partitions_inside
+from .tableau import SkewShape, Tableau, f_poly, partitions_inside
 
 __all__ = [
     "RealParam",
     "contraction",
     "t_ratio",
     "a_ratio",
+    "t_limit",
+    "a_limit",
     "qlim1_lhs",
     "qlim1_rhs",
     "m2_1_lhs",
@@ -53,8 +62,6 @@ __all__ = [
     "xi_partial",
     "xi_limit_product",
     "xi_product_with_tail",
-    "xi2_partial",
-    "xi2_product_with_tail",
     "Eq8Report",
     "eq8_check",
     "ConvergenceReport",
@@ -121,24 +128,133 @@ def a_ratio(p: Fraction, q: Fraction, n: int) -> Fraction:
     return a_scaled_value(n + 1, p, q) / a_scaled_value(n, p, q)
 
 
+def t_limit(q: Fraction) -> Fraction:
+    """Limit of t_ratio: 1 - min(q, 1/q)."""
+    return 1 - contraction(q)
+
+
+def a_limit(p: Fraction, q: Fraction) -> Fraction:
+    """Limit of a_ratio: (1 - min(p,1/p)) (1 - min(q,1/q)) with p and q on the
+    same side of 1, and 0 with them on opposite sides (see a_ratio)."""
+    if (Fraction(p) - 1) * (Fraction(q) - 1) < 0:
+        return Fraction(0)
+    return t_limit(p) * t_limit(q)
+
+
 # -- limit theorem evaluators ---------------------------------------------------
+#
+# The weights, then the two family kernels (see the module docstring).  A
+# kernel evaluates at finite n, or in the limit when n is None; each term T(j)
+# serves both of its sums.
 
 
-def _inv_suffix_denominator(m: int, free: int, q: Fraction) -> Fraction:
-    """Suffix-maj generating value over all involutions of [free + m]."""
-    total = Fraction(0)
-    for j in range(m + 1):
-        k = free - m + j
-        if k < 0 or k > free:
-            continue
-        total += (
-            t_count(j)
-            * math.comb(m, j)
-            * q_factorial_value(m - j, q)
-            * q_binomial_value(free, k, q)
-            * t_value(k, q)
+def _qlim1_weight(sigma: Permutation, q: Fraction) -> dict[int, Fraction]:
+    """q^maj of sigma's suffix of length j, on the j-set of sigma."""
+    return {j: Fraction(q) ** sigma.suffix(j).maj() for j in j_set(sigma)}
+
+
+def _m2_1_weight(
+    sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction
+) -> dict[int, Fraction]:
+    """p^imaj(tau's j highest values) q^maj(sigma's suffix of length j), on J2."""
+    return {
+        j: Fraction(p) ** tau.restrict_high(j).imaj() * Fraction(q) ** sigma.suffix(j).maj()
+        for j in j2_set(sigma, tau)
+    }
+
+
+def _m3_weight(a_tab: Tableau, q: Fraction) -> dict[int, Fraction]:
+    """Sum of f_{alpha/mu}(q) over inner shapes mu of size j, alpha the pattern's shape."""
+    alpha = a_tab.shape.outer
+    return {
+        j: sum(f_poly(SkewShape(alpha, mu)).evaluate(1, q) for mu in partitions_inside(j, alpha))
+        for j in range(a_tab.size + 1)
+    }
+
+
+def _m3_1_weight(
+    a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction
+) -> dict[int, Fraction]:
+    """Sum of f_{beta/mu}(p) f_{alpha/mu}(q) over inner shapes mu of size j in both."""
+    alpha, beta = a_tab.shape.outer, b_tab.shape.outer
+    return {
+        j: sum(
+            f_poly(SkewShape(beta, mu)).evaluate(1, p)
+            * f_poly(SkewShape(alpha, mu)).evaluate(1, q)
+            for mu in partitions_inside(j, alpha)
+            if beta.contains(mu)
         )
-    return total
+        for j in range(min(a_tab.size, b_tab.size) + 1)
+    }
+
+
+def _involution_family(
+    weight: dict[int, Fraction], m: int, q: Fraction, n: int | None
+) -> Fraction:
+    """Kernel of the involution theorems (qlim1, m3) for patterns of size m.
+
+    W(j) = t_j C(m, j) [m-j]_q!.  At finite n, T(j) = [n-m choose k]_q t_value(k)
+    with k = n - 2m + j, and 0 when k < 0.  In the limit,
+    T(j) = [m choose j]_q [j]_q! (1 - qbar)^j, so the denominator is
+    [m]_q! sum_j t_j C(m, j) (1 - qbar)^j.
+    """
+    q = Fraction(q)
+    if n is None:
+        shrink = 1 - contraction(q)
+    elif n < m:
+        raise ValueError("n must be at least the pattern size")
+    numerator = denominator = Fraction(0)
+    for j in range(m + 1):
+        if n is None:
+            term = q_binomial_value(m, j, q) * q_factorial_value(j, q) * shrink**j
+        elif (k := n - 2 * m + j) >= 0:
+            term = q_binomial_value(n - m, k, q) * t_value(k, q)
+        else:
+            continue
+        numerator += weight.get(j, 0) * term
+        denominator += t_count(j) * math.comb(m, j) * q_factorial_value(m - j, q) * term
+    return numerator / denominator
+
+
+def _pair_family(
+    weight: dict[int, Fraction], a: int, b: int, p: Fraction, q: Fraction, n: int | None
+) -> Fraction:
+    """Kernel of the pair theorems (m2-1, m3-1) for patterns of sizes a and b.
+
+    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q!.  At finite n,
+    T(j) = [n-a choose k]_p [n-b choose k]_q a_value(k) with k = n - a - b + j,
+    and 0 when k < 0.  In the limit,
+    T(j) = [b choose j]_p [a choose j]_q [j]_p! [j]_q! ((1 - pbar)(1 - qbar))^j.
+    """
+    p, q = Fraction(p), Fraction(q)
+    if n is None:
+        shrink = (1 - contraction(p)) * (1 - contraction(q))
+    elif n < max(a, b):
+        raise ValueError("n must be at least both pattern sizes")
+    numerator = denominator = Fraction(0)
+    for j in range(min(a, b) + 1):
+        if n is None:
+            term = (
+                q_binomial_value(b, j, p)
+                * q_binomial_value(a, j, q)
+                * q_factorial_value(j, p)
+                * q_factorial_value(j, q)
+                * shrink**j
+            )
+        elif (k := n - a - b + j) >= 0:
+            term = q_binomial_value(n - a, k, p) * q_binomial_value(n - b, k, q) * a_value(k, p, q)
+        else:
+            continue
+        numerator += weight.get(j, 0) * term
+        denominator += (
+            math.factorial(j)
+            * math.comb(a, j)
+            * math.comb(b, j)
+            * q_factorial_value(b - j, p)
+            * q_factorial_value(a - j, q)
+            * term
+        )
+    return numerator / denominator
 
 
 def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
@@ -148,125 +264,24 @@ def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
     the sum over all involutions of [n]; both sides assembled from Gaussian
     binomials and involution maj values rather than enumeration.
     """
-    q = Fraction(q)
-    m = sigma.size
-    if n < m:
-        raise ValueError("n must be at least the pattern size")
-    free = n - m
-    numerator = Fraction(0)
-    for j in sorted(j_set(sigma)):
-        k = free - m + j
-        if k < 0 or k > free:
-            continue
-        numerator += (
-            q ** sigma.suffix(j).maj() * q_binomial_value(free, k, q) * t_value(k, q)
-        )
-    return numerator / _inv_suffix_denominator(m, free, q)
+    return _involution_family(_qlim1_weight(sigma, q), sigma.size, q, n)
 
 
 def qlim1_rhs(sigma: Permutation, q: Fraction) -> Fraction:
     """Limit of the involution containment ratio."""
-    q = Fraction(q)
-    qbar = contraction(q)
-    m = sigma.size
-    numerator = Fraction(0)
-    for j in sorted(j_set(sigma)):
-        numerator += (
-            q ** sigma.suffix(j).maj()
-            * q_binomial_value(m, j, q)
-            * q_factorial_value(j, q)
-            * (1 - qbar) ** j
-        )
-    denominator = Fraction(0)
-    for j in range(m + 1):
-        denominator += (
-            q_factorial_value(m, q) * t_count(j) * math.comb(m, j) * (1 - qbar) ** j
-        )
-    return numerator / denominator
-
-
-def _pair_denominator(a: int, b: int, total: int, p: Fraction, q: Fraction) -> Fraction:
-    """Joint suffix statistic over all permutations of [total], closed form."""
-    m, n = total - a, total - b
-    value = Fraction(0)
-    for j in range(a + 1):
-        k = n - a + j
-        if k < 0 or k > min(m, n):
-            continue
-        value += (
-            math.factorial(j)
-            * math.comb(a, j)
-            * math.comb(b, j)
-            * q_factorial_value(b - j, p)
-            * q_factorial_value(a - j, q)
-            * q_binomial_value(m, k, p)
-            * q_binomial_value(n, k, q)
-            * a_value(k, p, q)
-        )
-    return value
+    return _involution_family(_qlim1_weight(sigma, q), sigma.size, q, None)
 
 
 def m2_1_lhs(
     sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n pair containment ratio over permutations of [n]."""
-    p, q = Fraction(p), Fraction(q)
-    a, b = sigma.size, tau.size
-    if n < max(a, b):
-        raise ValueError("n must be at least both pattern sizes")
-    m_dim, n_dim = n - a, n - b
-    numerator = Fraction(0)
-    for j in sorted(j2_set(sigma, tau)):
-        k = n_dim - a + j
-        if k < 0 or k > min(m_dim, n_dim):
-            continue
-        numerator += (
-            p ** tau.restrict_high(j).imaj()
-            * q ** sigma.suffix(j).maj()
-            * q_binomial_value(m_dim, k, p)
-            * q_binomial_value(n_dim, k, q)
-            * a_value(k, p, q)
-        )
-    return numerator / _pair_denominator(a, b, n, p, q)
+    return _pair_family(_m2_1_weight(sigma, tau, p, q), sigma.size, tau.size, p, q, n)
 
 
 def m2_1_rhs(sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the pair containment ratio."""
-    p, q = Fraction(p), Fraction(q)
-    pbar, qbar = contraction(p), contraction(q)
-    a, b = sigma.size, tau.size
-    numerator = Fraction(0)
-    for j in sorted(j2_set(sigma, tau)):
-        numerator += (
-            p ** tau.restrict_high(j).imaj()
-            * q ** sigma.suffix(j).maj()
-            * q_binomial_value(b, j, p)
-            * q_binomial_value(a, j, q)
-            * q_factorial_value(j, p)
-            * q_factorial_value(j, q)
-            * (1 - pbar) ** j
-            * (1 - qbar) ** j
-        )
-    denominator = Fraction(0)
-    for j in range(a + 1):
-        denominator += (
-            q_factorial_value(b, p)
-            * q_factorial_value(a, q)
-            * math.factorial(j)
-            * math.comb(a, j)
-            * math.comb(b, j)
-            * (1 - pbar) ** j
-            * (1 - qbar) ** j
-        )
-    return numerator / denominator
-
-
-def _skew_sum_value(alpha: Partition, j: int, q: Fraction) -> Fraction:
-    """Sum over inner shapes of size j of the skew maj polynomial at q."""
-    total = Fraction(0)
-    for mu in partitions_inside(j, alpha):
-        total += f_poly(SkewShape(alpha, mu)).evaluate(1, q)
-    return total
+    return _pair_family(_m2_1_weight(sigma, tau, p, q), sigma.size, tau.size, p, q, None)
 
 
 def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
@@ -276,111 +291,24 @@ def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
     containing the pattern from Gaussian binomials, involution maj values,
     and inner skew sums of the pattern's shape.
     """
-    q = Fraction(q)
-    alpha = a_tab.shape.outer
-    m = a_tab.size
-    if n < m:
-        raise ValueError("n must be at least the pattern size")
-    free = n - m
-    numerator = Fraction(0)
-    for j in range(m + 1):
-        k = free - m + j
-        if k < 0 or k > free:
-            continue
-        numerator += (
-            q_binomial_value(free, k, q) * t_value(k, q) * _skew_sum_value(alpha, j, q)
-        )
-    return numerator / _inv_suffix_denominator(m, free, q)
+    return _involution_family(_m3_weight(a_tab, q), a_tab.size, q, n)
 
 
 def m3_rhs(a_tab: Tableau, q: Fraction) -> Fraction:
     """Limit of the tableau containment ratio."""
-    q = Fraction(q)
-    qbar = contraction(q)
-    alpha = a_tab.shape.outer
-    m = a_tab.size
-    numerator = Fraction(0)
-    for j in range(m + 1):
-        numerator += (
-            q_binomial_value(m, j, q)
-            * q_factorial_value(j, q)
-            * (1 - qbar) ** j
-            * _skew_sum_value(alpha, j, q)
-        )
-    denominator = Fraction(0)
-    for j in range(m + 1):
-        denominator += (
-            q_factorial_value(m, q) * t_count(j) * math.comb(m, j) * (1 - qbar) ** j
-        )
-    return numerator / denominator
-
-
-def _pair_skew_sum_value(
-    alpha: Partition, beta: Partition, j: int, p: Fraction, q: Fraction
-) -> Fraction:
-    total = Fraction(0)
-    for mu in partitions_inside(j, alpha):
-        if beta.contains(mu):
-            total += (
-                f_poly(SkewShape(beta, mu)).evaluate(1, p)
-                * f_poly(SkewShape(alpha, mu)).evaluate(1, q)
-            )
-    return total
+    return _involution_family(_m3_weight(a_tab, q), a_tab.size, q, None)
 
 
 def m3_1_lhs(
     a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n same-shape pair containment ratio for tableaux."""
-    p, q = Fraction(p), Fraction(q)
-    alpha, beta = a_tab.shape.outer, b_tab.shape.outer
-    a, b = a_tab.size, b_tab.size
-    if n < max(a, b):
-        raise ValueError("n must be at least both pattern sizes")
-    m_dim, n_dim = n - a, n - b
-    numerator = Fraction(0)
-    for j in range(a + 1):
-        k = n_dim - a + j
-        if k < 0 or k > min(m_dim, n_dim):
-            continue
-        numerator += (
-            q_binomial_value(m_dim, k, p)
-            * q_binomial_value(n_dim, k, q)
-            * a_value(k, p, q)
-            * _pair_skew_sum_value(alpha, beta, j, p, q)
-        )
-    return numerator / _pair_denominator(a, b, n, p, q)
+    return _pair_family(_m3_1_weight(a_tab, b_tab, p, q), a_tab.size, b_tab.size, p, q, n)
 
 
 def m3_1_rhs(a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the same-shape pair containment ratio."""
-    p, q = Fraction(p), Fraction(q)
-    pbar, qbar = contraction(p), contraction(q)
-    alpha, beta = a_tab.shape.outer, b_tab.shape.outer
-    a, b = a_tab.size, b_tab.size
-    numerator = Fraction(0)
-    for j in range(a + 1):
-        numerator += (
-            q_binomial_value(b, j, p)
-            * q_binomial_value(a, j, q)
-            * q_factorial_value(j, p)
-            * q_factorial_value(j, q)
-            * (1 - pbar) ** j
-            * (1 - qbar) ** j
-            * _pair_skew_sum_value(alpha, beta, j, p, q)
-        )
-    denominator = Fraction(0)
-    for j in range(a + 1):
-        denominator += (
-            q_factorial_value(b, p)
-            * q_factorial_value(a, q)
-            * math.factorial(j)
-            * math.comb(a, j)
-            * math.comb(b, j)
-            * (1 - pbar) ** j
-            * (1 - qbar) ** j
-        )
-    return numerator / denominator
+    return _pair_family(_m3_1_weight(a_tab, b_tab, p, q), a_tab.size, b_tab.size, p, q, None)
 
 
 # -- logarithmic bound ------------------------------------------------------------
@@ -486,10 +414,12 @@ def xi_product_with_tail(q: Fraction, precision: Fraction) -> tuple[Fraction, Fr
     by at most precision/10; the bound is computed from geometric sums, not
     assumed.
     """
-    q = Fraction(q)
+    q, precision = Fraction(q), Fraction(precision)
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
-    target = Fraction(precision) / 10
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    target = precision / 10
     value = Fraction(1)
     s = 0
     while True:
@@ -512,40 +442,6 @@ def xi_limit_product(q: Fraction, precision: Fraction = Fraction(1, 10**9)) -> F
     """The infinite product limit, within precision/10 (see xi_product_with_tail)."""
     value, _ = xi_product_with_tail(q, precision)
     return value
-
-
-def xi2_partial(p: Fraction, q: Fraction, n: int) -> Fraction:
-    """Two-variable analog of the partial partition sum."""
-    p, q = Fraction(p), Fraction(q)
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ValueError("parameters must lie strictly between 0 and 1")
-    return a_scaled_value(n, p, q) / ((1 - p) ** n * (1 - q) ** n)
-
-
-def xi2_product_with_tail(
-    p: Fraction, q: Fraction, precision: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Truncation of prod over i+j>0 of (1-p^i q^j)^(-1), with certified tail."""
-    p, q = Fraction(p), Fraction(q)
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ValueError("parameters must lie strictly between 0 and 1")
-    target = Fraction(precision) / 10
-    r = max(p, q)
-    value = Fraction(1)
-    s = 0
-    while True:
-        s += 1
-        for i in range(s + 1):
-            value /= 1 - p**i * q ** (s - i)
-        # pairs with i+j > s: at most t+1 factors per level t, each q^... <= r^t
-        geo = r ** (s + 1)
-        sum_t = geo * ((s + 1) - s * r) / (1 - r) ** 2
-        sum_1 = geo / (1 - r)
-        log_tail = (sum_t + sum_1) / (1 - r ** (s + 1))
-        if log_tail <= Fraction(1, 2):
-            tail = value * 2 * log_tail
-            if tail <= target:
-                return value, tail
 
 
 # -- involution number ratios --------------------------------------------------------

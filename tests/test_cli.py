@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +253,78 @@ def test_limit_deterministic_output(capsys):
     first = out_of(capsys)
     assert run(argv) == 0
     assert out_of(capsys) == first
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_limit_stdout_matches_recorded_reference(capsys):
+    # default stdout is a contract: every recorded limit command must print
+    # exactly the text recorded in the benchmark's reference file
+    recorded = [
+        (json.loads(key), stdout)
+        for key, stdout in json.loads(REFERENCE.read_text()).items()
+    ]
+    limit_runs = [(argv, stdout) for argv, stdout in recorded if argv[0] == "limit"]
+    assert len(limit_runs) == 29
+    for argv, stdout in limit_runs:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == stdout, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "xi", "--q", "1/2", "--n", "5", "--precision", "0"],
+        ["limit", "xi", "--q", "1/2", "--n", "5", "--precision=-1/2"],
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--digits", "0"],
+    ],
+)
+def test_limit_bad_precision_or_digits_prints_nothing(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+_TAB_1 = json.dumps({"outer": [1], "inner": [], "rows": [[1]]})
+_TAB_21 = json.dumps({"outer": [2, 1], "inner": [], "rows": [[1, 2], [3]]})
+_RATIONALS = st.sampled_from(["1/2", "2", "1", "0"])
+_LIMIT_OPTIONS = {
+    "--q": _RATIONALS,
+    "--p": _RATIONALS,
+    "--n": st.integers(-2, 6).map(str),
+    "--sigma": st.sampled_from(["1", "21", "312"]),
+    "--tau": st.sampled_from(["1", "12", "231"]),
+    "--tableau": st.sampled_from([_TAB_1, _TAB_21]),
+    "--tableau2": st.sampled_from([_TAB_1, _TAB_21]),
+    "--a": st.integers(-1, 3).map(str),
+    "--digits": st.integers(-1, 3).map(str),
+    "--precision": st.sampled_from(["1/10", "1/1000", "0"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["qlim1", "m2-1", "m3", "m3-1", "tlim", "alim", "xi", "eq8"]),
+    st.fixed_dictionaries(_LIMIT_OPTIONS),
+    st.sets(st.sampled_from(list(_LIMIT_OPTIONS)), max_size=3),
+    st.sampled_from([[], ["--csv"], ["--json"]]),
+)
+def test_limit_commands_keep_exit_code_contract(which, options, dropped, output):
+    kept = [tok for name, value in options.items() if name not in dropped for tok in (name, value)]
+    argv = ["limit", which, *kept, *output]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors, e.g. no --n
+            code = exc.code
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv
 
 
 def test_probe_conjecture(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,8 +22,6 @@ from qtab.limits import (
     qlim1_lhs,
     qlim1_rhs,
     t_ratio,
-    xi2_partial,
-    xi2_product_with_tail,
     xi_limit_product,
     xi_partial,
     xi_product_with_tail,
@@ -32,6 +31,28 @@ from qtab.stats import q_factorial_value, t_count
 from qtab.tableau import SkewShape, Tableau, enumerate_syt, partitions, syt_count
 
 HALF = Fraction(1, 2)
+
+
+def _syts(size):
+    return [
+        tab
+        for shape in partitions(size)
+        for tab in enumerate_syt(SkewShape.straight(shape))
+    ]
+
+
+# The band on which both kernels are pinned to enumeration: patterns of sizes
+# 1-3 (pairs 1-2), at every n up to 7 (pairs 6), on both sides of 1 and at 1.
+WORDS_1_3 = ["".join(map(str, perm.word)) for k in (1, 2, 3) for perm in permutations(k)]
+PERMS_1_2 = [perm for k in (1, 2) for perm in permutations(k)]
+# plus two pairs with a size-3 pattern, which tells imaj from maj and a from b
+PAIRS_M2_1 = list(itertools.product(PERMS_1_2, repeat=2)) + [
+    (Permutation.parse(s), Permutation.parse(t)) for s, t in (("21", "231"), ("231", "312"))
+]
+SYTS_1_3 = [tab for k in (1, 2, 3) for tab in _syts(k)]
+SYTS_1_2 = [tab for k in (1, 2) for tab in _syts(k)]
+PQ_M2_1 = [(Fraction(2, 5), Fraction(1, 3)), (Fraction(3), HALF), (Fraction(1), Fraction(2, 3))]
+PQ_M3_1 = [(HALF, Fraction(2, 3)), (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(1, 3))]
 
 
 def test_real_param():
@@ -86,12 +107,12 @@ def brute_qlim1(sigma, q, n):
     return num / den
 
 
-@pytest.mark.parametrize("word", ["21", "12", "231", "1"])
+@pytest.mark.parametrize("word", WORDS_1_3)
 def test_qlim1_lhs_matches_enumeration(word):
     sigma = Permutation.parse(word)
-    q = Fraction(2, 3)
-    for n in range(sigma.size, 8):
-        assert qlim1_lhs(sigma, q, n) == brute_qlim1(sigma, q, n)
+    for q in (Fraction(2, 3), Fraction(3, 2), Fraction(1)):
+        for n in range(sigma.size, 8):
+            assert qlim1_lhs(sigma, q, n) == brute_qlim1(sigma, q, n), (q, n)
 
 
 def test_qlim1_empty_pattern():
@@ -101,11 +122,10 @@ def test_qlim1_empty_pattern():
 
 
 def test_qlim1_rhs_q1_is_reciprocal_factorial():
-    for word in ("21", "312", "4231"):
-        sigma = Permutation.parse(word)
+    for sigma in (perm for k in (1, 2, 3, 4) for perm in permutations(k)):
         assert qlim1_rhs(sigma, Fraction(1)) == Fraction(
             1, math.factorial(sigma.size)
-        )
+        ), sigma
 
 
 def brute_m2_1(sigma, tau, p, q, n):
@@ -121,11 +141,18 @@ def brute_m2_1(sigma, tau, p, q, n):
 
 
 def test_m2_1_lhs_matches_enumeration():
-    sigma = Permutation.parse("21")
-    tau = Permutation.parse("12")
-    p, q = Fraction(2, 5), Fraction(1, 3)
-    for n in range(2, 7):
-        assert m2_1_lhs(sigma, tau, p, q, n) == brute_m2_1(sigma, tau, p, q, n)
+    for sigma, tau in PAIRS_M2_1:
+        for p, q in PQ_M2_1:
+            for n in range(max(sigma.size, tau.size), 7):
+                expected = brute_m2_1(sigma, tau, p, q, n)
+                assert m2_1_lhs(sigma, tau, p, q, n) == expected, (sigma, tau, p, q, n)
+
+
+def test_m2_1_unequal_sizes_converges_to_rhs():
+    sigma, tau = Permutation.parse("21"), Permutation.parse("231")
+    for p, q in ((Fraction(1, 3), HALF), (Fraction(3), Fraction(2))):
+        gap = abs(m2_1_lhs(sigma, tau, p, q, 30) - m2_1_rhs(sigma, tau, p, q))
+        assert gap < Fraction(1, 10**4), (p, q)
 
 
 def test_m2_1_rhs_specializations():
@@ -141,6 +168,11 @@ def test_m2_1_rhs_specializations():
         math.factorial(b) * q_factorial_value(a, q)
     )
     assert m2_1_rhs(Permutation(()), Permutation(()), one, one) == 1
+    band = [perm for k in (1, 2, 3) for perm in permutations(k)]
+    for sigma, tau in itertools.product(band, repeat=2):
+        assert m2_1_rhs(sigma, tau, one, one) == Fraction(
+            1, math.factorial(sigma.size) * math.factorial(tau.size)
+        ), (sigma, tau)
 
 
 def brute_m3(a_tab, q, n):
@@ -157,15 +189,14 @@ def brute_m3(a_tab, q, n):
 
 
 def test_m3_lhs_matches_enumeration():
-    a_tab = Tableau.from_rows([[1, 2], [3]])
-    q = Fraction(3, 4)
-    for n in range(3, 8):
-        assert m3_lhs(a_tab, q, n) == brute_m3(a_tab, q, n)
+    for a_tab in SYTS_1_3:
+        for q in (Fraction(3, 4), Fraction(4, 3), Fraction(1)):
+            for n in range(a_tab.size, 8):
+                assert m3_lhs(a_tab, q, n) == brute_m3(a_tab, q, n), (a_tab.rows, q, n)
 
 
 def test_m3_rhs_q1():
-    for rows in ([[1]], [[1, 2], [3]], [[1, 3], [2, 4]]):
-        a_tab = Tableau.from_rows(rows)
+    for a_tab in (tab for k in (1, 2, 3, 4) for tab in _syts(k)):
         alpha = a_tab.shape.outer
         assert m3_rhs(a_tab, Fraction(1)) == Fraction(
             syt_count(alpha), math.factorial(alpha.size)
@@ -188,11 +219,11 @@ def brute_m3_1(a_tab, b_tab, p, q, n):
 
 
 def test_m3_1_lhs_matches_enumeration():
-    a_tab = Tableau.from_rows([[1, 2], [3]])
-    b_tab = Tableau.from_rows([[1], [2]])
-    p, q = Fraction(1, 2), Fraction(2, 3)
-    for n in range(3, 7):
-        assert m3_1_lhs(a_tab, b_tab, p, q, n) == brute_m3_1(a_tab, b_tab, p, q, n)
+    for a_tab, b_tab in itertools.product(SYTS_1_2, repeat=2):
+        for p, q in PQ_M3_1:
+            for n in range(max(a_tab.size, b_tab.size), 7):
+                expected = brute_m3_1(a_tab, b_tab, p, q, n)
+                assert m3_1_lhs(a_tab, b_tab, p, q, n) == expected, (a_tab.rows, p, q, n)
 
 
 def test_m3_1_rhs_specializations():
@@ -207,6 +238,12 @@ def test_m3_1_rhs_specializations():
     assert m3_1_rhs(a_tab, b_tab, one, one) == expected
     one_cell = Tableau.from_rows([[1]])
     assert m3_1_rhs(one_cell, one_cell, one, one) == 1
+    for a_tab, b_tab in itertools.product(SYTS_1_3, repeat=2):
+        alpha, beta = a_tab.shape.outer, b_tab.shape.outer
+        assert m3_1_rhs(a_tab, b_tab, one, one) == Fraction(
+            syt_count(alpha) * syt_count(beta),
+            math.factorial(alpha.size) * math.factorial(beta.size),
+        ), (a_tab.rows, b_tab.rows)
     q = Fraction(1, 4)
     from qtab.tableau import f_poly
 
@@ -255,16 +292,6 @@ def test_xi_product_certified_tail():
     # partial sums stay below the product and approach it
     assert xi_partial(HALF, 12) < value
     assert value - xi_partial(HALF, 20) < Fraction(1, 10)
-
-
-def test_xi2_partial_and_product():
-    p = q = HALF
-    precision = Fraction(1, 10**6)
-    value, tail = xi2_product_with_tail(p, q, precision)
-    assert 0 < tail <= precision / 10
-    partial = xi2_partial(p, q, 20)
-    assert partial < value
-    assert value - partial < Fraction(1, 100)
 
 
 def test_eq8_values():
