@@ -375,6 +375,7 @@ def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
         limit = getattr(limits, limit_name)(*patterns, *parameters)
     grid = limits.default_grid(lo, args.n, 8) if args.csv else [args.n]
     report = limits.convergence_report(label, finite, limit, grid)
+    # after the grid, so an empty --csv grid is reported before a bad --a
     if which == "eq8":
         stride = limits.eq8_check(args.a, args.n).ratio_stride
         extra.append(f"stride ratio at n={args.n}: {format_decimal(stride)}")

@@ -51,6 +51,10 @@ PAIRS_M2_1 = list(itertools.product(PERMS_1_2, repeat=2)) + [
 ]
 SYTS_1_3 = [tab for k in (1, 2, 3) for tab in _syts(k)]
 SYTS_1_2 = [tab for k in (1, 2) for tab in _syts(k)]
+# plus a pair with a size-3 tableau, the case this test was first written for
+TAB_PAIRS_M3_1 = list(itertools.product(SYTS_1_2, repeat=2)) + [
+    (Tableau.from_rows([[1, 2], [3]]), Tableau.from_rows([[1], [2]]))
+]
 PQ_M2_1 = [(Fraction(2, 5), Fraction(1, 3)), (Fraction(3), HALF), (Fraction(1), Fraction(2, 3))]
 PQ_M3_1 = [(HALF, Fraction(2, 3)), (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(1, 3))]
 
@@ -219,7 +223,7 @@ def brute_m3_1(a_tab, b_tab, p, q, n):
 
 
 def test_m3_1_lhs_matches_enumeration():
-    for a_tab, b_tab in itertools.product(SYTS_1_2, repeat=2):
+    for a_tab, b_tab in TAB_PAIRS_M3_1:
         for p, q in PQ_M3_1:
             for n in range(max(a_tab.size, b_tab.size), 7):
                 expected = brute_m3_1(a_tab, b_tab, p, q, n)
