@@ -94,6 +94,7 @@ from .tableau import (
     Tableau,
     enumerate_syt,
     f_poly,
+    f_poly_enum,
     f_poly_hook,
     partitions,
     skew_syt_count,

@@ -32,7 +32,7 @@ from .tableau import (
     Tableau,
     enumerate_syt,
     f_poly,
-    f_poly_hook,
+    f_poly_enum,
     partitions,
 )
 
@@ -166,6 +166,8 @@ def _cmd_qpoly(args) -> int:
         _emit(args, [str(poly)], _poly_payload(poly))
     elif which in ("tn", "an"):
         n = int(args.args[0])
+        if n < 0:
+            raise UsageError(f"n must be nonnegative, got {n}")
         method = args.method or "hook"
         if which == "tn":
             if method == "enum":
@@ -182,10 +184,12 @@ def _cmd_qpoly(args) -> int:
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     elif which == "fshape":
         shape = SkewShape.parse(args.args[0])
-        if shape.is_straight and args.method != "enum":
-            poly, method = f_poly_hook(shape.outer), "hook"
-        else:
-            poly, method = f_poly(shape), "enum"
+        if args.method == "hook" and not shape.is_straight:
+            raise UsageError(f"--method hook needs a straight shape, got {shape}")
+        method = args.method or ("hook" if shape.is_straight else "determinant")
+        if method == "enum":
+            _check_enum_size(shape.size, "tableau enumeration")
+        poly = f_poly_enum(shape) if method == "enum" else f_poly(shape)
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     else:
         raise UsageError(f"unknown qpoly computation {which!r}")
@@ -417,7 +421,7 @@ def _cmd_limit(args) -> int:
 def _cmd_probe(args) -> int:
     if args.what != "conjecture":
         raise UsageError("supported: probe conjecture")
-    _check_enum_size(args.n, "tableau enumeration")
+    _check_enum_size(args.n, "conjecture probe")
     tabs = [_parse_tableau(text) for text in args.tableaux]
     ratio = containment.conjecture_probe(tabs, args.n)
     _emit(

@@ -40,6 +40,7 @@ from .tableau import (
     Tableau,
     enumerate_syt,
     f_poly,
+    f_poly_enum,
     partitions,
     partitions_inside,
     skew_syt_count,
@@ -353,7 +354,7 @@ def _outer_shapes(base: Partition, added: int) -> list[Partition]:
 
 
 def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
-    """Skew maj sums over all outer shapes vs binomial/involution closed form.
+    """Skew maj sums over all outer shapes (enumerated) vs binomial/involution closed form.
 
     Also checks the q = 1 specialization against the classical count computed
     independently with plain binomials, involution numbers, and skew tableau
@@ -362,7 +363,7 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
     report = IdentityReport("majgen", {"alpha": str(alpha), "n": n})
     lhs = ZERO
     for lam in _outer_shapes(alpha, n):
-        lhs = lhs + f_poly(SkewShape(lam, alpha))
+        lhs = lhs + f_poly_enum(SkewShape(lam, alpha))
     rhs = ZERO
     count_rhs = 0
     for k in range(n + 1):
@@ -394,8 +395,8 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
         for lam in _outer_shapes(alpha, m):
             if lam.contains(beta):
                 lhs = lhs + (
-                    f_poly(SkewShape(lam, alpha)).swap_variables()
-                    * f_poly(SkewShape(lam, beta))
+                    f_poly_enum(SkewShape(lam, alpha)).swap_variables()
+                    * f_poly_enum(SkewShape(lam, beta))
                 )
     rhs = ZERO
     count_rhs = 0
@@ -433,11 +434,12 @@ def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:
     containing the i-th pattern, divided by the count of unconstrained
     same-shape tuples.  A tableau of shape lam containing a fixed pattern of
     shape alpha is determined by an arbitrary standard filling of lam/alpha,
-    so both counts reduce to skew enumeration.  No limit is asserted; this is
-    an exploratory estimator.
+    so both counts reduce to skew counts.  Patterns must be straight.  No
+    limit is asserted; this is an exploratory estimator.
     """
     if not patterns:
         raise ValueError("need at least one pattern")
+    shapes = [pattern.straight_shape() for pattern in patterns]
     k = len(patterns)
     numerator = 0
     denominator = 0
@@ -445,8 +447,7 @@ def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:
         count = skew_syt_count(SkewShape.straight(lam))
         denominator += count**k
         prod = 1
-        for pattern in patterns:
-            alpha = pattern.shape.outer
+        for alpha in shapes:
             if not lam.contains(alpha):
                 prod = 0
                 break

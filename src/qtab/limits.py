@@ -165,7 +165,7 @@ def _m2_1_weight(
 
 def _m3_weight(a_tab: Tableau, q: Fraction) -> dict[int, Fraction]:
     """Sum of f_{alpha/mu}(q) over inner shapes mu of size j, alpha the pattern's shape."""
-    alpha = a_tab.shape.outer
+    alpha = a_tab.straight_shape()
     return {
         j: sum(f_poly(SkewShape(alpha, mu)).evaluate(1, q) for mu in partitions_inside(j, alpha))
         for j in range(a_tab.size + 1)
@@ -176,7 +176,7 @@ def _m3_1_weight(
     a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction
 ) -> dict[int, Fraction]:
     """Sum of f_{beta/mu}(p) f_{alpha/mu}(q) over inner shapes mu of size j in both."""
-    alpha, beta = a_tab.shape.outer, b_tab.shape.outer
+    alpha, beta = a_tab.straight_shape(), b_tab.straight_shape()
     return {
         j: sum(
             f_poly(SkewShape(beta, mu)).evaluate(1, p)

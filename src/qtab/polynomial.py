@@ -5,6 +5,13 @@ exact.  Univariate polynomials in q are the p-degree-0 slice of the same
 representation.  Evaluation at rational points returns ``fractions.Fraction``,
 the scalar type used end to end by the limit computations, so that tolerances
 are statements about exact numbers rather than floating-point artifacts.
+
+The q-formulas (q-factorials, q-binomials, hook products, Jacobi-Trudi
+determinants) run on a packed kernel instead: a polynomial in q is the
+integer it takes at q = 2^width (Kronecker substitution).  Evaluation is a
+ring homomorphism, so sums, products and exact quotients of packed values are
+those of the polynomials, and ``unpack`` reads the coefficients back off the
+digits.  At width 0 every q-integer [h] is h, so the same formulas count.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ __all__ = [
     "q_integer",
     "qfactorial",
     "qbinomial",
+    "packed_width",
+    "times_q_integer",
+    "packed_qfactorial",
+    "packed_qbinomial",
+    "divide_packed",
+    "unpack",
     "format_decimal",
 ]
 
@@ -60,20 +73,8 @@ class BivarPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, value: int) -> "BivarPoly":
-        return cls({(0, 0): value})
-
-    @classmethod
     def monomial(cls, p_degree: int, q_degree: int, coeff: int = 1) -> "BivarPoly":
         return cls({(p_degree, q_degree): coeff})
-
-    @classmethod
-    def from_q_coefficients(cls, coeffs: Iterable[int], shift: int = 0) -> "BivarPoly":
-        """Univariate polynomial in q from a dense coefficient list.
-
-        ``coeffs[d]`` is the coefficient of q^(d + shift).
-        """
-        return cls({(0, d + shift): c for d, c in enumerate(coeffs) if c})
 
     # -- inspection --------------------------------------------------------
 
@@ -83,14 +84,6 @@ class BivarPoly:
 
     def coefficient(self, p_degree: int, q_degree: int) -> int:
         return self._terms.get((p_degree, q_degree), 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree_p(self) -> int:
-        """Largest p-exponent, or -1 for the zero polynomial."""
-        return max((i for i, _ in self._terms), default=-1)
 
     def degree_q(self) -> int:
         """Largest q-exponent, or -1 for the zero polynomial."""
@@ -181,42 +174,6 @@ class BivarPoly:
             n >>= 1
         return result
 
-    def divide_exact(self, divisor) -> "BivarPoly":
-        """Exact division; raises ValueError if the division leaves a remainder.
-
-        A nonzero remainder here would indicate a bug upstream (the callers
-        divide quantities that are polynomials by construction), so failure is
-        hard rather than a fallback.
-        """
-        divisor = self._coerce(divisor)
-        if divisor is NotImplemented:
-            raise TypeError("cannot divide by non-polynomial")
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = dict(self._terms)
-        quotient: dict[tuple[int, int], int] = {}
-        lead_key = max(divisor._terms)
-        lead_coeff = divisor._terms[lead_key]
-        while remainder:
-            rem_key = max(remainder)
-            rem_coeff = remainder[rem_key]
-            i = rem_key[0] - lead_key[0]
-            j = rem_key[1] - lead_key[1]
-            if i < 0 or j < 0 or rem_coeff % lead_coeff:
-                raise ValueError("inexact polynomial division")
-            factor = rem_coeff // lead_coeff
-            quotient[(i, j)] = factor
-            for (a, b), c in divisor._terms.items():
-                key = (a + i, b + j)
-                total = remainder.get(key, 0) - factor * c
-                if total:
-                    remainder[key] = total
-                else:
-                    remainder.pop(key, None)
-        result = BivarPoly.__new__(BivarPoly)
-        object.__setattr__(result, "_terms", quotient)
-        return result
-
     def swap_variables(self) -> "BivarPoly":
         """Exchange the roles of p and q."""
         return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
@@ -298,26 +255,91 @@ def q_integer(h: int) -> BivarPoly:
     return BivarPoly({(0, d): 1 for d in range(h)})
 
 
+# -- packed kernel -------------------------------------------------------------
+
+
+def packed_width(bound: int) -> int:
+    """Digit width, a whole number of bytes, in which every value <= bound fits."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def times_q_integer(value: int, h: int, width: int) -> int:
+    """value * [h] at q = 2^width, and value * h at width 0.
+
+    Shifts and adds along the binary digits of h, by [2m] = [m] + q^m [m] and
+    [2m + 1] = 1 + q [2m], so no product of two long integers is formed.
+    """
+    result, m = 0, 0
+    for bit in bin(h)[2:]:
+        result += result << width * m
+        m *= 2
+        if bit == "1":
+            result = value + (result << width)
+            m += 1
+    return result
+
+
+def divide_packed(numerator: int, denominator: int) -> int:
+    """Exact quotient of packed values; raises ValueError on a remainder."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ValueError("inexact packed division")
+    return quotient
+
+
+@lru_cache(maxsize=None)
+def packed_qfactorial(n: int, width: int) -> int:
+    """[n]! at q = 2^width (n! at width 0)."""
+    if n < 0:
+        raise ValueError("qfactorial requires n >= 0")
+    value = 1
+    for h in range(2, n + 1):
+        value = times_q_integer(value, h, width)
+    return value
+
+
+@lru_cache(maxsize=None)
+def packed_qbinomial(n: int, k: int, width: int) -> int:
+    """[n choose k] at q = 2^width, as a ratio of q-integer products."""
+    if k < 0 or k > n:
+        raise ValueError(f"qbinomial({n}, {k}) requires 0 <= k <= n")
+    k = min(k, n - k)
+    numerator = denominator = 1
+    for i in range(1, k + 1):
+        numerator = times_q_integer(numerator, n - k + i, width)
+        denominator = times_q_integer(denominator, i, width)
+    return divide_packed(numerator, denominator)
+
+
+def unpack(width: int, *rows: int) -> BivarPoly:
+    """The polynomial whose packed value is ``rows[i]`` in its p^i row.
+
+    The base-2^width digits are the coefficients.  Every polynomial packed
+    here has nonnegative coefficients that sum to its value at q = 1, so with
+    the width ``packed_width`` gives for that value no coefficient reaches
+    2^width and the digits do not carry into each other.
+    """
+    step = width // 8
+    terms = {}
+    for i, value in enumerate(rows):
+        data = value.to_bytes(-(-value.bit_length() // 8), "little")
+        for d in range(0, len(data), step):
+            terms[(i, d // step)] = int.from_bytes(data[d : d + step], "little")
+    return BivarPoly(terms)
+
+
 @lru_cache(maxsize=None)
 def qfactorial(n: int) -> BivarPoly:
     """The q-factorial: product of q-integers 1 through n (1 for n = 0)."""
-    if n < 0:
-        raise ValueError("qfactorial requires n >= 0")
-    if n == 0:
-        return ONE
-    return qfactorial(n - 1) * q_integer(n)
+    width = packed_width(packed_qfactorial(n, 0))
+    return unpack(width, packed_qfactorial(n, width))
 
 
 @lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> BivarPoly:
-    """Gaussian binomial coefficient as an exact polynomial in q.
-
-    Computed by exact long division of q-factorials; a nonzero remainder is
-    impossible for valid input and raises.
-    """
-    if k < 0 or k > n:
-        raise ValueError(f"qbinomial({n}, {k}) requires 0 <= k <= n")
-    return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
+    """Gaussian binomial coefficient as an exact polynomial in q."""
+    width = packed_width(packed_qbinomial(n, k, 0))
+    return unpack(width, packed_qbinomial(n, k, width))
 
 
 def format_decimal(value: Fraction, significant_digits: int = 12) -> str:

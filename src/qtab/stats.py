@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .permutation import involutions, permutations
-from .polynomial import ZERO, BivarPoly
-from .tableau import f_poly_hook, partitions
+from .polynomial import BivarPoly, packed_qfactorial, packed_width, unpack
+from .tableau import hook_packed, partitions
 
 __all__ = [
     "t_count",
@@ -66,30 +66,20 @@ def t_count(n: int) -> int:
 @lru_cache(maxsize=None)
 def t_poly_enum(n: int) -> BivarPoly:
     """Maj generating polynomial over involutions, by direct enumeration."""
-    terms: dict[int, int] = {}
-    for perm in involutions(n):
-        m = perm.maj()
-        terms[m] = terms.get(m, 0) + 1
-    return BivarPoly({(0, m): c for m, c in terms.items()})
+    return BivarPoly(((0, perm.maj()), 1) for perm in involutions(n))
 
 
 @lru_cache(maxsize=None)
 def t_poly(n: int) -> BivarPoly:
-    """Maj generating polynomial over involutions, as a sum of hook products."""
-    total = ZERO
-    for shape in partitions(n):
-        total = total + f_poly_hook(shape)
-    return total
+    """Maj generating polynomial over involutions: hook products packed at one width."""
+    width = packed_width(t_count(n))
+    return unpack(width, sum(hook_packed(shape, width) for shape in partitions(n)))
 
 
 @lru_cache(maxsize=None)
 def a_poly_enum(n: int) -> BivarPoly:
     """Joint (imaj, maj) generating polynomial over all permutations."""
-    terms: dict[tuple[int, int], int] = {}
-    for perm in permutations(n):
-        key = (perm.imaj(), perm.maj())
-        terms[key] = terms.get(key, 0) + 1
-    return BivarPoly(terms)
+    return BivarPoly(((perm.imaj(), perm.maj()), 1) for perm in permutations(n))
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +87,16 @@ def a_poly(n: int) -> BivarPoly:
     """Joint (imaj, maj) polynomial as a sum of products of hook polynomials.
 
     Each partition contributes its maj polynomial in p times the same
-    polynomial in q.
+    polynomial in q: row i, the packed coefficient of p^i, gains c_i times
+    the packed polynomial, where c_i is its coefficient of q^i.
     """
-    total = ZERO
+    width = packed_width(packed_qfactorial(n, 0))
+    rows = [0] * (n * (n - 1) // 2 + 1)
     for shape in partitions(n):
-        fq = f_poly_hook(shape)
-        total = total + fq.swap_variables() * fq
-    return total
+        value = hook_packed(shape, width)
+        for i, coeff in enumerate(unpack(width, value).q_coefficients()):
+            rows[i] += coeff * value
+    return unpack(width, *rows)
 
 
 # -- exact rational evaluation ------------------------------------------------

@@ -5,11 +5,15 @@ convention).  A skew tableau remembers its inner shape explicitly, so the
 high restriction of a tableau keeps its anchor: two skew tableaux are equal
 only if both shapes and all entries agree.
 
-``f_poly`` sums q^maj over all standard fillings of a (possibly skew) shape
-by enumeration.  ``f_poly_hook`` computes the same polynomial for straight
-shapes through the hook-length product, assembled from cyclotomic factors so
-every division is exact; the test suite pins it against enumeration on an
-exhaustive band before it is trusted at larger sizes.
+``f_poly`` is the sum of q^maj over the standard fillings of a (possibly
+skew) shape.  Straight shapes take the hook-length product q^b [n]! / prod [h]
+(``f_poly_hook``).  Skew shapes take Jacobi-Trudi with the principal
+specialization (Stanley, EC2 7.16 and Prop. 7.19.11), a signed sum of
+q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
+at width 0 the same formulas give ``syt_count`` and ``skew_syt_count``.
+``f_poly_enum`` enumerates every filling; it is the oracle the test suite
+pins both paths to on an exhaustive band, and the left-hand side of the
+``majgen`` identities.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Sequence
 
-from .polynomial import ONE, BivarPoly
+from .polynomial import (
+    BivarPoly,
+    divide_packed,
+    packed_qbinomial,
+    packed_qfactorial,
+    packed_width,
+    times_q_integer,
+    unpack,
+)
 
 __all__ = [
     "Partition",
@@ -30,7 +41,9 @@ __all__ = [
     "partitions_inside",
     "enumerate_syt",
     "f_poly",
+    "f_poly_enum",
     "f_poly_hook",
+    "hook_packed",
     "syt_count",
     "skew_syt_count",
 ]
@@ -211,6 +224,12 @@ class Tableau:
     def is_straight(self) -> bool:
         return self.shape.is_straight
 
+    def straight_shape(self) -> Partition:
+        """The shape of a straight tableau; a skew one raises ValueError."""
+        if not self.is_straight:
+            raise ValueError(f"pattern of skew shape {self.shape}: need a straight tableau")
+        return self.shape.outer
+
     def entries(self) -> dict[tuple[int, int], int]:
         inner = self.shape.inner
         out = {}
@@ -350,120 +369,80 @@ def enumerate_syt(shape: SkewShape) -> Iterator[Tableau]:
 
 
 @lru_cache(maxsize=None)
-def _f_poly_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> BivarPoly:
-    shape = SkewShape(Partition(outer), Partition(inner))
-    terms: dict[int, int] = {}
-    for t in enumerate_syt(shape):
-        m = t.maj()
-        terms[m] = terms.get(m, 0) + 1
-    return BivarPoly({(0, m): c for m, c in terms.items()})
+def f_poly_enum(shape: SkewShape) -> BivarPoly:
+    """Maj generating polynomial by enumerating every standard filling (the oracle)."""
+    return BivarPoly(((0, t.maj()), 1) for t in enumerate_syt(shape))
 
 
-def f_poly(shape: SkewShape) -> BivarPoly:
-    """Generating polynomial of maj over all standard fillings of the shape."""
-    return _f_poly_cached(shape.outer.parts, shape.inner.parts)
+def _jacobi_trudi(shape: SkewShape, width: int) -> int:
+    """Sum over w in S_l of sgn(w) [n; k_1, ..., k_l] at q = 2^width.
 
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Dense coefficients of the d-th cyclotomic polynomial."""
-    if d == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in _divisors(d)[:-1]:
-        poly = _dense_divexact(poly, list(_cyclotomic(e)))
-    return tuple(poly)
-
-
-def _dense_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
-    while b and b[-1] == 0:
-        b = b[:-1]
-    rem = list(a)
-    out = [0] * (len(rem) - len(b) + 1)
-    lead = b[-1]
-    for top in range(len(rem) - 1, len(b) - 2, -1):
-        if rem[top] == 0:
-            continue
-        if rem[top] % lead:
-            raise ValueError("inexact dense division")
-        c = rem[top] // lead
-        shift = top - (len(b) - 1)
-        out[shift] = c
-        for i, y in enumerate(b):
-            rem[shift + i] -= c * y
-    if any(rem):
-        raise ValueError("inexact dense division")
-    return out
-
-
-@lru_cache(maxsize=None)
-def _f_poly_hook_cached(parts: tuple[int, ...]) -> BivarPoly:
-    shape = Partition(parts)
-    n = shape.size
-    if n == 0:
-        return ONE
-    shift = sum(i * p for i, p in enumerate(parts))
-    exponents: dict[int, int] = {}
-    for d in range(2, n + 1):
-        exponents[d] = n // d
-    for h in shape.hook_lengths():
-        for d in _divisors(h):
-            if d >= 2:
-                exponents[d] -= 1
-    dense = [1]
-    for d in sorted(exponents):
-        e = exponents[d]
-        if e < 0:
-            raise ValueError("hook multiset exceeds factorial multiplicities")
-        cyc = list(_cyclotomic(d))
-        for _ in range(e):
-            dense = _dense_mul(dense, cyc)
-    return BivarPoly.from_q_coefficients(dense, shift=shift)
-
-
-def f_poly_hook(shape: Partition) -> BivarPoly:
-    """Maj generating polynomial of a straight shape via the hook-length product.
-
-    Exactly equals ``f_poly`` on straight shapes; assembled from cyclotomic
-    factors of the q-factorial so no division ever leaves a remainder.
+    k_r = outer_r - inner_w(r) - r + w(r), and terms with a negative k_r drop
+    out.  Expanded by minors on the first r rows: the column set S of a minor
+    fixes N = k_1 + ... + k_r, so the product of [N choose k_r] memoizes on S.
     """
-    return _f_poly_hook_cached(shape.parts)
+    length = shape.outer.length
+    a = [shape.outer.part(r) - r for r in range(1, length + 1)]
+    b = [shape.inner.part(c) - c for c in range(1, length + 1)]
+    memo = {0: 1}
+
+    def minor(columns: int, r: int, total: int) -> int:
+        if columns in memo:
+            return memo[columns]
+        value, sign = 0, (-1) ** r
+        for c in range(length):
+            if columns >> c & 1:
+                k = a[r] - b[c]
+                rest = minor(columns ^ 1 << c, r - 1, total - k) if k >= 0 else 0
+                if rest:
+                    value += sign * packed_qbinomial(total, k, width) * rest
+                sign = -sign
+        memo[columns] = value
+        return value
+
+    return minor((1 << length) - 1, length - 1, shape.size)
+
+
+@lru_cache(maxsize=None)
+def f_poly(shape: SkewShape) -> BivarPoly:
+    """Maj generating polynomial of the shape: hook product or Jacobi-Trudi."""
+    if shape.is_straight:
+        return f_poly_hook(shape.outer)
+    width = packed_width(skew_syt_count(shape))
+    return unpack(width, _jacobi_trudi(shape, width))
+
+
+def hook_packed(shape: Partition, width: int) -> int:
+    """q^b [n]! / (product of [h] over the hook lengths h) at q = 2^width.
+
+    b = sum of (i - 1) * shape_i, the least maj of a filling.  At width 0 this
+    is the hook-length count.
+    """
+    denominator = 1
+    for h in shape.hook_lengths():
+        denominator = times_q_integer(denominator, h, width)
+    value = divide_packed(packed_qfactorial(shape.size, width), denominator)
+    return value << width * sum(i * p for i, p in enumerate(shape.parts))
+
+
+@lru_cache(maxsize=None)
+def f_poly_hook(shape: Partition) -> BivarPoly:
+    """Maj generating polynomial of a straight shape via the hook-length product."""
+    width = packed_width(syt_count(shape))
+    return unpack(width, hook_packed(shape, width))
 
 
 def syt_count(shape: Partition) -> int:
     """Number of standard fillings of a straight shape (hook-length formula)."""
-    n = shape.size
-    prod = 1
-    for h in shape.hook_lengths():
-        prod *= h
-    count, rem = divmod(factorial(n), prod)
-    if rem:
-        raise ValueError("hook product does not divide n!")
-    return count
+    return hook_packed(shape, 0)
 
 
 @lru_cache(maxsize=None)
-def _skew_count_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
-    if not inner:
-        return syt_count(Partition(outer))
-    return sum(1 for _ in enumerate_syt(SkewShape(Partition(outer), Partition(inner))))
-
-
 def skew_syt_count(shape: SkewShape) -> int:
-    """Number of standard fillings of a (possibly skew) shape."""
-    return _skew_count_cached(shape.outer.parts, shape.inner.parts)
+    """Number of standard fillings of a (possibly skew) shape.
+
+    Skew shapes take the Jacobi-Trudi determinant at q = 1 (Aitken's count).
+    """
+    if shape.is_straight:
+        return syt_count(shape.outer)
+    return _jacobi_trudi(shape, 0)

@@ -87,6 +87,21 @@ def test_qpoly_fshape_skew(capsys):
     assert out_of(capsys).splitlines()[-1] == "q + q^2"
 
 
+def test_qpoly_fshape_labels_its_path(capsys):
+    assert run(["qpoly", "fshape", "3,2/1"]) == 0
+    assert out_of(capsys).splitlines() == ["method=determinant", "q + 2*q^2 + q^3 + q^4"]
+    assert run(["qpoly", "fshape", "3,2/1", "--method", "enum"]) == 0
+    assert out_of(capsys).splitlines() == ["method=enum", "q + 2*q^2 + q^3 + q^4"]
+    assert run(["qpoly", "fshape", "3,2", "--method", "hook"]) == 0
+    assert out_of(capsys).splitlines()[0] == "method=hook"
+    assert run(["qpoly", "fshape", "3,2", "--method", "enum"]) == 0
+    assert out_of(capsys).splitlines()[0] == "method=enum"
+    # the hook product has no skew form; this used to enumerate silently
+    assert run(["qpoly", "fshape", "3,2/1", "--method", "hook"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_jset_and_j2set(capsys):
     assert run(["jset", "312"]) == 0
     assert out_of(capsys) == "0,1,2"
@@ -289,6 +304,7 @@ def test_limit_bad_precision_or_digits_prints_nothing(argv, capsys):
 
 _TAB_1 = json.dumps({"outer": [1], "inner": [], "rows": [[1]]})
 _TAB_21 = json.dumps({"outer": [2, 1], "inner": [], "rows": [[1, 2], [3]]})
+_TAB_SKEW = json.dumps({"outer": [2, 1], "inner": [1], "rows": [[None, 1], [2]]})
 _RATIONALS = st.sampled_from(["1/2", "2", "1", "0"])
 _LIMIT_OPTIONS = {
     "--q": _RATIONALS,
@@ -296,8 +312,8 @@ _LIMIT_OPTIONS = {
     "--n": st.integers(-2, 6).map(str),
     "--sigma": st.sampled_from(["1", "21", "312"]),
     "--tau": st.sampled_from(["1", "12", "231"]),
-    "--tableau": st.sampled_from([_TAB_1, _TAB_21]),
-    "--tableau2": st.sampled_from([_TAB_1, _TAB_21]),
+    "--tableau": st.sampled_from([_TAB_1, _TAB_21, _TAB_SKEW]),
+    "--tableau2": st.sampled_from([_TAB_1, _TAB_21, _TAB_SKEW]),
     "--a": st.integers(-1, 3).map(str),
     "--digits": st.integers(-1, 3).map(str),
     "--precision": st.sampled_from(["1/10", "1/1000", "0"]),
@@ -327,6 +343,67 @@ def test_limit_commands_keep_exit_code_contract(which, options, dropped, output)
         assert err.getvalue(), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "m3", "--tableau", _TAB_SKEW, "--q", "1/2", "--n", "6"],
+        ["limit", "m3-1", "--tableau", _TAB_21, "--tableau2", _TAB_SKEW]
+        + ["--p", "1/2", "--q", "1/2", "--n", "6"],
+        ["probe", "conjecture", "--tableaux", _TAB_1, _TAB_SKEW, "--n", "6"],
+    ],
+)
+def test_skew_patterns_are_usage_errors(argv, capsys):
+    # a skew pattern has no containment ratio here; its outer shape used to stand in
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _shape_text():
+    """A shape argument: a part list in [-1, 4], optionally over another,
+    so straight, skew and malformed shapes (zero or negative parts,
+    increasing parts, inner not inside outer) all occur."""
+    parts = st.lists(st.integers(-1, 4), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    return parts | st.tuples(parts, parts).map("/".join) | st.sampled_from(["x", "2/1/1"])
+
+
+_QPOLY_SIZES = st.integers(-3, 8).map(str)
+_QPOLY_ARGV = st.one_of(
+    _QPOLY_SIZES.map(lambda n: ["qpoly", "factorial", n]),
+    st.tuples(_QPOLY_SIZES, _QPOLY_SIZES).map(lambda a: ["qpoly", "binomial", *a]),
+    st.tuples(st.sampled_from(["tn", "an"]), _QPOLY_SIZES).map(lambda a: ["qpoly", *a]),
+    _shape_text().map(lambda shape: ["qpoly", "fshape", shape]),
+).flatmap(
+    lambda argv: st.sampled_from([[], ["--method", "hook"], ["--method", "enum"]]).map(
+        lambda method: argv + method
+    )
+)
+_PROBE_ARGV = st.tuples(
+    st.lists(st.sampled_from([_TAB_1, _TAB_21, _TAB_SKEW, "not-json"]), min_size=1, max_size=3),
+    _QPOLY_SIZES,
+).map(lambda a: ["probe", "conjecture", "--tableaux", *a[0], "--n", a[1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_QPOLY_ARGV | _PROBE_ARGV, st.booleans())
+def test_qpoly_and_probe_keep_exit_code_contract(argv, as_json):
+    argv = argv + ["--json"] if as_json else argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv
+    if any(tok[:1] == "-" and tok[1:2].isdigit() for tok in argv[2:4]):
+        assert code == 2, argv  # a negative size is a usage error
+
+
 def test_probe_conjecture(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"outer": [1], "inner": [], "rows": [[1]]}))
@@ -340,6 +417,9 @@ def test_enum_cap(monkeypatch, capsys):
     monkeypatch.setenv("QTAB_MAX_N", "4")
     assert run(["qpoly", "tn", "9", "--method", "enum"]) == 2
     assert run(["qpoly", "tn", "4", "--method", "enum"]) == 0
+    assert run(["qpoly", "fshape", "3,2/1", "--method", "enum"]) == 0
+    assert run(["qpoly", "fshape", "3,2", "--method", "enum"]) == 2
+    assert run(["qpoly", "fshape", "3,2"]) == 0  # the hook path enumerates nothing
     monkeypatch.setenv("QTAB_MAX_N", "")
     assert run(["qpoly", "tn", "6", "--method", "enum"]) == 0
 

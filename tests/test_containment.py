@@ -23,6 +23,7 @@ from qtab.containment import (
 from qtab.permutation import Permutation, involutions
 from qtab.stats import t_count
 from qtab.tableau import (
+    Partition,
     SkewShape,
     Tableau,
     enumerate_syt,
@@ -185,6 +186,38 @@ def test_conjecture_probe_reductions():
             skew_syt_count(SkewShape.straight(lam)) ** 2 for lam in partitions(n)
         )
         assert conjecture_probe([one_cell, a_tab], n) == Fraction(len(pairs), total)
+
+
+PROBE_PATTERNS = [
+    [Tableau.from_rows([[1]])],
+    [Tableau.from_rows([[1, 2]]), Tableau.from_rows([[1], [2]])],
+    [Tableau.from_rows([[1, 3], [2]]), Tableau.from_rows([[1, 2]])],
+    [Tableau.from_rows([[1]]), Tableau.from_rows([[1], [2]]), Tableau.from_rows([[1, 2], [3]])],
+]
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_conjecture_probe_equals_enumeration_counts(n):
+    # the probe's skew counts, replaced by counting every standard filling
+    def count(lam, alpha):
+        return len(list(enumerate_syt(SkewShape(lam, alpha))))
+
+    for patterns in PROBE_PATTERNS:
+        numerator = denominator = 0
+        for lam in partitions(n):
+            denominator += count(lam, Partition(())) ** len(patterns)
+            term = 1
+            for pattern in patterns:
+                alpha = pattern.shape.outer
+                term *= count(lam, alpha) if lam.contains(alpha) else 0
+            numerator += term
+        assert conjecture_probe(patterns, n) == Fraction(numerator, denominator)
+
+
+def test_conjecture_probe_rejects_skew_patterns():
+    skew = Tableau.from_rows([[1, 2], [3]]).restrict_high(1)
+    with pytest.raises(ValueError):
+        conjecture_probe([Tableau.from_rows([[1]]), skew], 4)
 
 
 def test_conjecture_probe_triple_runs():

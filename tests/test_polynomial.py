@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +10,14 @@ from qtab.polynomial import (
     Q,
     ZERO,
     BivarPoly,
+    divide_packed,
     format_decimal,
+    packed_width,
     q_integer,
     qbinomial,
     qfactorial,
+    times_q_integer,
+    unpack,
 )
 
 
@@ -62,6 +67,14 @@ def test_qfactorial_recurrence(n):
     assert qfactorial(n) == qfactorial(n - 1) * q_integer(n)
 
 
+def test_qfactorial_equals_product_of_q_integers():
+    product = ONE
+    for n in range(1, 31):
+        product = product * q_integer(n)
+        assert qfactorial(n) == product, n
+
+
+@lru_cache(maxsize=None)
 def _qbinomial_pascal(n: int, k: int) -> BivarPoly:
     # independent oracle: the q-Pascal recurrence
     if k < 0 or k > n:
@@ -79,7 +92,7 @@ def test_qbinomial_4_2_frozen():
     assert qbinomial(4, 2) == _qbinomial_pascal(4, 2)
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", range(0, 25))
 def test_qbinomial_against_pascal_oracle(n):
     for k in range(n + 1):
         assert qbinomial(n, k) == _qbinomial_pascal(n, k)
@@ -104,11 +117,27 @@ def test_qbinomial_rejects_bad_args():
         qbinomial(3, 4)
 
 
-def test_divide_exact_detects_remainder():
+def test_divide_packed_detects_remainder():
+    width = packed_width(6)
     with pytest.raises(ValueError):
-        (Q + 1).divide_exact(Q)
+        divide_packed(times_q_integer(1, 3, width), times_q_integer(1, 2, width))
     with pytest.raises(ZeroDivisionError):
-        ONE.divide_exact(ZERO)
+        divide_packed(1, 0)
+
+
+@pytest.mark.parametrize("width", [0, 8, 16])
+def test_times_q_integer_is_the_packed_product(width):
+    for h in range(40):
+        for value in (0, 1, 5, 2**20 + 3):
+            expected = value * (q_integer(h).evaluate(1, 2**width))
+            assert times_q_integer(value, h, width) == expected, (value, h)
+
+
+def test_packed_width_and_unpack():
+    assert unpack(8, 1 + 2**8 + 2**16) == q_integer(3)
+    # rows are the p-degrees
+    assert unpack(8, 2, 2**8) == 2 + P * Q
+    assert packed_width(127) == 8 and packed_width(128) == 16
 
 
 @given(poly_strategy(), poly_strategy())
@@ -133,10 +162,14 @@ def test_eval_is_ring_homomorphism(f, g, pv, qv):
     assert (f * g).evaluate(pv, qv) == f.evaluate(pv, qv) * g.evaluate(pv, qv)
 
 
-@given(poly_strategy())
-def test_exact_division_roundtrip(f):
-    divisor = q_integer(3) * P + 1
-    assert (f * divisor).divide_exact(divisor) == f
+@given(st.lists(st.integers(0, 300), max_size=8))
+def test_exact_division_roundtrip(coeffs):
+    # pack f * [3] at q = 2^width, divide [3] out exactly and decode f again
+    f = BivarPoly({(0, d): c for d, c in enumerate(coeffs)})
+    width = packed_width(sum(coeffs))
+    packed = (f * q_integer(3)).evaluate(1, 2**width)
+    assert packed.denominator == 1
+    assert unpack(width, divide_packed(packed.numerator, times_q_integer(1, 3, width))) == f
 
 
 def test_swap_variables():

@@ -19,7 +19,7 @@ from qtab.stats import (
     t_scaled_value,
     t_value,
 )
-from qtab.tableau import partitions
+from qtab.tableau import SkewShape, f_poly_enum, partitions
 
 
 def test_t_poly_enum_small():
@@ -59,6 +59,27 @@ def test_a_poly_enum_small():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_a_poly_matches_enumeration(n):
     assert a_poly(n) == a_poly_enum(n)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_a_poly_matches_product_sum(n):
+    # the sum over shapes of f_lam(p) f_lam(q), with f_lam by enumeration
+    total = BivarPoly()
+    for shape in partitions(n):
+        fq = f_poly_enum(SkewShape.straight(shape))
+        total = total + fq.swap_variables() * fq
+    assert a_poly(n) == total
+
+
+def test_a_poly_16_marginals():
+    import math
+
+    poly = a_poly(16)
+    assert poly.evaluate(1, 1) == math.factorial(16)
+    q_marginal = BivarPoly(((0, j), c) for (_, j), c in poly.sorted_terms())
+    p_marginal = BivarPoly(((i, 0), c) for (i, _), c in poly.sorted_terms())
+    assert q_marginal == qfactorial(16)
+    assert p_marginal == qfactorial(16).swap_variables()
 
 
 @pytest.mark.parametrize("n", range(0, 7))

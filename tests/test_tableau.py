@@ -10,8 +10,10 @@ from qtab.tableau import (
     Tableau,
     enumerate_syt,
     f_poly,
+    f_poly_enum,
     f_poly_hook,
     partitions,
+    partitions_inside,
     skew_syt_count,
     syt_count,
 )
@@ -144,7 +146,26 @@ def test_f_poly_single_column():
 def test_hook_polynomial_equals_enumeration(n):
     # exhaustive firewall before the hook path is trusted at larger sizes
     for shape in partitions(n):
-        assert f_poly_hook(shape) == f_poly(SkewShape.straight(shape)), shape
+        assert f_poly_hook(shape) == f_poly_enum(SkewShape.straight(shape)), shape
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_skew_polynomial_and_count_equal_enumeration(n):
+    # every pair mu inside lam with |lam| = n: 862 pairs for n <= 8
+    for lam in partitions(n):
+        for size in range(n + 1):
+            for mu in partitions_inside(size, lam):
+                shape = SkewShape(lam, mu)
+                assert f_poly(shape) == f_poly_enum(shape), shape
+                assert skew_syt_count(shape) == len(list(enumerate_syt(shape))), shape
+
+
+def test_skew_determinant_beyond_enumeration():
+    # 8,653,502 fillings; the count is Aitken's determinant at q = 1
+    shape = SkewShape.parse("7,6,5,4/3,2,1")
+    poly = f_poly(shape)
+    assert skew_syt_count(shape) == poly.evaluate(1, 1) == 8653502
+    assert all(c > 0 for _, c in poly.sorted_terms())
 
 
 @pytest.mark.parametrize("n", range(0, 8))
@@ -182,6 +203,12 @@ def test_skew_equality_keeps_anchor():
     a = Tableau(SkewShape.parse("2,1/1"), ((1,), (2,)))
     b = Tableau(SkewShape.parse("1,1"), ((1,), (2,)))
     assert a != b
+
+
+def test_straight_shape_rejects_skew_tableaux():
+    assert EXAMPLE.straight_shape() == Partition.of(4, 3, 2)
+    with pytest.raises(ValueError):
+        EXAMPLE.restrict_high(5).straight_shape()
 
 
 def test_skew_one_row_strip():
