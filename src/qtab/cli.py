@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import containment, jsets, limits, stats
 from .permutation import Permutation
@@ -64,7 +64,7 @@ def _parse_tableau(text: str) -> Tableau:
         text = Path(text).read_text()
     try:
         return Tableau.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse tableau: {exc}") from exc
 
 
@@ -154,11 +154,14 @@ def _poly_payload(poly: BivarPoly, **extra) -> dict:
 
 def _cmd_qpoly(args) -> int:
     which = args.which
+    arity = 2 if which == "binomial" else 1
+    if len(args.args) != arity:
+        raise UsageError(f"qpoly {which} needs {arity} operand(s), got {len(args.args)}")
     if which == "factorial":
         poly = qfactorial(int(args.args[0]))
         _emit(args, [str(poly)], _poly_payload(poly))
     elif which == "binomial":
-        n, k = (int(x) for x in args.args[:2])
+        n, k = (int(x) for x in args.args)
         try:
             poly = qbinomial(n, k)
         except ValueError as exc:
@@ -169,18 +172,13 @@ def _cmd_qpoly(args) -> int:
         if n < 0:
             raise UsageError(f"n must be nonnegative, got {n}")
         method = args.method or "hook"
+        if method == "enum":
+            kind = "involution" if which == "tn" else "permutation"
+            _check_enum_size(n, f"{kind} enumeration")
         if which == "tn":
-            if method == "enum":
-                _check_enum_size(n, "involution enumeration")
-                poly = stats.t_poly_enum(n)
-            else:
-                poly = stats.t_poly(n)
+            poly = stats.t_poly_enum(n) if method == "enum" else stats.t_poly(n)
         else:
-            if method == "enum":
-                _check_enum_size(n, "permutation enumeration")
-                poly = stats.a_poly_enum(n)
-            else:
-                poly = stats.a_poly(n)
+            poly = stats.a_poly_enum(n) if method == "enum" else stats.a_poly(n)
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     elif which == "fshape":
         shape = SkewShape.parse(args.args[0])
@@ -252,29 +250,32 @@ def _cmd_j2(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _verify_instances(args) -> list[Callable[[], containment.IdentityReport]]:
+def _verify_reports(args) -> list[containment.IdentityReport]:
     which = args.which
     k = args.max_size
     for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be nonnegative, got {value}")
-    jobs: list[Callable[[], containment.IdentityReport]] = []
+    reports = []
+    # permcont1/2: one sweep per ambient size, whose buckets go before the
+    # next sweep; the reports are then put in pattern-size order
     if which == "permcont1":
         total_cap = args.max_total if args.max_total is not None else 8
         _check_enum_size(total_cap, "involution enumeration")
-        for m in range(k + 1):
-            for n in range(total_cap - m + 1):
-                jobs.append(lambda m=m, n=n: containment.verify_permcont1(m, n))
-    elif which == "permcont2":
+        for total in range(total_cap + 1):
+            sizes = range(min(k, total) + 1)
+            swept = containment.permcont1_buckets(total, sizes)
+            reports += [containment.permcont1_report(m, total - m, swept.pop(m)) for m in sizes]
+        return sorted(reports, key=lambda r: (r.params["m"], r.params["n"]))
+    if which == "permcont2":
         total_cap = args.max_total if args.max_total is not None else 6
         _check_enum_size(total_cap, "permutation enumeration")
-        for a in range(k + 1):
-            for b in range(k + 1):
-                for total in range(max(a, b), total_cap + 1):
-                    jobs.append(
-                        lambda a=a, b=b, t=total: containment.verify_permcont2(a, b, t)
-                    )
-    elif which == "permtotab":
+        for total in range(total_cap + 1):
+            pairs = [(a, b) for a in range(min(k, total) + 1) for b in range(min(k, total) + 1)]
+            swept = containment.permcont2_buckets(total, pairs)
+            reports += [containment.permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
+        return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
+    if which == "permtotab":
         _check_enum_size(k, "permutation enumeration")
         tabs = [
             tab
@@ -284,21 +285,17 @@ def _verify_instances(args) -> list[Callable[[], containment.IdentityReport]]:
         ]
         for tab in tabs:
             for j in range(tab.size + 1):
-                jobs.append(lambda t=tab, j=j: containment.verify_permtotab(t, j))
+                reports.append(containment.verify_permtotab(tab, j))
         for a_tab in tabs:
             for b_tab in tabs:
                 for j in range(min(a_tab.size, b_tab.size) + 1):
-                    jobs.append(
-                        lambda a=a_tab, b=b_tab, j=j: containment.verify_permtotab_pair(
-                            a, b, j
-                        )
-                    )
+                    reports.append(containment.verify_permtotab_pair(a_tab, b_tab, j))
     elif which == "majgen":
         n_cap = args.max_total if args.max_total is not None else 5
         shapes = [shape for size in range(k + 1) for shape in partitions(size)]
         for alpha in shapes:
             for n in range(n_cap + 1):
-                jobs.append(lambda a=alpha, n=n: containment.verify_majgen(a, n))
+                reports.append(containment.verify_majgen(alpha, n))
     elif which == "majgen1":
         n_cap = args.max_total if args.max_total is not None else 5
         shapes = [shape for size in range(k + 1) for shape in partitions(size)]
@@ -307,18 +304,14 @@ def _verify_instances(args) -> list[Callable[[], containment.IdentityReport]]:
                 for m in range(n_cap + 1):
                     n = m + alpha.size - beta.size
                     if 0 <= n <= n_cap:
-                        jobs.append(
-                            lambda a=alpha, b=beta, m=m, n=n: containment.verify_majgen1(
-                                a, b, m, n
-                            )
-                        )
+                        reports.append(containment.verify_majgen1(alpha, beta, m, n))
     else:
         raise UsageError(f"unknown verification {which!r}")
-    return jobs
+    return reports
 
 
 def _cmd_verify(args) -> int:
-    reports = [job() for job in _verify_instances(args)]
+    reports = _verify_reports(args)
     failures = sum(len(r.failures) for r in reports)
     checked = sum(r.checked for r in reports)
     if args.json:
@@ -351,6 +344,17 @@ _LIMIT_KINDS = {
 
 def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
     which = args.which
+    # options only some reports read: passing one that this report ignores is an error
+    for name, default, read in (
+        ("precision", Fraction(1, 10**7), which == "xi"),
+        ("a", 1, which == "eq8"),
+        ("digits", 12, args.csv or not args.json),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not read:
+            where = " under --json" if name == "digits" else ""
+            raise UsageError(f"limit {which} does not read --{name}{where}")
     pattern_options, parameter_options, finite_name, limit_name = _LIMIT_KINDS[which]
     options = (*pattern_options, *parameter_options)
     for name in options:
@@ -505,13 +509,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--tau")
     p_limit.add_argument("--tableau", help="tableau JSON or @file")
     p_limit.add_argument("--tableau2", help="tableau JSON or @file")
-    p_limit.add_argument("--a", type=int, default=1, help="offset for eq8")
+    p_limit.add_argument("--a", type=int, help="offset for eq8 (default 1)")
     p_limit.add_argument(
-        "--precision", type=_parse_rational, default=Fraction(1, 10**7)
+        "--precision", type=_parse_rational, help="product tail bound for xi (default 1/10^7)"
     )
     p_limit.add_argument("--csv", action="store_true")
     p_limit.add_argument(
-        "--digits", type=int, default=12, help="significant digits in rendered output"
+        "--digits", type=int, help="significant digits in text and --csv output (default 12)"
     )
     p_limit.add_argument("--json", action="store_true")
     p_limit.set_defaults(func=_cmd_limit)

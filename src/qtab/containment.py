@@ -17,6 +17,11 @@ than a bare assertion.  The identities verified:
 * ``majgen``   -- skew-shape maj sums over all outer shapes against inner
   skew sums (single and pair versions), whose q = 1 specializations are the
   classical skew enumeration identities.
+
+``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
+permutations of [total] once for every pattern size asked for at that total,
+and ``permcont1_report``/``permcont2_report`` check one instance on the
+buckets; ``verify_permcont1``/``verify_permcont2`` are the one-instance case.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .jsets import j2_set, j_set
 from .permutation import Permutation, involution_words, involutions, permutations
-from .permutation import word_high, word_imaj, word_low, word_maj, word_std
+from .permutation import word_low, word_std
 from .polynomial import ZERO, BivarPoly, qbinomial, qfactorial
 from .rsk import rs
 from .stats import a_poly, t_count, t_poly
@@ -57,7 +63,11 @@ __all__ = [
     "IdentityReport",
     "perms_with_insertion_tableau",
     "perms_with_recording_tableau",
+    "permcont1_buckets",
+    "permcont1_report",
     "verify_permcont1",
+    "permcont2_buckets",
+    "permcont2_report",
     "verify_permcont2",
     "verify_permtotab",
     "verify_permtotab_pair",
@@ -160,44 +170,50 @@ def _maj_poly(maj_counts: dict[int, int]) -> BivarPoly:
     return BivarPoly({(0, m): c for m, c in maj_counts.items()})
 
 
-def verify_permcont1(m: int, n: int) -> IdentityReport:
-    """Check both involution containment identities at pattern size m, free size n.
+def _suffix_majs(word: Sequence[int]) -> list[int]:
+    """maj(word[c:]) for every cut c, in one pass: each cut adds the descents past it."""
+    majs, acc, past = [0] * (len(word) + 1), 0, 0
+    for c in range(len(word) - 2, -1, -1):
+        past += word[c] > word[c + 1]
+        acc += past
+        majs[c] = acc
+    return majs
 
-    Sweeps the involutions of [n + m] once, bucketing the suffix-maj statistic
-    by low restriction, then compares every bucket (and the unrestricted
-    total) against the closed forms.  The q = 1 rows double-check the plain
-    counting formula over binomials and involution numbers.
-    """
-    report = IdentityReport("permcont1", {"m": m, "n": n})
-    total = n + m
-    buckets: dict[tuple[int, ...], dict[int, int]] = {}
-    all_counts: dict[int, int] = {}
+
+def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
+    """One sweep of the involutions of [total] for every pattern size m:
+    counts of the suffix maj past m, by low restriction at m."""
+    if any(m > total for m in sizes):
+        raise ValueError("ambient size smaller than a pattern")
+    counts: dict[int, dict] = {m: {} for m in sizes}
     for w in involution_words(total):
-        stat = word_maj(w[m:])
-        bucket = buckets.setdefault(word_low(w, m), {})
-        bucket[stat] = bucket.get(stat, 0) + 1
-        all_counts[stat] = all_counts.get(stat, 0) + 1
+        majs = _suffix_majs(w)
+        for m, bucket in counts.items():
+            tally = bucket.setdefault(word_low(w, m), {})
+            tally[majs[m]] = tally.get(majs[m], 0) + 1
+    return counts
 
-    # unrestricted identity
+
+def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
+    """Both involution identities at pattern size m, free size n, on swept buckets;
+    the q = 1 rows double-check the plain count over binomials and involutions."""
+    report = IdentityReport("permcont1", {"m": m, "n": n})
+    # unrestricted identity; cuts j < m - n would need k = n - m + j < 0
     rhs_all = ZERO
-    for j in range(m + 1):
+    for j in range(max(0, m - n), m + 1):
         k = n - m + j
-        if k < 0 or k > n:
-            continue
         rhs_all = rhs_all + (
             t_count(j) * math.comb(m, j) * qfactorial(m - j) * qbinomial(n, k) * t_poly(k)
         )
-    report.record("all involutions", _maj_poly(all_counts), rhs_all)
+    overall = sum(map(_maj_poly, by_low.values()), ZERO)
+    report.record("all involutions", overall, rhs_all)
 
     for sigma in permutations(m):
-        jset = j_set(sigma)
-        lhs = _maj_poly(buckets.get(sigma.word, {}))
+        lhs = _maj_poly(by_low.get(sigma.word, {}))
         rhs = ZERO
         count_rhs = 0
-        for j in sorted(jset):
+        for j in sorted(j for j in j_set(sigma) if j >= m - n):
             k = n - m + j
-            if k < 0 or k > n:
-                continue
             rhs = rhs + (
                 BivarPoly.monomial(0, sigma.suffix(j).maj()) * qbinomial(n, k) * t_poly(k)
             )
@@ -211,31 +227,43 @@ def verify_permcont1(m: int, n: int) -> IdentityReport:
     return report
 
 
-def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
-    """Check both pair containment identities for patterns of sizes a and b in [total].
+def verify_permcont1(m: int, n: int) -> IdentityReport:
+    """Both involution identities at pattern size m, free size n: the one-size sweep."""
+    return permcont1_report(m, n, permcont1_buckets(n + m, [m])[m])
 
-    One sweep over the permutations of [total] buckets the joint
-    (inverse-suffix, suffix) maj statistic by (low restriction, standardized
-    prefix); the closed forms are assembled from Gaussian binomials, the
-    two-variable maj polynomial, and the j2-set of each pattern pair.
-    """
-    if total < max(a, b):
+
+def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, int], dict]:
+    """One sweep of the permutations of [total] for every pattern-size pair (a, b):
+    counts of (imaj of the high restriction at a, maj of the suffix past b) by
+    (low restriction at a, standardized prefix at b).  That imaj is the maj of
+    the inverse word past a, so one suffix-maj pass over the word and one over
+    its inverse serve every a and b."""
+    if any(total < max(pair) for pair in pairs):
         raise ValueError("ambient size smaller than a pattern")
+    counts: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
+    sizes_a, sizes_b = {a for a, _ in counts}, {b for _, b in counts}
+    inv = [0] * total
+    for w in itertools.permutations(range(1, total + 1)):
+        for i, v in enumerate(w, start=1):
+            inv[v - 1] = i
+        imajs, majs = _suffix_majs(inv), _suffix_majs(w)
+        lows = {a: word_low(w, a) for a in sizes_a}
+        heads = {b: word_std(w[:b]) for b in sizes_b}
+        for (a, b), bucket in counts.items():
+            tally, stat = bucket.setdefault((lows[a], heads[b]), {}), (imajs[a], majs[b])
+            tally[stat] = tally.get(stat, 0) + 1
+    return counts
+
+
+def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport:
+    """Both pair identities for patterns of sizes a and b in [total], on swept buckets,
+    against Gaussian binomials, the two-variable maj polynomial and the j2-sets."""
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
     m, n = total - a, total - b
-    buckets: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, int], int]] = {}
-    all_counts: dict[tuple[int, int], int] = {}
-    for w in itertools.permutations(range(1, total + 1)):
-        stat = (word_imaj(word_high(w, a)), word_maj(w[b:]))
-        bucket = buckets.setdefault((word_low(w, a), word_std(w[:b])), {})
-        bucket[stat] = bucket.get(stat, 0) + 1
-        all_counts[stat] = all_counts.get(stat, 0) + 1
-
+    # k = n - a + j lies in [0, min(m, n)] exactly when a - n <= j <= min(a, b)
     rhs_all = ZERO
-    for j in range(a + 1):
+    for j in range(max(0, a - n), min(a, b) + 1):
         k = n - a + j
-        if k < 0 or k > min(m, n):
-            continue
         rhs_all = rhs_all + (
             math.factorial(j)
             * math.comb(a, j)
@@ -246,18 +274,15 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
             * qbinomial(n, k)
             * a_poly(k)
         )
-    report.record("all permutations", BivarPoly(all_counts), rhs_all)
+    report.record("all permutations", sum(map(BivarPoly, by_key.values()), ZERO), rhs_all)
 
     for sigma in permutations(a):
         for tau in permutations(b):
-            jset = j2_set(sigma, tau)
-            lhs = BivarPoly(buckets.get((sigma.word, tau.word), {}))
+            lhs = BivarPoly(by_key.get((sigma.word, tau.word), {}))
             rhs = ZERO
             count_rhs = 0
-            for j in sorted(jset):
+            for j in sorted(j for j in j2_set(sigma, tau) if j >= a - n):
                 k = n - a + j
-                if k < 0 or k > min(m, n):
-                    continue
                 rhs = rhs + (
                     BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
                     * qbinomial(m, k).swap_variables()
@@ -269,6 +294,11 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
             report.record(instance, lhs, rhs)
             report.record(f"{instance} p=q=1 count", lhs.evaluate(1, 1), Fraction(count_rhs))
     return report
+
+
+def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
+    """Both pair identities for patterns of sizes a and b in [total]: the one-pair sweep."""
+    return permcont2_report(a, b, total, permcont2_buckets(total, [(a, b)])[a, b])
 
 
 @lru_cache(maxsize=None)

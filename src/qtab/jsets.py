@@ -19,6 +19,11 @@ against exhaustive brute force in the test suite.
 
 Overlined entries are written with a trailing apostrophe in text (``2'``) and
 carry a boolean flag in JSON.
+
+Brute-force j2-sets walk the cuts down from min(len sigma, len tau): a step
+pops the last letter r of sigma's standardized prefix, lowers the letters
+above r, and drops j from tau's low restriction.  The j-set of w is the
+j2-set of (w, w^-1): the low restriction of w^-1 at j inverts the prefix.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .permutation import Permutation, word_is_involution, word_low, word_std
+from .permutation import Permutation, word_low, word_std
 
 __all__ = [
     "JProfile",
@@ -217,13 +222,23 @@ def is_j2_set(values: Iterable[int]) -> bool:
     return True
 
 
-def _j_set_word(word: Sequence[int]) -> frozenset[int]:
-    return frozenset([j for j in range(len(word) + 1) if word_is_involution(word_std(word[:j]))])
-
-
 def _j2_set_words(sigma: Sequence[int], tau: Sequence[int]) -> frozenset[int]:
-    cuts = range(min(len(sigma), len(tau)) + 1)
-    return frozenset([j for j in cuts if word_std(sigma[:j]) == word_low(tau, j)])
+    top = min(len(sigma), len(tau))
+    pre, low, cuts = list(word_std(sigma[:top])), list(word_low(tau, top)), [0]
+    for j in range(top, 0, -1):
+        if pre == low:
+            cuts.append(j)
+        r = pre.pop()
+        pre = [v - 1 if v > r else v for v in pre]
+        low.remove(j)
+    return frozenset(cuts)
+
+
+def _j_set_word(word: Sequence[int]) -> frozenset[int]:
+    inverse = [0] * len(word)
+    for i, v in enumerate(word, start=1):
+        inverse[v - 1] = i
+    return _j2_set_words(word, inverse)
 
 
 def j_set(perm: Permutation) -> frozenset[int]:

@@ -115,20 +115,25 @@ class Partition:
 
 
 def partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, largest-first lexicographic order."""
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
+    """All partitions of n, largest-first lexicographic order, without recursion:
+    lower the last part above 1 and refill the freed cells with parts that size."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for parts in rec(n, n):
-        yield Partition(parts)
+    parts = [n] if n else []
+    while True:
+        yield Partition(tuple(parts))
+        freed = 0
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        top = parts[-1]
+        freed += 1
+        while freed > top:
+            parts.append(top)
+            freed -= top
+        parts.append(freed)
 
 
 def partitions_inside(n: int, outer: Partition) -> Iterator[Partition]:

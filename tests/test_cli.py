@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -206,6 +208,31 @@ def test_oracle_commands_keep_exit_code_contract(argv, as_json):
         assert "Traceback" not in err.getvalue(), argv
 
 
+# sha256 of the default stdout of the oracle commands, recorded before the
+# one-sweep-per-total and decremental-walk kernels replaced the per-instance ones
+ORACLE_STDOUT_SHA256 = {
+    "verify permcont1 --max-size 3 --max-total 10":
+        "dc053f364a80944df2315ea3831479277bc0798b3795fa0cd05d734f6cb6946f",
+    "verify permcont2 --max-size 3 --max-total 7":
+        "49c5b45324583a461d90b41e099dbf3381810173ecd5f5a616ee4b33fa916551",
+    "verify permtotab --max-size 4":
+        "988514567ec2355e8765857c36e34b8bfab6fe609c949366faef8ba64b8d2ae9",
+    "verify majgen --max-size 5":
+        "c645b37cd7b45694ac8593252816f741fbd789d25646e1514da0495c34faa037",
+    "verify majgen1 --max-size 4":
+        "3b525c7c2ce8167cca417ab5349909087df59fe4381f62b59605c72ae617bedf",
+    "j2 count --max 8 --method brute":
+        "f2abbadf521db305f6baac0c2581c715e8c5fbcbb552a1c0b96976fb8c15e60a",
+}
+
+
+@pytest.mark.parametrize("command", list(ORACLE_STDOUT_SHA256))
+def test_oracle_stdout_is_pinned(command, capsys):
+    assert run(command.split()) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == ORACLE_STDOUT_SHA256[command]
+
+
 def test_threads_flag_is_a_usage_error(capsys):
     for argv in (
         ["verify", "majgen", "--max-size", "2", "--max-total", "2", "--threads", "4"],
@@ -302,6 +329,38 @@ def test_limit_bad_precision_or_digits_prints_nothing(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--precision", "0"],
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--precision", "1/100"],
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--json", "--digits", "0"],
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--json", "--digits", "5"],
+        ["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "5", "--a", "2"],
+        ["limit", "xi", "--q", "1/2", "--n", "5", "--a", "1"],
+        ["limit", "eq8", "--n", "20", "--precision", "1/10"],
+    ],
+)
+def test_limit_rejects_options_its_kind_ignores(argv, capsys):
+    # --precision is read only by xi, --a only by eq8, --digits not under --json
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_limit_options_apply_where_read(capsys):
+    assert run(["limit", "xi", "--q", "1/2", "--n", "5", "--precision", "1/1000"]) == 0
+    assert "product tail bound" in out_of(capsys)
+    assert run(["limit", "eq8", "--n", "20", "--a", "2"]) == 0
+    assert out_of(capsys).startswith("eq8 a=2")
+    assert run(["limit", "eq8", "--n", "20"]) == 0
+    assert out_of(capsys).startswith("eq8 a=1")
+    csv_digits = ["--csv", "--json", "--digits", "3"]  # --csv output reads --digits
+    assert run(["limit", "tlim", "--q", "1/2", "--n", "3", *csv_digits]) == 0
+    assert out_of(capsys).splitlines()[-1] == "3,0.689,0.5,0.189"
+
+
 _TAB_1 = json.dumps({"outer": [1], "inner": [], "rows": [[1]]})
 _TAB_21 = json.dumps({"outer": [2, 1], "inner": [], "rows": [[1, 2], [3]]})
 _TAB_SKEW = json.dumps({"outer": [2, 1], "inner": [1], "rows": [[None, 1], [2]]})
@@ -369,11 +428,17 @@ def _shape_text():
 
 
 _QPOLY_SIZES = st.integers(-3, 8).map(str)
+_QPOLY_ARITY = {"factorial": 1, "binomial": 2, "tn": 1, "an": 1, "fshape": 1}
 _QPOLY_ARGV = st.one_of(
     _QPOLY_SIZES.map(lambda n: ["qpoly", "factorial", n]),
     st.tuples(_QPOLY_SIZES, _QPOLY_SIZES).map(lambda a: ["qpoly", "binomial", *a]),
     st.tuples(st.sampled_from(["tn", "an"]), _QPOLY_SIZES).map(lambda a: ["qpoly", *a]),
     _shape_text().map(lambda shape: ["qpoly", "fshape", shape]),
+    # any operand count, mostly the wrong one
+    st.tuples(
+        st.sampled_from(list(_QPOLY_ARITY)),
+        st.lists(st.sampled_from(["2", "3", "2,1"]), max_size=3),
+    ).map(lambda a: ["qpoly", a[0], *a[1]]),
 ).flatmap(
     lambda argv: st.sampled_from([[], ["--method", "hook"], ["--method", "enum"]]).map(
         lambda method: argv + method
@@ -402,6 +467,59 @@ def test_qpoly_and_probe_keep_exit_code_contract(argv, as_json):
         assert err.getvalue(), argv
     if any(tok[:1] == "-" and tok[1:2].isdigit() for tok in argv[2:4]):
         assert code == 2, argv  # a negative size is a usage error
+    if argv[0] == "qpoly":
+        operands = list(itertools.takewhile(lambda tok: not tok.startswith("--"), argv[2:]))
+        if len(operands) != _QPOLY_ARITY[argv[1]]:
+            assert code == 2, argv  # a wrong operand count is a usage error
+
+
+_WORDS = st.one_of(
+    st.integers(0, 5).flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(lambda w: "".join(map(str, w)))
+    ),
+    st.lists(st.integers(-2, 6), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["112", "0", "x1", "1 2", "-1"]),
+)
+_TABLEAUX = st.sampled_from(
+    [
+        _TAB_1,
+        _TAB_21,
+        _TAB_SKEW,
+        json.dumps({"outer": [2, 1], "inner": [], "rows": [[1, 3], [2]]}),
+        json.dumps({"outer": [2], "inner": [], "rows": [[2, 1]]}),  # not standard
+        json.dumps({"outer": [2], "inner": [], "rows": [[1]]}),  # too few cells
+        json.dumps({"outer": [1, 2], "rows": [[1], [2, 3]]}),  # not a partition
+        json.dumps({"outer": 3, "rows": [[1]]}),
+        json.dumps({"outer": [1], "rows": [["a"]]}),
+        json.dumps({"rows": [[1]]}),
+        "[]",
+        "7",
+        "not-json",
+    ]
+)
+_STAT_RS_ARGV = st.one_of(
+    _WORDS.map(lambda w: ["stat", "perm", w]),
+    _TABLEAUX.map(lambda t: ["stat", "tab", t]),
+    st.lists(_WORDS, min_size=1, max_size=2).map(lambda ws: ["rs", *ws]),
+    st.lists(_TABLEAUX, min_size=1, max_size=3).map(lambda ts: ["rs", "--inverse", *ts]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_STAT_RS_ARGV, st.booleans())
+def test_stat_and_rs_keep_exit_code_contract(argv, as_json):
+    argv = argv + ["--json"] if as_json else argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors, e.g. "-1"
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv
 
 
 def test_probe_conjecture(tmp_path, capsys):

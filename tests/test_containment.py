@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,10 @@ from qtab.containment import (
     enum_perm_containing,
     enum_tab_containing,
     pair_contains,
+    permcont1_buckets,
+    permcont1_report,
+    permcont2_buckets,
+    permcont2_report,
     perms_with_insertion_tableau,
     perms_with_recording_tableau,
     tab_contains,
@@ -20,7 +25,16 @@ from qtab.containment import (
     verify_permtotab,
     verify_permtotab_pair,
 )
-from qtab.permutation import Permutation, involutions
+from qtab.permutation import (
+    Permutation,
+    involution_words,
+    involutions,
+    word_high,
+    word_imaj,
+    word_low,
+    word_maj,
+    word_std,
+)
 from qtab.stats import t_count
 from qtab.tableau import (
     Partition,
@@ -124,6 +138,61 @@ def test_permcont1_small_grid(m, n):
 def test_permcont2_small_grid(a, b, total):
     report = verify_permcont2(a, b, total)
     assert report.passed, report.to_json()
+
+
+def _tally(buckets, key, stat):
+    bucket = buckets.setdefault(key, {})
+    bucket[stat] = bucket.get(stat, 0) + 1
+
+
+def test_permcont1_buckets_equal_per_word_statistics():
+    # reference: every statistic from the word kernel, one size m at a time
+    for total in range(9):
+        sizes = range(min(3, total) + 1)
+        swept = permcont1_buckets(total, sizes)
+        for m in sizes:
+            expected = {}
+            for w in involution_words(total):
+                _tally(expected, word_low(w, m), word_maj(w[m:]))
+            assert swept[m] == expected, (m, total)
+
+
+def test_permcont2_buckets_equal_per_word_statistics():
+    for total in range(7):
+        pairs = [(a, b) for a in range(min(3, total) + 1) for b in range(min(3, total) + 1)]
+        swept = permcont2_buckets(total, pairs)
+        for a, b in pairs:
+            expected = {}
+            for w in itertools.permutations(range(1, total + 1)):
+                stat = (word_imaj(word_high(w, a)), word_maj(w[b:]))
+                _tally(expected, (word_low(w, a), word_std(w[:b])), stat)
+            assert swept[a, b] == expected, (a, b, total)
+
+
+def test_shared_sweeps_give_the_one_instance_reports():
+    for total in range(9):
+        sizes = range(min(3, total) + 1)
+        swept = permcont1_buckets(total, sizes)
+        for m in sizes:
+            report = permcont1_report(m, total - m, swept[m])
+            assert report == verify_permcont1(m, total - m) and report.passed
+    for total in range(7):
+        pairs = [(a, b) for a in range(min(3, total) + 1) for b in range(min(3, total) + 1)]
+        swept = permcont2_buckets(total, pairs)
+        for a, b in pairs:
+            report = permcont2_report(a, b, total, swept[a, b])
+            assert report == verify_permcont2(a, b, total) and report.passed
+
+
+def test_sweeps_reject_patterns_larger_than_the_ambient_size():
+    with pytest.raises(ValueError):
+        permcont1_buckets(2, [3])
+    with pytest.raises(ValueError):
+        verify_permcont1(2, -1)
+    with pytest.raises(ValueError):
+        permcont2_buckets(3, [(1, 1), (4, 0)])
+    with pytest.raises(ValueError):
+        verify_permcont2(3, 1, 2)
 
 
 def test_permtotab_single_examples():

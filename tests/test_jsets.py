@@ -23,7 +23,7 @@ from qtab.jsets import (
     psi,
     psi2,
 )
-from qtab.permutation import Permutation, permutations
+from qtab.permutation import Permutation, permutations, word_low, word_std
 
 WORKED_SET = {0, 1, 2, 3, 5, 6, 9, 13, 17, 18, 19, 20, 22}
 WORKED_SET_2 = {0, 1, 3, 6, 7, 8, 12, 13, 14, 15, 17}
@@ -71,6 +71,19 @@ def test_brute_set_lists_match_oracle():
         perms = list(permutations(n))
         assert j_sets_of(n) == {_j_set_oracle(perm) for perm in perms}
         assert j2_sets_of(n) == {_j2_set_oracle(perm, perm) for perm in perms}
+
+
+def _j2_set_per_cut(sigma, tau):
+    # the per-cut comparison the decremental walk replaced: rebuild both sides at every cut
+    top = min(len(sigma), len(tau))
+    return frozenset(j for j in range(top + 1) if word_std(sigma[:j]) == word_low(tau, j))
+
+
+def test_j2_sets_of_matches_per_cut_reference_through_8():
+    for n in range(9):
+        words = itertools.permutations(range(1, n + 1))
+        assert j2_sets_of(n) == {_j2_set_per_cut(w, w) for w in words}, n
+    assert [j2_count(n) for n in range(9)] == j2_series(8)
 
 
 def test_delta_worked_example():

@@ -29,6 +29,29 @@ def test_partition_validation():
     assert Partition.parse("").parts == ()
 
 
+def _partitions_recursive(remaining, cap):
+    # the recursive generator the iterative one replaced
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _partitions_recursive(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_match_recursive_order_through_30():
+    for n in range(31):
+        assert [p.parts for p in partitions(n)] == list(_partitions_recursive(n, n)), n
+
+
+def test_partitions_past_the_recursion_limit():
+    # the recursive generator raised RecursionError near n = 1000
+    first = [p.parts for p, _ in zip(partitions(3000), range(3))]
+    assert first == [(3000,), (2999, 1), (2998, 2)]
+    with pytest.raises(ValueError):
+        next(partitions(-1))
+
+
 def test_enumerate_partitions_of_4():
     found = [p.parts for p in partitions(4)]
     assert found == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
