@@ -44,7 +44,6 @@ from .limits import (
     BoundReport,
     ConvergenceReport,
     Eq8Report,
-    RealParam,
     a_ratio,
     check_bound,
     contraction,
@@ -58,7 +57,6 @@ from .limits import (
     qlim1_lhs,
     qlim1_rhs,
     t_ratio,
-    xi_limit_product,
     xi_partial,
     xi_product_with_tail,
 )

@@ -276,6 +276,8 @@ def _verify_reports(args) -> list[containment.IdentityReport]:
             reports += [containment.permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
         return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
     if which == "permtotab":
+        if args.max_total is not None:
+            raise UsageError("verify permtotab does not read --max-total")
         _check_enum_size(k, "permutation enumeration")
         tabs = [
             tab
@@ -292,12 +294,14 @@ def _verify_reports(args) -> list[containment.IdentityReport]:
                     reports.append(containment.verify_permtotab_pair(a_tab, b_tab, j))
     elif which == "majgen":
         n_cap = args.max_total if args.max_total is not None else 5
+        _check_enum_size(n_cap, "tableau enumeration")
         shapes = [shape for size in range(k + 1) for shape in partitions(size)]
         for alpha in shapes:
             for n in range(n_cap + 1):
                 reports.append(containment.verify_majgen(alpha, n))
     elif which == "majgen1":
         n_cap = args.max_total if args.max_total is not None else 5
+        _check_enum_size(n_cap, "tableau enumeration")
         shapes = [shape for size in range(k + 1) for shape in partitions(size)]
         for alpha in shapes:
             for beta in shapes:
@@ -382,7 +386,7 @@ def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
     else:
         limit = getattr(limits, limit_name)(*patterns, *parameters)
     grid = limits.default_grid(lo, args.n, 8) if args.csv else [args.n]
-    report = limits.convergence_report(label, finite, limit, grid)
+    report = limits.ConvergenceReport(label, limit, [(n, finite(n)) for n in grid])
     # after the grid, so an empty --csv grid is reported before a bad --a
     if which == "eq8":
         stride = limits.eq8_check(args.a, args.n).ratio_stride

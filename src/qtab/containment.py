@@ -18,6 +18,15 @@ than a bare assertion.  The identities verified:
   skew sums (single and pair versions), whose q = 1 specializations are the
   classical skew enumeration identities.
 
+Each identity is a sum over cut sizes j of a weight w(j) times a cut term
+T(j), and so is each limit theorem, which is the ratio of two such sums.  The
+weights are defined here once, as a polynomial per j: the pattern weights
+``qlim1_weight``, ``m2_1_weight``, ``m3_weight`` and ``m3_1_weight``, and the
+weight sums W(j) over all patterns of a size (``involution_weight_sum``,
+``pair_weight_sum``).  ``involution_cut_sum`` and ``pair_cut_sum`` are the two
+polynomial sums over the cuts.  The reports check these polynomials, and
+:mod:`qtab.limits` evaluates the same ones at rational points.
+
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
 and ``permcont1_report``/``permcont2_report`` check one instance on the
@@ -32,7 +41,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .jsets import j2_set, j_set
 from .permutation import Permutation, involution_words, involutions, permutations
@@ -61,6 +71,14 @@ __all__ = [
     "enum_tab_containing",
     "enum_pair_containing",
     "IdentityReport",
+    "qlim1_weight",
+    "m2_1_weight",
+    "m3_weight",
+    "m3_1_weight",
+    "involution_weight_sum",
+    "pair_weight_sum",
+    "involution_cut_sum",
+    "pair_cut_sum",
     "perms_with_insertion_tableau",
     "perms_with_recording_tableau",
     "permcont1_buckets",
@@ -166,6 +184,90 @@ class IdentityReport:
         )
 
 
+# -- theorem weights -------------------------------------------------------------
+#
+# A weight maps each cut size j to a polynomial: q marks the maj side, p the
+# imaj side.  The cached ones depend on the pattern's shape only.
+
+
+def qlim1_weight(sigma: Permutation) -> dict[int, BivarPoly]:
+    """q^(maj of sigma's suffix past j), on the j-set of sigma."""
+    return {j: BivarPoly.monomial(0, sigma.suffix(j).maj()) for j in j_set(sigma)}
+
+
+def m2_1_weight(sigma: Permutation, tau: Permutation) -> dict[int, BivarPoly]:
+    """p^(imaj of tau's j highest values) q^(maj of sigma's suffix past j), on the j2-set."""
+    return {
+        j: BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
+        for j in j2_set(sigma, tau)
+    }
+
+
+@lru_cache(maxsize=None)
+def m3_weight(alpha: Partition) -> Mapping[int, BivarPoly]:
+    """Sum of f_{alpha/mu}(q) over the inner shapes mu of size j."""
+    return MappingProxyType({
+        j: sum((f_poly(SkewShape(alpha, mu)) for mu in partitions_inside(j, alpha)), ZERO)
+        for j in range(alpha.size + 1)
+    })
+
+
+@lru_cache(maxsize=None)
+def m3_1_weight(alpha: Partition, beta: Partition) -> Mapping[int, BivarPoly]:
+    """Sum of f_{beta/mu}(p) f_{alpha/mu}(q) over the inner shapes mu of size j in both."""
+    return MappingProxyType({
+        j: sum(
+            (
+                f_poly(SkewShape(beta, mu)).swap_variables() * f_poly(SkewShape(alpha, mu))
+                for mu in partitions_inside(j, alpha)
+                if beta.contains(mu)
+            ),
+            ZERO,
+        )
+        for j in range(min(alpha.size, beta.size) + 1)
+    })
+
+
+def involution_weight_sum(m: int) -> dict[int, BivarPoly]:
+    """W(j) = t_j C(m, j) [m-j]_q!, the involution weights summed over the patterns of size m."""
+    return {j: t_count(j) * math.comb(m, j) * qfactorial(m - j) for j in range(m + 1)}
+
+
+def pair_weight_sum(a: int, b: int) -> dict[int, BivarPoly]:
+    """W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q!, the pair weights summed over the
+    patterns of sizes a and b."""
+    return {
+        j: math.factorial(j)
+        * math.comb(a, j)
+        * math.comb(b, j)
+        * qfactorial(b - j).swap_variables()
+        * qfactorial(a - j)
+        for j in range(min(a, b) + 1)
+    }
+
+
+def involution_cut_sum(weight: Mapping[int, BivarPoly], m: int, n: int) -> BivarPoly:
+    """sum_j w(j) [n choose k]_q t_k(q), k = n - m + j, for patterns of size m and
+    n free points; cuts with k < 0 drop out."""
+    total = ZERO
+    for j, w in weight.items():
+        if (k := n - m + j) >= 0:
+            total = total + w * qbinomial(n, k) * t_poly(k)
+    return total
+
+
+def pair_cut_sum(weight: Mapping[int, BivarPoly], a: int, b: int, m: int, n: int) -> BivarPoly:
+    """sum_j w(j) [m choose k]_p [n choose k]_q A_k(p, q), k = n - a + j, for patterns
+    of sizes a and b with m + a = n + b; cuts with k < 0 drop out."""
+    if m + a != n + b:
+        raise ValueError("pair cut sum needs m + a = n + b")
+    total = ZERO
+    for j, w in weight.items():
+        if (k := n - a + j) >= 0:
+            total = total + w * qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
+    return total
+
+
 def _maj_poly(maj_counts: dict[int, int]) -> BivarPoly:
     return BivarPoly({(0, m): c for m, c in maj_counts.items()})
 
@@ -198,27 +300,14 @@ def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
     """Both involution identities at pattern size m, free size n, on swept buckets;
     the q = 1 rows double-check the plain count over binomials and involutions."""
     report = IdentityReport("permcont1", {"m": m, "n": n})
-    # unrestricted identity; cuts j < m - n would need k = n - m + j < 0
-    rhs_all = ZERO
-    for j in range(max(0, m - n), m + 1):
-        k = n - m + j
-        rhs_all = rhs_all + (
-            t_count(j) * math.comb(m, j) * qfactorial(m - j) * qbinomial(n, k) * t_poly(k)
-        )
     overall = sum(map(_maj_poly, by_low.values()), ZERO)
-    report.record("all involutions", overall, rhs_all)
+    report.record("all involutions", overall, involution_cut_sum(involution_weight_sum(m), m, n))
 
     for sigma in permutations(m):
         lhs = _maj_poly(by_low.get(sigma.word, {}))
-        rhs = ZERO
-        count_rhs = 0
-        for j in sorted(j for j in j_set(sigma) if j >= m - n):
-            k = n - m + j
-            rhs = rhs + (
-                BivarPoly.monomial(0, sigma.suffix(j).maj()) * qbinomial(n, k) * t_poly(k)
-            )
-            count_rhs += math.comb(n, k) * t_count(k)
-        report.record(f"sigma={sigma.compact()}", lhs, rhs)
+        weight = qlim1_weight(sigma)
+        count_rhs = sum(math.comb(n, k) * t_count(k) for j in weight if (k := n - m + j) >= 0)
+        report.record(f"sigma={sigma.compact()}", lhs, involution_cut_sum(weight, m, n))
         report.record(
             f"sigma={sigma.compact()} q=1 count",
             lhs.evaluate(1, 1),
@@ -260,38 +349,20 @@ def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport
     against Gaussian binomials, the two-variable maj polynomial and the j2-sets."""
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
     m, n = total - a, total - b
-    # k = n - a + j lies in [0, min(m, n)] exactly when a - n <= j <= min(a, b)
-    rhs_all = ZERO
-    for j in range(max(0, a - n), min(a, b) + 1):
-        k = n - a + j
-        rhs_all = rhs_all + (
-            math.factorial(j)
-            * math.comb(a, j)
-            * math.comb(b, j)
-            * qfactorial(b - j).swap_variables()
-            * qfactorial(a - j)
-            * qbinomial(m, k).swap_variables()
-            * qbinomial(n, k)
-            * a_poly(k)
-        )
-    report.record("all permutations", sum(map(BivarPoly, by_key.values()), ZERO), rhs_all)
+    overall = sum(map(BivarPoly, by_key.values()), ZERO)
+    report.record("all permutations", overall, pair_cut_sum(pair_weight_sum(a, b), a, b, m, n))
 
     for sigma in permutations(a):
         for tau in permutations(b):
             lhs = BivarPoly(by_key.get((sigma.word, tau.word), {}))
-            rhs = ZERO
-            count_rhs = 0
-            for j in sorted(j for j in j2_set(sigma, tau) if j >= a - n):
-                k = n - a + j
-                rhs = rhs + (
-                    BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
-                    * qbinomial(m, k).swap_variables()
-                    * qbinomial(n, k)
-                    * a_poly(k)
-                )
-                count_rhs += math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+            weight = m2_1_weight(sigma, tau)
+            count_rhs = sum(
+                math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+                for j in weight
+                if (k := n - a + j) >= 0
+            )
             instance = f"sigma={sigma.compact()} tau={tau.compact()}"
-            report.record(instance, lhs, rhs)
+            report.record(instance, lhs, pair_cut_sum(weight, a, b, m, n))
             report.record(f"{instance} p=q=1 count", lhs.evaluate(1, 1), Fraction(count_rhs))
     return report
 
@@ -339,10 +410,7 @@ def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
     for sigma in perms_with_insertion_tableau(a_tab):
         if j in j_set(sigma):
             lhs = lhs + BivarPoly.monomial(0, sigma.suffix(j).maj())
-    rhs = ZERO
-    for mu in partitions_inside(j, alpha):
-        rhs = rhs + f_poly(SkewShape(alpha, mu))
-    report.record(f"shape={alpha} j={j}", lhs, rhs)
+    report.record(f"shape={alpha} j={j}", lhs, m3_weight(alpha).get(j, ZERO))
     return report
 
 
@@ -368,14 +436,7 @@ def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityRep
                 lhs = lhs + BivarPoly.monomial(
                     tau.restrict_high(j).imaj(), sigma.suffix(j).maj()
                 )
-    rhs = ZERO
-    for mu in partitions(j):
-        if alpha.contains(mu) and beta.contains(mu):
-            rhs = rhs + (
-                f_poly(SkewShape(beta, mu)).swap_variables()
-                * f_poly(SkewShape(alpha, mu))
-            )
-    report.record(f"shapes={alpha};{beta} j={j}", lhs, rhs)
+    report.record(f"shapes={alpha};{beta} j={j}", lhs, m3_1_weight(alpha, beta).get(j, ZERO))
     return report
 
 
@@ -394,17 +455,14 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
     lhs = ZERO
     for lam in _outer_shapes(alpha, n):
         lhs = lhs + f_poly_enum(SkewShape(lam, alpha))
-    rhs = ZERO
+    rhs = involution_cut_sum(m3_weight(alpha), alpha.size, n)
     count_rhs = 0
     for k in range(n + 1):
         if n - k > alpha.size:
             continue
-        inner_sum = ZERO
         inner_count = 0
         for mu in partitions_inside(alpha.size - (n - k), alpha):
-            inner_sum = inner_sum + f_poly(SkewShape(alpha, mu))
             inner_count += skew_syt_count(SkewShape(alpha, mu))
-        rhs = rhs + qbinomial(n, k) * t_poly(k) * inner_sum
         count_rhs += math.comb(n, k) * t_count(k) * inner_count
     report.record(f"alpha={alpha} n={n}", lhs, rhs)
     report.record(f"alpha={alpha} n={n} q=1 count", lhs.evaluate(1, 1), Fraction(count_rhs))
@@ -420,7 +478,7 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     report = IdentityReport(
         "majgen1", {"alpha": str(alpha), "beta": str(beta), "m": m, "n": n}
     )
-    lhs = ZERO
+    lhs = rhs = ZERO
     if m + alpha.size == n + beta.size:
         for lam in _outer_shapes(alpha, m):
             if lam.contains(beta):
@@ -428,25 +486,17 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
                     f_poly_enum(SkewShape(lam, alpha)).swap_variables()
                     * f_poly_enum(SkewShape(lam, beta))
                 )
-    rhs = ZERO
+        rhs = pair_cut_sum(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
     count_rhs = 0
     for k in range(min(m, n) + 1):
         if m - k > beta.size or n - k > alpha.size:
             continue
-        inner_sum = ZERO
         inner_count = 0
         for mu in partitions(beta.size - (m - k)):
             if beta.contains(mu) and alpha.contains(mu) and alpha.size - mu.size == n - k:
-                inner_sum = inner_sum + (
-                    f_poly(SkewShape(beta, mu)).swap_variables()
-                    * f_poly(SkewShape(alpha, mu))
-                )
                 inner_count += skew_syt_count(SkewShape(beta, mu)) * skew_syt_count(
                     SkewShape(alpha, mu)
                 )
-        rhs = rhs + (
-            qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k) * inner_sum
-        )
         count_rhs += math.comb(m, k) * math.comb(n, k) * math.factorial(k) * inner_count
     report.record(f"alpha={alpha} beta={beta} m={m} n={n}", lhs, rhs)
     report.record(

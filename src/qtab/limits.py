@@ -11,6 +11,8 @@ the skew maj sums inside its shape (m3, m3-1).  The weight feeds the kernel
 of its family, involutions for qlim1 and m3 and permutation pairs for m2-1
 and m3-1.  A kernel returns sum_j w(j) T(j) / sum_j W(j) T(j) at finite n or
 in the limit, where W(j) is the weight summed over all patterns of the size.
+The weights and their sums W(j) are the polynomials :mod:`qtab.containment`
+defines and ``qtab verify`` checks; a kernel evaluates them at (p, q).
 
 For a positive rational r the contraction factor min(r, 1/r) drives every
 limit; replacing a parameter by its reciprocal provably leaves all scaled
@@ -23,13 +25,20 @@ estimates, so a reported margin or gap is rigorous, not numerically hopeful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Mapping
 
+from .containment import (
+    involution_weight_sum,
+    m2_1_weight,
+    m3_1_weight,
+    m3_weight,
+    pair_weight_sum,
+    qlim1_weight,
+)
 from .permutation import Permutation
-from .polynomial import format_decimal
+from .polynomial import ZERO, BivarPoly, format_decimal
 from .stats import (
     a_scaled_value,
     a_value,
@@ -39,11 +48,9 @@ from .stats import (
     t_scaled_value,
     t_value,
 )
-from .jsets import j2_set, j_set
-from .tableau import SkewShape, Tableau, f_poly, partitions_inside
+from .tableau import Tableau
 
 __all__ = [
-    "RealParam",
     "contraction",
     "t_ratio",
     "a_ratio",
@@ -60,12 +67,10 @@ __all__ = [
     "BoundReport",
     "check_bound",
     "xi_partial",
-    "xi_limit_product",
     "xi_product_with_tail",
     "Eq8Report",
     "eq8_check",
     "ConvergenceReport",
-    "convergence_report",
     "default_grid",
 ]
 
@@ -76,22 +81,6 @@ def contraction(value: Fraction) -> Fraction:
     if value <= 0:
         raise ValueError("parameter must be positive")
     return min(value, 1 / value)
-
-
-@dataclass(frozen=True)
-class RealParam:
-    """A positive rational parameter together with its contraction factor."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        if Fraction(self.value) <= 0:
-            raise ValueError("parameter must be positive")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    @property
-    def bar(self) -> Fraction:
-        return contraction(self.value)
 
 
 # -- scaled ratios ------------------------------------------------------------
@@ -143,60 +132,20 @@ def a_limit(p: Fraction, q: Fraction) -> Fraction:
 
 # -- limit theorem evaluators ---------------------------------------------------
 #
-# The weights, then the two family kernels (see the module docstring).  A
-# kernel evaluates at finite n, or in the limit when n is None; each term T(j)
-# serves both of its sums.
-
-
-def _qlim1_weight(sigma: Permutation, q: Fraction) -> dict[int, Fraction]:
-    """q^maj of sigma's suffix of length j, on the j-set of sigma."""
-    return {j: Fraction(q) ** sigma.suffix(j).maj() for j in j_set(sigma)}
-
-
-def _m2_1_weight(
-    sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction
-) -> dict[int, Fraction]:
-    """p^imaj(tau's j highest values) q^maj(sigma's suffix of length j), on J2."""
-    return {
-        j: Fraction(p) ** tau.restrict_high(j).imaj() * Fraction(q) ** sigma.suffix(j).maj()
-        for j in j2_set(sigma, tau)
-    }
-
-
-def _m3_weight(a_tab: Tableau, q: Fraction) -> dict[int, Fraction]:
-    """Sum of f_{alpha/mu}(q) over inner shapes mu of size j, alpha the pattern's shape."""
-    alpha = a_tab.straight_shape()
-    return {
-        j: sum(f_poly(SkewShape(alpha, mu)).evaluate(1, q) for mu in partitions_inside(j, alpha))
-        for j in range(a_tab.size + 1)
-    }
-
-
-def _m3_1_weight(
-    a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction
-) -> dict[int, Fraction]:
-    """Sum of f_{beta/mu}(p) f_{alpha/mu}(q) over inner shapes mu of size j in both."""
-    alpha, beta = a_tab.straight_shape(), b_tab.straight_shape()
-    return {
-        j: sum(
-            f_poly(SkewShape(beta, mu)).evaluate(1, p)
-            * f_poly(SkewShape(alpha, mu)).evaluate(1, q)
-            for mu in partitions_inside(j, alpha)
-            if beta.contains(mu)
-        )
-        for j in range(min(a_tab.size, b_tab.size) + 1)
-    }
+# The two family kernels (see the module docstring).  A kernel evaluates at
+# finite n, or in the limit when n is None; each term T(j) serves both of its
+# sums.
 
 
 def _involution_family(
-    weight: dict[int, Fraction], m: int, q: Fraction, n: int | None
+    weight: Mapping[int, BivarPoly], m: int, q: Fraction, n: int | None
 ) -> Fraction:
     """Kernel of the involution theorems (qlim1, m3) for patterns of size m.
 
-    W(j) = t_j C(m, j) [m-j]_q!.  At finite n, T(j) = [n-m choose k]_q t_value(k)
-    with k = n - 2m + j, and 0 when k < 0.  In the limit,
-    T(j) = [m choose j]_q [j]_q! (1 - qbar)^j, so the denominator is
-    [m]_q! sum_j t_j C(m, j) (1 - qbar)^j.
+    W(j) = t_j C(m, j) [m-j]_q! (``involution_weight_sum``).  At finite n,
+    T(j) = [n-m choose k]_q t_value(k) with k = n - 2m + j, and 0 when k < 0.
+    In the limit, T(j) = [m choose j]_q [j]_q! (1 - qbar)^j, so the
+    denominator is [m]_q! sum_j t_j C(m, j) (1 - qbar)^j.
     """
     q = Fraction(q)
     if n is None:
@@ -204,24 +153,24 @@ def _involution_family(
     elif n < m:
         raise ValueError("n must be at least the pattern size")
     numerator = denominator = Fraction(0)
-    for j in range(m + 1):
+    for j, total in involution_weight_sum(m).items():
         if n is None:
             term = q_binomial_value(m, j, q) * q_factorial_value(j, q) * shrink**j
         elif (k := n - 2 * m + j) >= 0:
             term = q_binomial_value(n - m, k, q) * t_value(k, q)
         else:
             continue
-        numerator += weight.get(j, 0) * term
-        denominator += t_count(j) * math.comb(m, j) * q_factorial_value(m - j, q) * term
+        numerator += weight.get(j, ZERO).evaluate(1, q) * term
+        denominator += total.evaluate(1, q) * term
     return numerator / denominator
 
 
 def _pair_family(
-    weight: dict[int, Fraction], a: int, b: int, p: Fraction, q: Fraction, n: int | None
+    weight: Mapping[int, BivarPoly], a: int, b: int, p: Fraction, q: Fraction, n: int | None
 ) -> Fraction:
     """Kernel of the pair theorems (m2-1, m3-1) for patterns of sizes a and b.
 
-    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q!.  At finite n,
+    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! (``pair_weight_sum``).  At finite n,
     T(j) = [n-a choose k]_p [n-b choose k]_q a_value(k) with k = n - a - b + j,
     and 0 when k < 0.  In the limit,
     T(j) = [b choose j]_p [a choose j]_q [j]_p! [j]_q! ((1 - pbar)(1 - qbar))^j.
@@ -232,7 +181,7 @@ def _pair_family(
     elif n < max(a, b):
         raise ValueError("n must be at least both pattern sizes")
     numerator = denominator = Fraction(0)
-    for j in range(min(a, b) + 1):
+    for j, total in pair_weight_sum(a, b).items():
         if n is None:
             term = (
                 q_binomial_value(b, j, p)
@@ -245,15 +194,8 @@ def _pair_family(
             term = q_binomial_value(n - a, k, p) * q_binomial_value(n - b, k, q) * a_value(k, p, q)
         else:
             continue
-        numerator += weight.get(j, 0) * term
-        denominator += (
-            math.factorial(j)
-            * math.comb(a, j)
-            * math.comb(b, j)
-            * q_factorial_value(b - j, p)
-            * q_factorial_value(a - j, q)
-            * term
-        )
+        numerator += weight.get(j, ZERO).evaluate(p, q) * term
+        denominator += total.evaluate(p, q) * term
     return numerator / denominator
 
 
@@ -264,24 +206,24 @@ def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
     the sum over all involutions of [n]; both sides assembled from Gaussian
     binomials and involution maj values rather than enumeration.
     """
-    return _involution_family(_qlim1_weight(sigma, q), sigma.size, q, n)
+    return _involution_family(qlim1_weight(sigma), sigma.size, q, n)
 
 
 def qlim1_rhs(sigma: Permutation, q: Fraction) -> Fraction:
     """Limit of the involution containment ratio."""
-    return _involution_family(_qlim1_weight(sigma, q), sigma.size, q, None)
+    return _involution_family(qlim1_weight(sigma), sigma.size, q, None)
 
 
 def m2_1_lhs(
     sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n pair containment ratio over permutations of [n]."""
-    return _pair_family(_m2_1_weight(sigma, tau, p, q), sigma.size, tau.size, p, q, n)
+    return _pair_family(m2_1_weight(sigma, tau), sigma.size, tau.size, p, q, n)
 
 
 def m2_1_rhs(sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the pair containment ratio."""
-    return _pair_family(_m2_1_weight(sigma, tau, p, q), sigma.size, tau.size, p, q, None)
+    return _pair_family(m2_1_weight(sigma, tau), sigma.size, tau.size, p, q, None)
 
 
 def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
@@ -291,24 +233,26 @@ def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
     containing the pattern from Gaussian binomials, involution maj values,
     and inner skew sums of the pattern's shape.
     """
-    return _involution_family(_m3_weight(a_tab, q), a_tab.size, q, n)
+    return _involution_family(m3_weight(a_tab.straight_shape()), a_tab.size, q, n)
 
 
 def m3_rhs(a_tab: Tableau, q: Fraction) -> Fraction:
     """Limit of the tableau containment ratio."""
-    return _involution_family(_m3_weight(a_tab, q), a_tab.size, q, None)
+    return _involution_family(m3_weight(a_tab.straight_shape()), a_tab.size, q, None)
 
 
 def m3_1_lhs(
     a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n same-shape pair containment ratio for tableaux."""
-    return _pair_family(_m3_1_weight(a_tab, b_tab, p, q), a_tab.size, b_tab.size, p, q, n)
+    weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
+    return _pair_family(weight, a_tab.size, b_tab.size, p, q, n)
 
 
 def m3_1_rhs(a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the same-shape pair containment ratio."""
-    return _pair_family(_m3_1_weight(a_tab, b_tab, p, q), a_tab.size, b_tab.size, p, q, None)
+    weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
+    return _pair_family(weight, a_tab.size, b_tab.size, p, q, None)
 
 
 # -- logarithmic bound ------------------------------------------------------------
@@ -438,12 +382,6 @@ def xi_product_with_tail(q: Fraction, precision: Fraction) -> tuple[Fraction, Fr
                 return value, tail
 
 
-def xi_limit_product(q: Fraction, precision: Fraction = Fraction(1, 10**9)) -> Fraction:
-    """The infinite product limit, within precision/10 (see xi_product_with_tail)."""
-    value, _ = xi_product_with_tail(q, precision)
-    return value
-
-
 # -- involution number ratios --------------------------------------------------------
 
 
@@ -500,15 +438,6 @@ class ConvergenceReport:
                 f"{format_decimal(gap, significant_digits)}"
             )
         return "\n".join(lines)
-
-
-def convergence_report(
-    label: str,
-    finite: Callable[[int], Fraction],
-    limit: Fraction,
-    grid: Iterable[int],
-) -> ConvergenceReport:
-    return ConvergenceReport(label, limit, [(n, finite(n)) for n in grid])
 
 
 def default_grid(lo: int, hi: int, points: int = 8) -> list[int]:

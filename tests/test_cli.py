@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtab.cli import run
 
@@ -192,6 +192,7 @@ _ORACLE_ARGV = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(_ORACLE_ARGV, st.booleans())
+@example(["verify", "permtotab", "--max-size", "1", "--max-total", "3"], False)
 def test_oracle_commands_keep_exit_code_contract(argv, as_json):
     argv = argv + ["--json"] if as_json else argv
     out, err = io.StringIO(), io.StringIO()
@@ -203,6 +204,9 @@ def test_oracle_commands_keep_exit_code_contract(argv, as_json):
     assert code in (0, 1, 2), argv
     if any(tok[:1] == "-" and tok[1:2].isdigit() for tok in argv):
         assert code == 2, argv  # a negative size or letter is a usage error
+    if argv[:2] == ["verify", "permtotab"] and "--max-total" in argv:
+        assert code == 2, argv  # permtotab reads no --max-total
+        assert err.getvalue().startswith("error: "), argv
     if code == 2:
         assert out.getvalue() == "", argv
         assert "Traceback" not in err.getvalue(), argv
@@ -540,6 +544,16 @@ def test_enum_cap(monkeypatch, capsys):
     assert run(["qpoly", "fshape", "3,2"]) == 0  # the hook path enumerates nothing
     monkeypatch.setenv("QTAB_MAX_N", "")
     assert run(["qpoly", "tn", "6", "--method", "enum"]) == 0
+
+
+@pytest.mark.parametrize("which", ["majgen", "majgen1"])
+def test_enum_cap_covers_skew_fillings(which, monkeypatch, capsys):
+    # majgen enumerates the skew fillings of every size up to --max-total
+    monkeypatch.setenv("QTAB_MAX_N", "3")
+    assert run(["verify", which, "--max-size", "1", "--max-total", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert run(["verify", which, "--max-size", "1", "--max-total", "3"]) == 0
 
 
 def test_usage_error_exit():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,18 @@ from qtab.containment import (
     enum_pair_containing,
     enum_perm_containing,
     enum_tab_containing,
+    involution_weight_sum,
+    m2_1_weight,
     pair_contains,
+    pair_cut_sum,
+    pair_weight_sum,
     permcont1_buckets,
     permcont1_report,
     permcont2_buckets,
     permcont2_report,
     perms_with_insertion_tableau,
     perms_with_recording_tableau,
+    qlim1_weight,
     tab_contains,
     verify_majgen,
     verify_majgen1,
@@ -29,12 +35,14 @@ from qtab.permutation import (
     Permutation,
     involution_words,
     involutions,
+    permutations,
     word_high,
     word_imaj,
     word_low,
     word_maj,
     word_std,
 )
+from qtab.polynomial import ZERO, qfactorial
 from qtab.stats import t_count
 from qtab.tableau import (
     Partition,
@@ -193,6 +201,41 @@ def test_sweeps_reject_patterns_larger_than_the_ambient_size():
         permcont2_buckets(3, [(1, 1), (4, 0)])
     with pytest.raises(ValueError):
         verify_permcont2(3, 1, 2)
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_qlim1_weights_sum_to_the_involution_weight_sum(m):
+    # W(j) = t_j C(m, j) [m-j]_q! is the weight summed over every pattern of size m
+    totals = {}
+    for sigma in permutations(m):
+        for j, w in qlim1_weight(sigma).items():
+            totals[j] = totals.get(j, ZERO) + w
+    expected = {j: t_count(j) * math.comb(m, j) * qfactorial(m - j) for j in range(m + 1)}
+    assert totals == expected == involution_weight_sum(m)
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(0, 4) for b in range(0, 4)])
+def test_m2_1_weights_sum_to_the_pair_weight_sum(a, b):
+    # W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! over every pair of patterns
+    totals = {}
+    for sigma in permutations(a):
+        for tau in permutations(b):
+            for j, w in m2_1_weight(sigma, tau).items():
+                totals[j] = totals.get(j, ZERO) + w
+    expected = {
+        j: math.factorial(j)
+        * math.comb(a, j)
+        * math.comb(b, j)
+        * qfactorial(b - j).swap_variables()
+        * qfactorial(a - j)
+        for j in range(min(a, b) + 1)
+    }
+    assert totals == expected == pair_weight_sum(a, b)
+
+
+def test_pair_cut_sum_rejects_inconsistent_sizes():
+    with pytest.raises(ValueError):
+        pair_cut_sum(pair_weight_sum(1, 1), 1, 1, 2, 3)
 
 
 def test_permtotab_single_examples():

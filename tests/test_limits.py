@@ -6,11 +6,10 @@ import pytest
 
 from qtab.containment import tab_contains
 from qtab.limits import (
-    RealParam,
+    ConvergenceReport,
     a_ratio,
     check_bound,
     contraction,
-    convergence_report,
     default_grid,
     eq8_check,
     m2_1_lhs,
@@ -22,7 +21,6 @@ from qtab.limits import (
     qlim1_lhs,
     qlim1_rhs,
     t_ratio,
-    xi_limit_product,
     xi_partial,
     xi_product_with_tail,
 )
@@ -60,11 +58,11 @@ PQ_M3_1 = [(HALF, Fraction(2, 3)), (Fraction(2), Fraction(3, 2)), (Fraction(1), 
 
 
 def test_real_param():
-    assert RealParam(Fraction(3)).bar == Fraction(1, 3)
-    assert RealParam(HALF).bar == HALF
+    assert contraction(Fraction(3)) == Fraction(1, 3)
+    assert contraction(HALF) == HALF
     assert contraction(Fraction(1)) == 1
     with pytest.raises(ValueError):
-        RealParam(Fraction(0))
+        contraction(Fraction(0))
 
 
 def test_t_ratio_base():
@@ -292,7 +290,6 @@ def test_xi_product_certified_tail():
     precision = Fraction(1, 10**6)
     value, tail = xi_product_with_tail(HALF, precision)
     assert 0 < tail <= precision / 10
-    assert xi_limit_product(HALF, precision) == value
     # partial sums stay below the product and approach it
     assert xi_partial(HALF, 12) < value
     assert value - xi_partial(HALF, 20) < Fraction(1, 10)
@@ -315,9 +312,7 @@ def test_eq8_identity_with_recurrence():
 
 
 def test_convergence_report_csv():
-    report = convergence_report(
-        "demo", lambda n: Fraction(1, n), Fraction(0), [1, 2, 4]
-    )
+    report = ConvergenceReport("demo", Fraction(0), [(n, Fraction(1, n)) for n in (1, 2, 4)])
     text = report.to_csv(6)
     lines = text.splitlines()
     assert lines[0] == "n,value,limit,gap"
@@ -350,7 +345,7 @@ def test_gap_sequence_eventually_decreasing():
         (lambda n: t_ratio(q, n), 1 - q),
         (lambda n: qlim1_lhs(sigma, q, n), qlim1_rhs(sigma, q)),
     ]:
-        report = convergence_report("trend", finite, limit, grid)
+        report = ConvergenceReport("trend", limit, [(n, finite(n)) for n in grid])
         gaps = [gap for _, gap in report.gaps()]
         tail = gaps[-4:]
         assert all(a > b for a, b in zip(tail, tail[1:])), gaps
