@@ -5,98 +5,47 @@ closed-form polynomial and rational formulas at larger sizes: permutation and
 tableau statistics (descents, maj), the row-insertion correspondence, j-set
 and j2-set criteria, exact containment identities, and rational convergence
 checks for the associated limit values.
+
+The public names below are loaded lazily (PEP 562): ``import qtab`` loads no
+submodule, and ``qtab.X`` or ``from qtab import X`` imports the module that
+defines X on first use, so a process pays only for the modules it reads.
 """
 
-from .containment import (
-    IdentityReport,
-    conjecture_probe,
-    contains,
-    enum_inv_containing,
-    enum_pair_containing,
-    enum_perm_containing,
-    enum_tab_containing,
-    pair_contains,
-    tab_contains,
-    verify_majgen,
-    verify_majgen1,
-    verify_permcont1,
-    verify_permcont2,
-    verify_permtotab,
-    verify_permtotab_pair,
-)
-from .jsets import (
-    JProfile,
-    delta,
-    delta_bar,
-    is_j2_set,
-    is_j_set,
-    j2_count,
-    j2_extend_ok,
-    j2_series,
-    j2_set,
-    j_extend_ok,
-    j_profile,
-    j_set,
-    psi,
-    psi2,
-)
-from .limits import (
-    BoundReport,
-    ConvergenceReport,
-    Eq8Report,
-    a_ratio,
-    check_bound,
-    contraction,
-    eq8_check,
-    m2_1_lhs,
-    m2_1_rhs,
-    m3_1_lhs,
-    m3_1_rhs,
-    m3_lhs,
-    m3_rhs,
-    qlim1_lhs,
-    qlim1_rhs,
-    t_ratio,
-    xi_partial,
-    xi_product_with_tail,
-)
-from .permutation import (
-    BinaryWord,
-    Permutation,
-    PhiImage,
-    ZeroOneMatrix,
-    involutions,
-    matrix_of,
-    permutations,
-    phi,
-    phi_inverse,
-    shuffle,
-    standardize,
-)
-from .polynomial import BivarPoly, format_decimal, q_integer, qbinomial, qfactorial
-from .rsk import rs, rs_inverse, rs_involution, rs_involution_inverse
-from .stats import (
-    a_poly,
-    a_poly_enum,
-    a_value,
-    q_binomial_value,
-    q_factorial_value,
-    t_count,
-    t_poly,
-    t_poly_enum,
-    t_value,
-)
-from .tableau import (
-    Partition,
-    SkewShape,
-    Tableau,
-    enumerate_syt,
-    f_poly,
-    f_poly_enum,
-    f_poly_hook,
-    partitions,
-    skew_syt_count,
-    syt_count,
-)
+import importlib
 
+# home module -> the names it exports at package level
+_EXPORTS = {
+    "containment": """IdentityReport contains enum_inv_containing enum_pair_containing
+        enum_perm_containing enum_tab_containing pair_contains tab_contains verify_majgen
+        verify_majgen1 verify_permcont1 verify_permcont2 verify_permtotab verify_permtotab_pair""",
+    "jsets": """JProfile delta delta_bar is_j2_set is_j_set j2_count j2_extend_ok j2_series
+        j2_set j_extend_ok j_profile j_set psi psi2""",
+    "limits": """BoundReport ConvergenceReport Eq8Report a_ratio check_bound contraction
+        eq8_check m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs m3_lhs m3_rhs qlim1_lhs qlim1_rhs
+        t_ratio xi_partial xi_product_with_tail""",
+    "permutation": """BinaryWord Permutation PhiImage ZeroOneMatrix involutions matrix_of
+        permutations phi phi_inverse shuffle standardize""",
+    "polynomial": "BivarPoly format_decimal q_integer qbinomial qfactorial",
+    "rsk": "rs rs_inverse rs_involution rs_involution_inverse",
+    "stats": """a_poly a_poly_enum a_value q_binomial_value q_factorial_value t_count t_poly
+        t_poly_enum t_value""",
+    "tableau": """Partition SkewShape Tableau conjecture_probe enumerate_syt f_poly f_poly_enum
+        f_poly_hook partitions skew_syt_count syt_count""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,30 +11,18 @@ Exit codes: 0 on success or all checks passing, 1 on a verification failure,
 (``1/2``), never decimals, so exactness survives the command line.  The
 environment variable ``QTAB_MAX_N`` caps brute-force enumeration sizes as a
 safety rail.  Identical invocations produce byte-identical output.
+
+Each handler imports the ``qtab`` modules its computation reads when it runs
+(``qpoly factorial`` loads only ``polynomial``), and ``json`` only for
+``--json`` output, so a process compiles and runs only what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable
-
-from . import containment, jsets, limits, stats
-from .permutation import Permutation
-from .polynomial import BivarPoly, format_decimal, qbinomial, qfactorial
-from .rsk import rs, rs_inverse
-from .tableau import (
-    SkewShape,
-    Tableau,
-    enumerate_syt,
-    f_poly,
-    f_poly_enum,
-    partitions,
-)
 
 __all__ = ["main", "run"]
 
@@ -56,12 +44,13 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def _parse_tableau(text: str) -> Tableau:
-    """Accept inline JSON, a bare path to a JSON file, or an @path reference."""
-    if text.startswith("@"):
-        text = Path(text[1:]).read_text()
-    elif not text.lstrip().startswith("{") and Path(text).is_file():
-        text = Path(text).read_text()
+def _parse_tableau(text: str):
+    """A Tableau from inline JSON, a bare path to a JSON file, or an @path reference."""
+    from .tableau import Tableau
+
+    if text.startswith("@") or (not text.lstrip().startswith("{") and os.path.isfile(text)):
+        with open(text.removeprefix("@")) as handle:
+            text = handle.read()
     try:
         return Tableau.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
@@ -84,8 +73,10 @@ def _check_enum_size(n: int, what: str) -> None:
         raise UsageError(f"{what} size {n} exceeds QTAB_MAX_N={cap}")
 
 
-def _emit(args, text_lines: Iterable[str], payload) -> None:
+def _emit(args, text_lines: list[str], payload) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -101,6 +92,8 @@ def _format_set(values) -> str:
 
 def _cmd_stat(args) -> int:
     if args.kind == "perm":
+        from .permutation import Permutation
+
         perm = Permutation.parse(args.object)
         _emit(
             args,
@@ -125,6 +118,9 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_rs(args) -> int:
+    from .permutation import Permutation
+    from .rsk import rs, rs_inverse
+
     if args.inverse:
         if len(args.operands) != 2:
             raise UsageError("rs --inverse needs two tableau operands")
@@ -148,11 +144,13 @@ def _cmd_rs(args) -> int:
 # -- qpoly ----------------------------------------------------------------------
 
 
-def _poly_payload(poly: BivarPoly, **extra) -> dict:
+def _poly_payload(poly, **extra) -> dict:
     return {"terms": poly.to_json_terms(), **extra}
 
 
 def _cmd_qpoly(args) -> int:
+    from .polynomial import qbinomial, qfactorial
+
     which = args.which
     arity = 2 if which == "binomial" else 1
     if len(args.args) != arity:
@@ -168,6 +166,8 @@ def _cmd_qpoly(args) -> int:
             raise UsageError(str(exc)) from exc
         _emit(args, [str(poly)], _poly_payload(poly))
     elif which in ("tn", "an"):
+        from . import stats
+
         n = int(args.args[0])
         if n < 0:
             raise UsageError(f"n must be nonnegative, got {n}")
@@ -181,6 +181,8 @@ def _cmd_qpoly(args) -> int:
             poly = stats.a_poly_enum(n) if method == "enum" else stats.a_poly(n)
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     elif which == "fshape":
+        from .tableau import SkewShape, f_poly, f_poly_enum
+
         shape = SkewShape.parse(args.args[0])
         if args.method == "hook" and not shape.is_straight:
             raise UsageError(f"--method hook needs a straight shape, got {shape}")
@@ -198,6 +200,9 @@ def _cmd_qpoly(args) -> int:
 
 
 def _cmd_jset(args) -> int:
+    from . import jsets
+    from .permutation import Permutation
+
     perm = Permutation.parse(args.perm)
     values = jsets.j_set(perm)
     _emit(args, [jsets.format_int_set(values)], {"jset": sorted(values)})
@@ -205,6 +210,9 @@ def _cmd_jset(args) -> int:
 
 
 def _cmd_j2set(args) -> int:
+    from . import jsets
+    from .permutation import Permutation
+
     if args.first == "check":
         if args.second is None:
             raise UsageError("j2set check needs a set operand")
@@ -229,6 +237,8 @@ def _cmd_j2set(args) -> int:
 
 
 def _cmd_j2(args) -> int:
+    from . import jsets
+
     if args.action != "count":
         raise UsageError("supported: j2 count")
     n_max = args.max
@@ -250,7 +260,10 @@ def _cmd_j2(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _verify_reports(args) -> list[containment.IdentityReport]:
+def _verify_reports(args) -> list:
+    from . import containment
+    from .tableau import SkewShape, enumerate_syt, partitions
+
     which = args.which
     k = args.max_size
     for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
@@ -286,12 +299,11 @@ def _verify_reports(args) -> list[containment.IdentityReport]:
             for tab in enumerate_syt(SkewShape.straight(shape))
         ]
         for tab in tabs:
-            for j in range(tab.size + 1):
-                reports.append(containment.verify_permtotab(tab, j))
+            reports += containment.permtotab_reports(tab, range(tab.size + 1))
         for a_tab in tabs:
             for b_tab in tabs:
-                for j in range(min(a_tab.size, b_tab.size) + 1):
-                    reports.append(containment.verify_permtotab_pair(a_tab, b_tab, j))
+                cuts = range(min(a_tab.size, b_tab.size) + 1)
+                reports += containment.permtotab_pair_reports(a_tab, b_tab, cuts)
     elif which == "majgen":
         n_cap = args.max_total if args.max_total is not None else 5
         _check_enum_size(n_cap, "tableau enumeration")
@@ -319,6 +331,8 @@ def _cmd_verify(args) -> int:
     failures = sum(len(r.failures) for r in reports)
     checked = sum(r.checked for r in reports)
     if args.json:
+        import json
+
         print(json.dumps([r.to_json() for r in reports], sort_keys=True))
     else:
         for report in reports:
@@ -346,7 +360,12 @@ _LIMIT_KINDS = {
 }
 
 
-def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
+def _limit_report(args) -> tuple:
+    """The ConvergenceReport of a limit command and its trailing lines."""
+    from . import limits
+    from .permutation import Permutation
+    from .polynomial import format_decimal
+
     which = args.which
     # options only some reports read: passing one that this report ignores is an error
     for name, default, read in (
@@ -395,11 +414,15 @@ def _limit_report(args) -> tuple[limits.ConvergenceReport, list[str]]:
 
 
 def _cmd_limit(args) -> int:
+    from .polynomial import format_decimal
+
     report, extra = _limit_report(args)
     # rendered in full before printing, so a bad --digits prints nothing
     if args.csv:
         text = report.to_csv(args.digits)
     elif args.json:
+        import json
+
         payload = {
             "label": report.label,
             "limit": str(report.limit),
@@ -427,11 +450,14 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .polynomial import format_decimal
+    from .tableau import conjecture_probe
+
     if args.what != "conjecture":
         raise UsageError("supported: probe conjecture")
     _check_enum_size(args.n, "conjecture probe")
     tabs = [_parse_tableau(text) for text in args.tableaux]
-    ratio = containment.conjecture_probe(tabs, args.n)
+    ratio = conjecture_probe(tabs, args.n)
     _emit(
         args,
         [f"ratio = {ratio} (~{format_decimal(ratio)})"],

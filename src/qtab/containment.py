@@ -31,6 +31,9 @@ polynomial sums over the cuts.  The reports check these polynomials, and
 permutations of [total] once for every pattern size asked for at that total,
 and ``permcont1_report``/``permcont2_report`` check one instance on the
 buckets; ``verify_permcont1``/``verify_permcont2`` are the one-instance case.
+Likewise ``permtotab_reports``/``permtotab_pair_reports`` check every cut of
+one tableau (pair) from one j-set (j2-set) per permutation (pair), and
+``verify_permtotab``/``verify_permtotab_pair`` are the one-cut case.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +58,7 @@ from .tableau import (
     Partition,
     SkewShape,
     Tableau,
+    conjecture_probe,
     enumerate_syt,
     f_poly,
     f_poly_enum,
@@ -87,7 +92,9 @@ __all__ = [
     "permcont2_buckets",
     "permcont2_report",
     "verify_permcont2",
+    "permtotab_reports",
     "verify_permtotab",
+    "permtotab_pair_reports",
     "verify_permtotab_pair",
     "verify_majgen",
     "verify_majgen1",
@@ -394,50 +401,69 @@ def perms_with_recording_tableau(tab: Tableau) -> list[Permutation]:
     return list(_perms_by_tableau(tab.size)[1].get(tab, []))
 
 
-def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
-    """Suffix-maj sum over the insertion class of a tableau vs inner skew sums.
+def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityReport]:
+    """Suffix-maj sum over the insertion class of a tableau vs inner skew sums, per cut.
 
-    Left side: over permutations whose insertion tableau is the given one and
-    whose j-set contains j, sum q^(maj of the suffix past j).  Right side:
-    sum of the skew maj polynomials of the tableau's shape over all inner
-    shapes of size j.
+    Left side at cut j: over permutations whose insertion tableau is the given
+    one and whose j-set contains j, sum q^(maj of the suffix past j).  Right
+    side: sum of the skew maj polynomials of the tableau's shape over all
+    inner shapes of size j.  One j-set per permutation serves every cut.
     """
     alpha = a_tab.shape.outer
-    report = IdentityReport(
-        "permtotab", {"tableau": a_tab.to_json()["rows"], "j": j}
-    )
-    lhs = ZERO
+    by_cut = {j: Counter() for j in cuts}
     for sigma in perms_with_insertion_tableau(a_tab):
-        if j in j_set(sigma):
-            lhs = lhs + BivarPoly.monomial(0, sigma.suffix(j).maj())
-    report.record(f"shape={alpha} j={j}", lhs, m3_weight(alpha).get(j, ZERO))
-    return report
+        majs = _suffix_majs(sigma.word)
+        for j in j_set(sigma) & by_cut.keys():
+            by_cut[j][majs[j]] += 1
+    rows = a_tab.to_json()["rows"]
+    reports = []
+    for j, tally in by_cut.items():
+        report = IdentityReport("permtotab", {"tableau": rows, "j": j})
+        report.record(f"shape={alpha} j={j}", _maj_poly(tally), m3_weight(alpha).get(j, ZERO))
+        reports.append(report)
+    return reports
 
 
-def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityReport:
-    """Pair version: joint statistic over (insertion, recording) classes.
+def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
+    """``permtotab_reports`` at the one cut j."""
+    return permtotab_reports(a_tab, [j])[0]
 
-    Left side: over pairs (sigma, tau) with the given insertion and recording
-    tableaux whose j2-set contains j, sum p^(imaj of tau's high restriction)
-    q^(maj of sigma's suffix).  Right side: sum over inner shapes mu of size j
-    of the skew polynomial of B's shape in p times that of A's shape in q.
+
+def permtotab_pair_reports(
+    a_tab: Tableau, b_tab: Tableau, cuts: Sequence[int]
+) -> list[IdentityReport]:
+    """Pair version: joint statistic over (insertion, recording) classes, per cut.
+
+    Left side at cut j: over pairs (sigma, tau) with the given insertion and
+    recording tableaux whose j2-set contains j, sum p^(imaj of tau's high
+    restriction at j) q^(maj of sigma's suffix past j).  Right side: sum over
+    inner shapes mu of size j of the skew polynomial of B's shape in p times
+    that of A's shape in q.  One j2-set per pair serves every cut.
     """
     alpha = a_tab.shape.outer
     beta = b_tab.shape.outer
-    report = IdentityReport(
-        "permtotab-pair",
-        {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"], "j": j},
-    )
-    lhs = ZERO
-    taus = perms_with_recording_tableau(b_tab)
+    by_cut = {j: Counter() for j in cuts}
+    # the inverse of tau's high restriction at j is the suffix of tau's inverse past j
+    taus = [(tau, _suffix_majs(tau.inverse().word)) for tau in perms_with_recording_tableau(b_tab)]
     for sigma in perms_with_insertion_tableau(a_tab):
-        for tau in taus:
-            if j in j2_set(sigma, tau):
-                lhs = lhs + BivarPoly.monomial(
-                    tau.restrict_high(j).imaj(), sigma.suffix(j).maj()
-                )
-    report.record(f"shapes={alpha};{beta} j={j}", lhs, m3_1_weight(alpha, beta).get(j, ZERO))
-    return report
+        majs = _suffix_majs(sigma.word)
+        for tau, imajs in taus:
+            for j in j2_set(sigma, tau) & by_cut.keys():
+                by_cut[j][imajs[j], majs[j]] += 1
+    params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}
+    reports = []
+    for j, tally in by_cut.items():
+        report = IdentityReport("permtotab-pair", {**params, "j": j})
+        report.record(
+            f"shapes={alpha};{beta} j={j}", BivarPoly(tally), m3_1_weight(alpha, beta).get(j, ZERO)
+        )
+        reports.append(report)
+    return reports
+
+
+def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityReport:
+    """``permtotab_pair_reports`` at the one cut j."""
+    return permtotab_pair_reports(a_tab, b_tab, [j])[0]
 
 
 def _outer_shapes(base: Partition, added: int) -> list[Partition]:
@@ -505,32 +531,3 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
         Fraction(count_rhs),
     )
     return report
-
-
-def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:
-    """Exact containment ratio for tuples of same-shape tableaux.
-
-    Counts tuples (T_1, ..., T_k) of common shape of size n with T_i
-    containing the i-th pattern, divided by the count of unconstrained
-    same-shape tuples.  A tableau of shape lam containing a fixed pattern of
-    shape alpha is determined by an arbitrary standard filling of lam/alpha,
-    so both counts reduce to skew counts.  Patterns must be straight.  No
-    limit is asserted; this is an exploratory estimator.
-    """
-    if not patterns:
-        raise ValueError("need at least one pattern")
-    shapes = [pattern.straight_shape() for pattern in patterns]
-    k = len(patterns)
-    numerator = 0
-    denominator = 0
-    for lam in partitions(n):
-        count = skew_syt_count(SkewShape.straight(lam))
-        denominator += count**k
-        prod = 1
-        for alpha in shapes:
-            if not lam.contains(alpha):
-                prod = 0
-                break
-            prod *= skew_syt_count(SkewShape(lam, alpha))
-        numerator += prod
-    return Fraction(numerator, denominator)

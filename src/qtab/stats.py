@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .permutation import involutions, permutations
 from .polynomial import BivarPoly, packed_qfactorial, packed_width, unpack
 from .tableau import hook_packed, partitions
 
@@ -66,6 +65,8 @@ def t_count(n: int) -> int:
 @lru_cache(maxsize=None)
 def t_poly_enum(n: int) -> BivarPoly:
     """Maj generating polynomial over involutions, by direct enumeration."""
+    from .permutation import involutions
+
     return BivarPoly(((0, perm.maj()), 1) for perm in involutions(n))
 
 
@@ -79,6 +80,8 @@ def t_poly(n: int) -> BivarPoly:
 @lru_cache(maxsize=None)
 def a_poly_enum(n: int) -> BivarPoly:
     """Joint (imaj, maj) generating polynomial over all permutations."""
+    from .permutation import permutations
+
     return BivarPoly(((perm.imaj(), perm.maj()), 1) for perm in permutations(n))
 
 

@@ -13,13 +13,16 @@ q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
 at width 0 the same formulas give ``syt_count`` and ``skew_syt_count``.
 ``f_poly_enum`` enumerates every filling; it is the oracle the test suite
 pins both paths to on an exhaustive band, and the left-hand side of the
-``majgen`` identities.
+``majgen`` identities.  ``conjecture_probe``, the exploratory tuple
+containment ratio, is a sum of products of these skew counts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -46,6 +49,7 @@ __all__ = [
     "hook_packed",
     "syt_count",
     "skew_syt_count",
+    "conjecture_probe",
 ]
 
 
@@ -451,3 +455,24 @@ def skew_syt_count(shape: SkewShape) -> int:
     if shape.is_straight:
         return syt_count(shape.outer)
     return _jacobi_trudi(shape, 0)
+
+
+def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:
+    """Exact containment ratio for tuples of same-shape tableaux.
+
+    Counts tuples (T_1, ..., T_k) of common shape of size n with T_i
+    containing the i-th pattern, divided by the count of unconstrained
+    same-shape tuples.  A tableau of shape lam containing a fixed pattern of
+    shape alpha is determined by an arbitrary standard filling of lam/alpha,
+    so both counts reduce to skew counts.  Patterns must be straight.  No
+    limit is asserted; this is an exploratory estimator.
+    """
+    if not patterns:
+        raise ValueError("need at least one pattern")
+    shapes = [pattern.straight_shape() for pattern in patterns]
+    numerator = denominator = 0
+    for lam in partitions(n):
+        denominator += skew_syt_count(SkewShape.straight(lam)) ** len(shapes)
+        if all(lam.contains(alpha) for alpha in shapes):
+            numerator += math.prod(skew_syt_count(SkewShape(lam, alpha)) for alpha in shapes)
+    return Fraction(numerator, denominator)

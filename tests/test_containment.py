@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtab import containment
 from qtab.containment import (
     conjecture_probe,
     contains,
@@ -20,6 +21,8 @@ from qtab.containment import (
     permcont1_report,
     permcont2_buckets,
     permcont2_report,
+    permtotab_pair_reports,
+    permtotab_reports,
     perms_with_insertion_tableau,
     perms_with_recording_tableau,
     qlim1_weight,
@@ -254,6 +257,66 @@ def test_permtotab_pair_examples():
     b_tab = Tableau.from_rows([[1, 3], [2]])
     for j in range(4):
         assert verify_permtotab_pair(a_tab, b_tab, j).passed
+
+
+def _tableaux(max_size):
+    return [
+        tab
+        for size in range(1, max_size + 1)
+        for shape in partitions(size)
+        for tab in enumerate_syt(SkewShape.straight(shape))
+    ]
+
+
+def test_permtotab_reports_take_one_set_per_permutation(monkeypatch):
+    calls = {"j_set": 0, "j2_set": 0}
+
+    def counted(name):
+        inner = getattr(containment, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    tabs = _tableaux(3)
+    single = [verify_permtotab(tab, j) for tab in tabs for j in range(-1, tab.size + 2)]
+    pair = [
+        verify_permtotab_pair(a_tab, b_tab, j)
+        for a_tab in tabs
+        for b_tab in tabs
+        for j in range(min(a_tab.size, b_tab.size) + 2)
+    ]
+    for name in calls:
+        monkeypatch.setattr(containment, name, counted(name))
+    grouped = [
+        report for tab in tabs for report in permtotab_reports(tab, range(-1, tab.size + 2))
+    ]
+    grouped_pair = [
+        report
+        for a_tab in tabs
+        for b_tab in tabs
+        for report in permtotab_pair_reports(a_tab, b_tab, range(min(a_tab.size, b_tab.size) + 2))
+    ]
+    assert [r.to_json() for r in grouped] == [r.to_json() for r in single]
+    assert [r.to_json() for r in grouped_pair] == [r.to_json() for r in pair]
+    assert all(r.passed and r.checked == 1 for r in grouped + grouped_pair)
+    class_sizes = [len(perms_with_insertion_tableau(tab)) for tab in tabs]
+    assert calls["j_set"] == sum(class_sizes)
+    assert calls["j2_set"] == sum(class_sizes) ** 2
+
+
+def test_permtotab_statistics_match_the_permutation_methods():
+    # the pair reports read maj of sigma's suffix and imaj of tau's high
+    # restriction off one suffix-maj pass over sigma and over tau's inverse
+    for n in range(6):
+        for perm in permutations(n):
+            majs = containment._suffix_majs(perm.word)
+            imajs = containment._suffix_majs(perm.inverse().word)
+            for j in range(n + 1):
+                assert majs[j] == perm.suffix(j).maj()
+                assert imajs[j] == perm.restrict_high(j).imaj()
 
 
 @pytest.mark.parametrize("n", range(0, 5))

@@ -1,0 +1,114 @@
+"""What a process loads: the lazy package surface and the modules each command imports.
+
+The module sets are read in fresh interpreters, since an import made by any
+earlier test in this process would hide a top-level import added later.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qtab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the names the package exported when it imported every module eagerly
+EXPORTED = [
+    "IdentityReport", "conjecture_probe", "contains", "enum_inv_containing",
+    "enum_pair_containing", "enum_perm_containing", "enum_tab_containing", "pair_contains",
+    "tab_contains", "verify_majgen", "verify_majgen1", "verify_permcont1", "verify_permcont2",
+    "verify_permtotab", "verify_permtotab_pair", "JProfile", "delta", "delta_bar",
+    "is_j2_set", "is_j_set", "j2_count", "j2_extend_ok", "j2_series", "j2_set",
+    "j_extend_ok", "j_profile", "j_set", "psi", "psi2", "BoundReport", "ConvergenceReport",
+    "Eq8Report", "a_ratio", "check_bound", "contraction", "eq8_check", "m2_1_lhs",
+    "m2_1_rhs", "m3_1_lhs", "m3_1_rhs", "m3_lhs", "m3_rhs", "qlim1_lhs", "qlim1_rhs",
+    "t_ratio", "xi_partial", "xi_product_with_tail", "BinaryWord", "Permutation",
+    "PhiImage", "ZeroOneMatrix", "involutions", "matrix_of", "permutations", "phi",
+    "phi_inverse", "shuffle", "standardize", "BivarPoly", "format_decimal", "q_integer",
+    "qbinomial", "qfactorial", "rs", "rs_inverse", "rs_involution", "rs_involution_inverse",
+    "a_poly", "a_poly_enum", "a_value", "q_binomial_value", "q_factorial_value", "t_count",
+    "t_poly", "t_poly_enum", "t_value", "Partition", "SkewShape", "Tableau",
+    "enumerate_syt", "f_poly", "f_poly_enum", "f_poly_hook", "partitions",
+    "skew_syt_count", "syt_count",
+]
+
+
+def loaded_after(code: str) -> set[str]:
+    """The qtab submodules a fresh interpreter holds after running code."""
+    probe = (
+        f"import sys\n{code}\n"
+        "import json\n"
+        "print(json.dumps(sorted(m[5:] for m in sys.modules if m.startswith('qtab.'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_all_lists_the_eager_exports():
+    assert len(EXPORTED) == len(set(EXPORTED)) == 86
+    assert sorted(qtab.__all__) == sorted(EXPORTED)
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_each_name_is_its_home_modules_object(name):
+    obj = getattr(qtab, name)
+    home = obj.__module__
+    assert home.startswith("qtab.") and home != "qtab.cli"
+    assert getattr(importlib.import_module(home), name) is obj
+    assert name in dir(qtab)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from qtab import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(EXPORTED)
+    assert all(namespace[name] is getattr(qtab, name) for name in EXPORTED)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qtab, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from qtab import no_such_name", {})
+
+
+def test_conjecture_probe_has_one_definition():
+    from qtab import containment, tableau
+
+    assert qtab.conjecture_probe is containment.conjecture_probe is tableau.conjecture_probe
+
+
+def test_import_qtab_loads_no_submodule():
+    assert loaded_after("import qtab") == set()
+
+
+_TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
+
+
+COMMAND_MODULES = [
+    (["stat", "perm", "21"], {"cli", "permutation"}),
+    (["qpoly", "factorial", "5"], {"cli", "polynomial"}),
+    (["qpoly", "binomial", "6", "2"], {"cli", "polynomial"}),
+    (["qpoly", "fshape", "3,2/1"], {"cli", "polynomial", "tableau"}),
+    (["qpoly", "tn", "6"], {"cli", "polynomial", "stats", "tableau"}),
+    (["qpoly", "an", "5"], {"cli", "polynomial", "stats", "tableau"}),
+    (["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"], {"cli", "polynomial", "tableau"}),
+    (["jset", "21"], {"cli", "jsets", "permutation"}),
+    (["j2", "count", "--max", "3"], {"cli", "jsets", "permutation"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", COMMAND_MODULES, ids=[" ".join(argv[:3]) for argv, _ in COMMAND_MODULES]
+)
+def test_command_loads_only_its_modules(argv, modules):
+    code = f"import qtab.cli\nassert qtab.cli.run({argv!r}) == 0"
+    assert loaded_after(code) == modules
