@@ -175,10 +175,12 @@ def _cmd_qpoly(args) -> int:
         if method == "enum":
             kind = "involution" if which == "tn" else "permutation"
             _check_enum_size(n, f"{kind} enumeration")
-        if which == "tn":
-            poly = stats.t_poly_enum(n) if method == "enum" else stats.t_poly(n)
+            poly = stats.t_poly_enum(n) if which == "tn" else stats.a_poly_enum(n)
+        elif which == "tn":
+            # --method hook selects the closed form, which for t_n is its series
+            method, poly = "series", stats.t_poly(n)
         else:
-            poly = stats.a_poly_enum(n) if method == "enum" else stats.a_poly(n)
+            poly = stats.a_poly(n)
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     elif which == "fshape":
         from .tableau import SkewShape, f_poly, f_poly_enum

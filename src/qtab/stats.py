@@ -1,31 +1,26 @@
 """Maj statistic polynomials over involutions and over all permutations.
 
-Each polynomial has two computation paths.  The enumeration path sums the
-statistic over the underlying permutations and is the ground truth at small
-sizes.  The fast path sums hook-length products over partitions (involutions
-correspond to single tableaux, permutations to same-shape pairs, and descents
-transport through the correspondence), which reaches the sizes the limit
-computations need.  The fast path is only trusted after the exhaustive
-cross-check band in the test suite passes, and the CLI reports which path
-produced a number.
-
-Exact rational evaluators (``t_scaled_value`` and friends) evaluate the same
-sums at a fixed rational point without materializing polynomials; they are
-the workhorses of :mod:`qtab.limits`.  They do not sum over partitions: the
-scaled values are the coefficients of Littlewood's and Cauchy's Schur-function
-products, whose logarithms have closed forms, so one O(n^2) exact recurrence
-gives the whole prefix b_0..b_n.  Each parameter's prefix is cached and grows
-on demand, so every caller at one parameter shares a single series.  The test
-suite pins the series to the partition/hook-length sum they replace.
+Each polynomial has an enumeration path, the ground truth at small sizes,
+and a closed form that reaches the sizes the limit computations need.  For
+the involutions the closed form is one exact integer recurrence from
+Littlewood's identity; run at a packing point it gives the polynomial
+(``t_poly``), at a rational point its value (``t_value``).  Its twin from
+Cauchy's identity gives the joint (imaj, maj) value over all permutations
+(``a_value``), whose polynomial (``a_poly``) sums hook-length products over
+same-shape pairs of tableaux.  Each point's prefix is cached and grows on
+demand, so every caller at one point shares a single series; the scaled
+evaluators that :mod:`qtab.limits` reads divide it by q-factorials.  The test
+suite pins each closed form to enumeration and to the partition/hook-length
+sums, and the CLI reports which path produced a polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .polynomial import BivarPoly, packed_qfactorial, packed_width, unpack
-from .tableau import hook_packed, partitions
 
 __all__ = [
     "t_count",
@@ -72,9 +67,9 @@ def t_poly_enum(n: int) -> BivarPoly:
 
 @lru_cache(maxsize=None)
 def t_poly(n: int) -> BivarPoly:
-    """Maj generating polynomial over involutions: hook products packed at one width."""
+    """Maj generating polynomial over involutions: the series at the packing point."""
     width = packed_width(t_count(n))
-    return unpack(width, sum(hook_packed(shape, width) for shape in partitions(n)))
+    return unpack(width, _series(n, Fraction(1 << width)).numerator)
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +88,8 @@ def a_poly(n: int) -> BivarPoly:
     polynomial in q: row i, the packed coefficient of p^i, gains c_i times
     the packed polynomial, where c_i is its coefficient of q^i.
     """
+    from .tableau import hook_packed, partitions
+
     width = packed_width(packed_qfactorial(n, 0))
     rows = [0] * (n * (n - 1) // 2 + 1)
     for shape in partitions(n):
@@ -131,80 +128,74 @@ def q_binomial_value(n: int, k: int, q: Fraction) -> Fraction:
     return value
 
 
-# Each scaled value is the coefficient b_n of a generating function whose
-# logarithm is known in closed form, so the whole prefix b_0..b_n follows from
-# m b_m = sum_{k=1..m} c_k b_{m-k}.  Per parameter the cache holds
-# ([c_0, c_1, ...], [b_0, b_1, ...]); both lists only ever grow, and c_0 is an
-# unused placeholder so that c[k] is c_k.
-_T_SERIES: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
-_A_SERIES: dict[tuple[Fraction, Fraction], tuple[list[Fraction], list[Fraction]]] = {}
+# Littlewood's and Cauchy's identities under principal specialization
+# (Macdonald ch. I §5; Stanley EC2 Prop. 7.19.11) give one recurrence for the
+# involution series t_m and the permutation series a_m:
+#
+#     m x_m = sum_{k=1..m} c_m(k) x_(m-k),   c_m(k) = g_k prod_v [m choose k]_v
+#
+# over the variables v of the series (q; or p and q).  With (q;q)_i =
+# (1-q)(1-q^2)...(1-q^i), g_k is (p;p)_(k-1) (q;q)_(k-1) for permutations, and
+# (q;q)_(k-1) with its factor 1 - q^(k/2) turned into 1 + q^(k/2) for
+# involutions.  At v = r/s every factor is homogenized: s^i - r^i stands for
+# 1 - v^i, and the Gaussian rows follow H[m][k] = s^(m-k) H[m-1][k-1] +
+# r^k H[m-1][k].  So x_m is the series at r/s times s^(m(m-1)/2) for each
+# variable: an integer, and m divides the sum exactly.  At q = 2^w it is the
+# packed polynomial.
+#
+# Per parameter tuple the cache holds the last Gaussian row of each variable
+# (the whole table would hold O(n^4) bits), the weights g_0..g_m and the
+# prefix x_0..x_m; g_0 is an unused placeholder so that g[k] is g_k.  The
+# lists only ever grow.
+_SERIES: dict[tuple[Fraction, ...], tuple[list[list[int]], list[int], list[int]]] = {}
 
 
-def _series_value(series, n: int, log_coefficient) -> Fraction:
-    """b_n of the cached series, extending both lists as far as n first."""
-    c, b = series
-    while len(b) <= n:
-        m = len(b)
-        c.append(log_coefficient(m))
-        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) / m)
-    return b[n]
-
-
-def t_scaled_value(n: int, q: Fraction) -> Fraction:
-    """Involutions' maj polynomial at q, divided by the q-factorial of n.
-
-    The coefficient of t^n in Littlewood's product sum_lambda s_lambda(x) =
-    prod_i (1 - x_i)^-1 prod_{i<j} (1 - x_i x_j)^-1 at x_i = t(1-q)q^i.  Its
-    logarithm is sum_k p_k/k + sum_r (p_r^2 - p_2r)/(2r) with power sums
-    p_k = (1-q)^k t^k / (1-q^k), so k times its t^k coefficient is
-    (1-q)^(k-1)/[k]_q for odd k and (1-q)^(k-2)/[k/2]_q^2 for even k.  As an
-    identity of rational functions in q this needs no case split at q = 1
-    (where the series is e^(t + t^2/2)) or for q > 1.
-    """
+def _series(n: int, *params: Fraction) -> Fraction:
+    """The involution series (one parameter) or the permutation series (two) at n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q = Fraction(q)
-
-    def log_coefficient(k: int) -> Fraction:
-        if k % 2:
-            return (1 - q) ** (k - 1) / q_integer_value(k, q)
-        return (1 - q) ** (k - 2) / q_integer_value(k // 2, q) ** 2
-
-    series = _T_SERIES.setdefault(q, ([Fraction(0)], [Fraction(1)]))
-    return _series_value(series, n, log_coefficient)
+    points = [(v.numerator, v.denominator) for v in params]
+    rows, g, x = _SERIES.setdefault(params, ([[1] for _ in points], [0], [1]))
+    involution = len(points) == 1
+    while len(x) <= n:
+        m = len(x)
+        for (r, s), row in zip(points, rows):
+            row.append(0)
+            for k in range(m, 0, -1):
+                row[k] = s ** (m - k) * row[k - 1] + r**k * row[k]
+        g.append(
+            math.prod(
+                s**i + r**i if involution and 2 * i == m else s**i - r**i
+                for r, s in points
+                for i in range(1, m)
+            )
+        )
+        total = 0
+        for k in range(1, m + 1):
+            term = g[k] * x[m - k]
+            for row in rows:
+                term *= row[k]
+            total += term
+        x.append(total // m)
+    return Fraction(x[n], math.prod(s for _, s in points) ** (n * (n - 1) // 2))
 
 
 def t_value(n: int, q: Fraction) -> Fraction:
     """Maj generating function over involutions of [n], evaluated at q."""
-    return t_scaled_value(n, q) * q_factorial_value(n, Fraction(q))
+    return _series(n, Fraction(q))
 
 
-def a_scaled_value(n: int, p: Fraction, q: Fraction) -> Fraction:
-    """Joint (imaj, maj) polynomial at (p, q), divided by both factorials.
-
-    The coefficient of t^n in the Cauchy product sum_lambda s_lambda(x)
-    s_lambda(y) = prod_{i,j} (1 - x_i y_j)^-1 at x_i = t(1-p)p^i,
-    y_j = (1-q)q^j.  Its logarithm is sum_k p_k(x) p_k(y)/k, so k times its
-    t^k coefficient is (1-p)^(k-1) (1-q)^(k-1) / ([k]_p [k]_q), again valid
-    as a rational identity for every positive p and q (e^t at p = q = 1).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p, q = Fraction(p), Fraction(q)
-
-    def log_coefficient(k: int) -> Fraction:
-        return ((1 - p) * (1 - q)) ** (k - 1) / (
-            q_integer_value(k, p) * q_integer_value(k, q)
-        )
-
-    series = _A_SERIES.setdefault((p, q), ([Fraction(0)], [Fraction(1)]))
-    return _series_value(series, n, log_coefficient)
+def t_scaled_value(n: int, q: Fraction) -> Fraction:
+    """Involutions' maj polynomial at q, divided by the q-factorial of n."""
+    return t_value(n, q) / q_factorial_value(n, Fraction(q))
 
 
 def a_value(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Joint (imaj, maj) generating function over permutations, at (p, q)."""
-    return (
-        a_scaled_value(n, p, q)
-        * q_factorial_value(n, Fraction(p))
-        * q_factorial_value(n, Fraction(q))
-    )
+    return _series(n, Fraction(p), Fraction(q))
+
+
+def a_scaled_value(n: int, p: Fraction, q: Fraction) -> Fraction:
+    """Joint (imaj, maj) polynomial at (p, q), divided by both factorials."""
+    p, q = Fraction(p), Fraction(q)
+    return a_value(n, p, q) / (q_factorial_value(n, p) * q_factorial_value(n, q))

@@ -104,6 +104,20 @@ def test_qpoly_fshape_labels_its_path(capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_qpoly_tn_and_an_label_their_paths(capsys):
+    # t_n has no hook sum left: its closed form is the series, also under --method hook
+    for extra in ([], ["--method", "hook"]):
+        assert run(["qpoly", "tn", "3", *extra]) == 0
+        assert out_of(capsys).splitlines() == ["method=series", "1 + q + q^2 + q^3"]
+    assert run(["qpoly", "tn", "3", "--json"]) == 0
+    assert json.loads(out_of(capsys))["method"] == "series"
+    assert run(["qpoly", "tn", "3", "--method", "enum"]) == 0
+    assert out_of(capsys).splitlines()[0] == "method=enum"
+    for extra, method in (([], "hook"), (["--method", "hook"], "hook"), (["--method", "enum"], "enum")):
+        assert run(["qpoly", "an", "3", *extra]) == 0
+        assert out_of(capsys).splitlines()[0] == f"method={method}"
+
+
 def test_jset_and_j2set(capsys):
     assert run(["jset", "312"]) == 0
     assert out_of(capsys) == "0,1,2"

@@ -98,7 +98,7 @@ COMMAND_MODULES = [
     (["qpoly", "factorial", "5"], {"cli", "polynomial"}),
     (["qpoly", "binomial", "6", "2"], {"cli", "polynomial"}),
     (["qpoly", "fshape", "3,2/1"], {"cli", "polynomial", "tableau"}),
-    (["qpoly", "tn", "6"], {"cli", "polynomial", "stats", "tableau"}),
+    (["qpoly", "tn", "6"], {"cli", "polynomial", "stats"}),
     (["qpoly", "an", "5"], {"cli", "polynomial", "stats", "tableau"}),
     (["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"], {"cli", "polynomial", "tableau"}),
     (["jset", "21"], {"cli", "jsets", "permutation"}),

@@ -4,7 +4,7 @@ import pytest
 
 from qtab.limits import xi_partial
 from qtab.permutation import involutions
-from qtab.polynomial import ONE, BivarPoly, qfactorial
+from qtab.polynomial import ONE, BivarPoly, packed_width, qfactorial, unpack
 from qtab.stats import (
     a_poly,
     a_poly_enum,
@@ -19,7 +19,7 @@ from qtab.stats import (
     t_scaled_value,
     t_value,
 )
-from qtab.tableau import SkewShape, f_poly_enum, partitions
+from qtab.tableau import SkewShape, f_poly_enum, hook_packed, partitions
 
 
 def test_t_poly_enum_small():
@@ -208,7 +208,44 @@ def test_a_scaled_value_matches_hook_sum(p, q):
 
 
 def test_xi_partial_matches_hook_sum_at_40():
-    # criterion 11b's own Littlewood series runs the same recurrence as the
-    # production path, so this keeps an independent check at its size
+    # criterion 11b pins xi_partial to the test's own log-exp Littlewood
+    # series; the partition sum is a check at its size independent of both
     q = Fraction(1, 2)
     assert xi_partial(q, 40) == _hook_sum(40, q) / (1 - q) ** 40
+
+
+# -- the integer series behind t_poly, t_value and a_value ---------------------
+
+
+def _packed_hook_sum(n):
+    """t_n as the sum over partitions of n of the packed hook polynomials."""
+    width = packed_width(t_count(n))
+    return unpack(width, sum(hook_packed(shape, width) for shape in partitions(n)))
+
+
+@pytest.mark.parametrize("n", [*range(25), 30])
+def test_t_poly_matches_packed_hook_sum(n):
+    assert t_poly(n) == _packed_hook_sum(n)
+
+
+def test_t_poly_40_against_its_values():
+    poly = t_poly(40)
+    assert poly.evaluate(1, 1) == t_count(40)
+    for q in (Fraction(1, 2), Fraction(3)):
+        assert poly.evaluate(1, q) == t_value(40, q)
+
+
+def test_series_at_one_is_the_counting_recurrence():
+    # at q = 1 every weight past k = 2 (k = 1 for permutations) vanishes
+    import math
+
+    for n in range(80):
+        assert t_value(n, 1) == t_count(n)
+    for n in range(30):
+        assert a_value(n, 1, 1) == math.factorial(n)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-1, 2), Fraction(-3)])
+def test_t_value_off_the_positive_axis(q):
+    for n in range(9):
+        assert t_value(n, q) == t_poly_enum(n).evaluate(1, q), n
