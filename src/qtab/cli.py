@@ -155,6 +155,8 @@ def _cmd_qpoly(args) -> int:
     arity = 2 if which == "binomial" else 1
     if len(args.args) != arity:
         raise UsageError(f"qpoly {which} needs {arity} operand(s), got {len(args.args)}")
+    if args.method and which in ("factorial", "binomial"):
+        raise UsageError(f"qpoly {which} does not read --method")
     if which == "factorial":
         poly = qfactorial(int(args.args[0]))
         _emit(args, [str(poly)], _poly_payload(poly))
@@ -171,23 +173,20 @@ def _cmd_qpoly(args) -> int:
         n = int(args.args[0])
         if n < 0:
             raise UsageError(f"n must be nonnegative, got {n}")
-        method = args.method or "hook"
+        method = args.method
         if method == "enum":
             kind = "involution" if which == "tn" else "permutation"
             _check_enum_size(n, f"{kind} enumeration")
             poly = stats.t_poly_enum(n) if which == "tn" else stats.a_poly_enum(n)
         elif which == "tn":
-            # --method hook selects the closed form, which for t_n is its series
             method, poly = "series", stats.t_poly(n)
         else:
-            poly = stats.a_poly(n)
+            method, poly = "hook", stats.a_poly(n)
         _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     elif which == "fshape":
         from .tableau import SkewShape, f_poly, f_poly_enum
 
         shape = SkewShape.parse(args.args[0])
-        if args.method == "hook" and not shape.is_straight:
-            raise UsageError(f"--method hook needs a straight shape, got {shape}")
         method = args.method or ("hook" if shape.is_straight else "determinant")
         if method == "enum":
             _check_enum_size(shape.size, "tableau enumeration")
@@ -349,7 +348,7 @@ def _cmd_verify(args) -> int:
 # Evaluators are names in ``limits``, looked up when a report is built, so a
 # wrapper installed on the module later is the one called.  The finite one
 # takes (*patterns, *parameters, n), the limit one (*patterns, *parameters).
-# xi and eq8 build their limits and trailing lines in _limit_report.
+# xi and eq8 build their limits and notes in _limit_report.
 _LIMIT_KINDS = {
     "qlim1": (("sigma",), ("q",), "qlim1_lhs", "qlim1_rhs"),
     "m2-1": (("sigma", "tau"), ("p", "q"), "m2_1_lhs", "m2_1_rhs"),
@@ -362,11 +361,10 @@ _LIMIT_KINDS = {
 }
 
 
-def _limit_report(args) -> tuple:
-    """The ConvergenceReport of a limit command and its trailing lines."""
+def _limit_report(args):
+    """The ConvergenceReport of a limit command."""
     from . import limits
     from .permutation import Permutation
-    from .polynomial import format_decimal
 
     which = args.which
     # options only some reports read: passing one that this report ignores is an error
@@ -397,53 +395,35 @@ def _limit_report(args) -> tuple:
     label = " ".join([which, *(f"{name}={getattr(args, name)}" for name in shown)])
     lo = max((pattern.size for pattern in patterns), default=1)
     finite = lambda n: getattr(limits, finite_name)(*patterns, *parameters, n)
-    extra = []
+    notes = []
     if which == "xi":
         limit, tail = limits.xi_product_with_tail(args.q, args.precision)
-        extra.append(f"product tail bound: {format_decimal(tail)}")
+        notes.append(("tail_bound", "product tail bound", tail))
     elif which == "eq8":
         limit, lo = Fraction(1), max(args.a, 1)
         finite = lambda n: limits.eq8_check(args.a, n).ratio_offset
     else:
         limit = getattr(limits, limit_name)(*patterns, *parameters)
     grid = limits.default_grid(lo, args.n, 8) if args.csv else [args.n]
-    report = limits.ConvergenceReport(label, limit, [(n, finite(n)) for n in grid])
+    report = limits.ConvergenceReport(label, limit, [(n, finite(n)) for n in grid], notes)
     # after the grid, so an empty --csv grid is reported before a bad --a
     if which == "eq8":
         stride = limits.eq8_check(args.a, args.n).ratio_stride
-        extra.append(f"stride ratio at n={args.n}: {format_decimal(stride)}")
-    return report, extra
+        report.notes.append(("stride_ratio", f"stride ratio at n={args.n}", stride))
+    return report
 
 
 def _cmd_limit(args) -> int:
-    from .polynomial import format_decimal
-
-    report, extra = _limit_report(args)
+    report = _limit_report(args)
     # rendered in full before printing, so a bad --digits prints nothing
     if args.csv:
         text = report.to_csv(args.digits)
     elif args.json:
         import json
 
-        payload = {
-            "label": report.label,
-            "limit": str(report.limit),
-            "rows": [
-                {"n": n, "value": str(v), "gap": str(abs(v - report.limit))}
-                for n, v in report.rows
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(report.to_json(), sort_keys=True)
     else:
-        lines = [report.label]
-        for n, value in report.rows:
-            gap = abs(value - report.limit)
-            lines.append(
-                f"n={n} value={format_decimal(value, args.digits)} "
-                f"limit={format_decimal(report.limit, args.digits)} "
-                f"gap={format_decimal(gap, args.digits)}"
-            )
-        text = "\n".join(lines + extra)
+        text = report.to_text(args.digits)
     print(text)
     return 0
 
@@ -495,7 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "which", choices=["factorial", "binomial", "tn", "an", "fshape"]
     )
     p_qpoly.add_argument("args", nargs="+")
-    p_qpoly.add_argument("--method", choices=["hook", "enum"])
+    p_qpoly.add_argument(
+        "--method", choices=["enum"], help="enumerate instead of the closed form (tn, an, fshape)"
+    )
     p_qpoly.add_argument("--json", action="store_true")
     p_qpoly.set_defaults(func=_cmd_qpoly)
 

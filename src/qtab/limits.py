@@ -7,12 +7,15 @@ are differences of exact fractions.  Decimal output is presentation only.
 
 The four limit theorems share one assembly.  Each theorem is a weight w(j)
 on cut sizes j, read off the pattern's j-set (qlim1), its j2-set (m2-1) or
-the skew maj sums inside its shape (m3, m3-1).  The weight feeds the kernel
-of its family, involutions for qlim1 and m3 and permutation pairs for m2-1
-and m3-1.  A kernel returns sum_j w(j) T(j) / sum_j W(j) T(j) at finite n or
-in the limit, where W(j) is the weight summed over all patterns of the size.
-The weights and their sums W(j) are the polynomials :mod:`qtab.containment`
-defines and ``qtab verify`` checks; a kernel evaluates them at (p, q).
+the skew maj sums inside its shape (m3, m3-1).  The weight feeds one kernel,
+which runs on the parameter tuple as the series of :mod:`qtab.stats` does:
+(q,) for the involution theorems (qlim1, m3) and (p, q) for the permutation
+pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
+finite n or in the limit, where W(j) is the weight summed over all patterns
+of the sizes.  The weights and their sums W(j) are the polynomials
+:mod:`qtab.containment` defines and ``qtab verify`` checks; the kernel
+evaluates them at (p, q).  A :class:`ConvergenceReport` renders its rows as
+text, CSV or JSON.
 
 For a positive rational r the contraction factor min(r, 1/r) drives every
 limit; replacing a parameter by its reciprocal provably leaves all scaled
@@ -25,7 +28,8 @@ estimates, so a reported margin or gap is rigorous, not numerically hopeful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -132,70 +136,49 @@ def a_limit(p: Fraction, q: Fraction) -> Fraction:
 
 # -- limit theorem evaluators ---------------------------------------------------
 #
-# The two family kernels (see the module docstring).  A kernel evaluates at
-# finite n, or in the limit when n is None; each term T(j) serves both of its
-# sums.
+# The family kernel (see the module docstring).  It evaluates at finite n, or
+# in the limit when n is None; each term T(j) serves both of its sums.
 
 
-def _involution_family(
-    weight: Mapping[int, BivarPoly], m: int, q: Fraction, n: int | None
+def _family(
+    weight: Mapping[int, BivarPoly], a: int, b: int, params: tuple[Fraction, ...], n: int | None
 ) -> Fraction:
-    """Kernel of the involution theorems (qlim1, m3) for patterns of size m.
+    """Kernel of the containment theorems for patterns of sizes a and b.
 
-    W(j) = t_j C(m, j) [m-j]_q! (``involution_weight_sum``).  At finite n,
-    T(j) = [n-m choose k]_q t_value(k) with k = n - 2m + j, and 0 when k < 0.
-    In the limit, T(j) = [m choose j]_q [j]_q! (1 - qbar)^j, so the
-    denominator is [m]_q! sum_j t_j C(m, j) (1 - qbar)^j.
+    One parameter (q,) is the involution case (qlim1, m3), with a = b the
+    pattern size and W(j) = t_j C(a, j) [a-j]_q! (``involution_weight_sum``).
+    Two parameters (p, q) are the pair case (m2-1, m3-1), with
+    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! (``pair_weight_sum``).  Each
+    variable v carries a pair of sizes (f_v, l_v): p carries (a, b) and q
+    carries (b, a).  At finite n, T(j) = prod_v [n-f_v choose k]_v x_k with
+    k = n - a - b + j, where x_k is the series of the parameters (t_value or
+    a_value), and T(j) = 0 when k < 0.  In the limit,
+    T(j) = prod_v [l_v choose j]_v [j]_v! (1 - vbar)^j.
     """
-    q = Fraction(q)
+    params = tuple(Fraction(v) for v in params)
+    if len(params) == 1:
+        sums, series, point = involution_weight_sum(a), t_value, (1, *params)
+    else:
+        sums, series, point = pair_weight_sum(a, b), a_value, params
+    sizes = list(zip(params, ((a, b), (b, a))))
     if n is None:
-        shrink = 1 - contraction(q)
-    elif n < m:
-        raise ValueError("n must be at least the pattern size")
-    numerator = denominator = Fraction(0)
-    for j, total in involution_weight_sum(m).items():
-        if n is None:
-            term = q_binomial_value(m, j, q) * q_factorial_value(j, q) * shrink**j
-        elif (k := n - 2 * m + j) >= 0:
-            term = q_binomial_value(n - m, k, q) * t_value(k, q)
-        else:
-            continue
-        numerator += weight.get(j, ZERO).evaluate(1, q) * term
-        denominator += total.evaluate(1, q) * term
-    return numerator / denominator
-
-
-def _pair_family(
-    weight: Mapping[int, BivarPoly], a: int, b: int, p: Fraction, q: Fraction, n: int | None
-) -> Fraction:
-    """Kernel of the pair theorems (m2-1, m3-1) for patterns of sizes a and b.
-
-    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! (``pair_weight_sum``).  At finite n,
-    T(j) = [n-a choose k]_p [n-b choose k]_q a_value(k) with k = n - a - b + j,
-    and 0 when k < 0.  In the limit,
-    T(j) = [b choose j]_p [a choose j]_q [j]_p! [j]_q! ((1 - pbar)(1 - qbar))^j.
-    """
-    p, q = Fraction(p), Fraction(q)
-    if n is None:
-        shrink = (1 - contraction(p)) * (1 - contraction(q))
+        shrink = math.prod(1 - contraction(v) for v in params)
     elif n < max(a, b):
-        raise ValueError("n must be at least both pattern sizes")
+        raise ValueError("n must be at least each pattern size")
     numerator = denominator = Fraction(0)
-    for j, total in pair_weight_sum(a, b).items():
+    for j, total in sums.items():
         if n is None:
-            term = (
-                q_binomial_value(b, j, p)
-                * q_binomial_value(a, j, q)
-                * q_factorial_value(j, p)
-                * q_factorial_value(j, q)
-                * shrink**j
+            term = shrink**j * math.prod(
+                q_binomial_value(l, j, v) * q_factorial_value(j, v) for v, (_, l) in sizes
             )
         elif (k := n - a - b + j) >= 0:
-            term = q_binomial_value(n - a, k, p) * q_binomial_value(n - b, k, q) * a_value(k, p, q)
+            term = series(k, *params) * math.prod(
+                q_binomial_value(n - f, k, v) for v, (f, _) in sizes
+            )
         else:
             continue
-        numerator += weight.get(j, ZERO).evaluate(p, q) * term
-        denominator += total.evaluate(p, q) * term
+        numerator += weight.get(j, ZERO).evaluate(*point) * term
+        denominator += total.evaluate(*point) * term
     return numerator / denominator
 
 
@@ -206,24 +189,24 @@ def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
     the sum over all involutions of [n]; both sides assembled from Gaussian
     binomials and involution maj values rather than enumeration.
     """
-    return _involution_family(qlim1_weight(sigma), sigma.size, q, n)
+    return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), n)
 
 
 def qlim1_rhs(sigma: Permutation, q: Fraction) -> Fraction:
     """Limit of the involution containment ratio."""
-    return _involution_family(qlim1_weight(sigma), sigma.size, q, None)
+    return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), None)
 
 
 def m2_1_lhs(
     sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n pair containment ratio over permutations of [n]."""
-    return _pair_family(m2_1_weight(sigma, tau), sigma.size, tau.size, p, q, n)
+    return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), n)
 
 
 def m2_1_rhs(sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the pair containment ratio."""
-    return _pair_family(m2_1_weight(sigma, tau), sigma.size, tau.size, p, q, None)
+    return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), None)
 
 
 def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
@@ -233,12 +216,12 @@ def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
     containing the pattern from Gaussian binomials, involution maj values,
     and inner skew sums of the pattern's shape.
     """
-    return _involution_family(m3_weight(a_tab.straight_shape()), a_tab.size, q, n)
+    return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), n)
 
 
 def m3_rhs(a_tab: Tableau, q: Fraction) -> Fraction:
     """Limit of the tableau containment ratio."""
-    return _involution_family(m3_weight(a_tab.straight_shape()), a_tab.size, q, None)
+    return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), None)
 
 
 def m3_1_lhs(
@@ -246,13 +229,13 @@ def m3_1_lhs(
 ) -> Fraction:
     """Finite-n same-shape pair containment ratio for tableaux."""
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
-    return _pair_family(weight, a_tab.size, b_tab.size, p, q, n)
+    return _family(weight, a_tab.size, b_tab.size, (p, q), n)
 
 
 def m3_1_rhs(a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the same-shape pair containment ratio."""
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
-    return _pair_family(weight, a_tab.size, b_tab.size, p, q, None)
+    return _family(weight, a_tab.size, b_tab.size, (p, q), None)
 
 
 # -- logarithmic bound ------------------------------------------------------------
@@ -298,14 +281,6 @@ class BoundReport:
     @property
     def holds(self) -> bool:
         return self.margin > 0
-
-    def __str__(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        return (
-            f"bound at q={self.q}: lhs<= {format_decimal(self.lhs_upper)} "
-            f"rhs>= {format_decimal(self.rhs_lower)} margin={format_decimal(self.margin)} "
-            f"{status}"
-        )
 
 
 def check_bound(q: Fraction, slack: Fraction = Fraction(1, 10**6)) -> BoundReport:
@@ -394,13 +369,6 @@ class Eq8Report:
     ratio_offset: Fraction  # n^a t_{n-a} / t_{n+a}
     ratio_stride: Fraction  # n^a t_n / t_{n+2a}
 
-    def __str__(self) -> str:
-        return (
-            f"a={self.a} n={self.n} "
-            f"n^a*t(n-a)/t(n+a)={format_decimal(self.ratio_offset)} "
-            f"n^a*t(n)/t(n+2a)={format_decimal(self.ratio_stride)}"
-        )
-
 
 def eq8_check(a: int, n: int) -> Eq8Report:
     """Exact values of the two ratios that tend to 1 as n grows."""
@@ -419,25 +387,51 @@ def eq8_check(a: int, n: int) -> Eq8Report:
 
 @dataclass
 class ConvergenceReport:
-    """Finite-size values against a limit, with exact gaps."""
+    """Finite-size values against a limit, with exact gaps.
+
+    ``notes`` are further exact values as (key, caption, value) triples: text
+    output ends with a line ``caption: value`` for each, and JSON output
+    carries each value under its key as an exact fraction string.
+    """
 
     label: str
     limit: Fraction
     rows: list[tuple[int, Fraction]]
+    notes: list[tuple[str, str, Fraction]] = field(default_factory=list)
 
     def gaps(self) -> list[tuple[int, Fraction]]:
         return [(n, abs(value - self.limit)) for n, value in self.rows]
 
-    def to_csv(self, significant_digits: int = 12) -> str:
-        lines = ["n,value,limit,gap"]
-        for n, value in self.rows:
-            gap = abs(value - self.limit)
-            lines.append(
-                f"{n},{format_decimal(value, significant_digits)},"
-                f"{format_decimal(self.limit, significant_digits)},"
-                f"{format_decimal(gap, significant_digits)}"
-            )
+    def _decimal_rows(self, digits: int) -> list[tuple[int, str, str, str]]:
+        """(n, value, limit, gap) per row, as decimals of the given significant digits."""
+        limit = format_decimal(self.limit, digits)
+        return [
+            (n, format_decimal(value, digits), limit, format_decimal(gap, digits))
+            for (n, value), (_, gap) in zip(self.rows, self.gaps())
+        ]
+
+    def to_text(self, significant_digits: int = 12) -> str:
+        lines = [self.label]
+        for n, value, limit, gap in self._decimal_rows(significant_digits):
+            lines.append(f"n={n} value={value} limit={limit} gap={gap}")
+        lines += [f"{caption}: {format_decimal(value)}" for _, caption, value in self.notes]
         return "\n".join(lines)
+
+    def to_csv(self, significant_digits: int = 12) -> str:
+        rows = self._decimal_rows(significant_digits)
+        return "\n".join(["n,value,limit,gap", *(",".join(map(str, row)) for row in rows)])
+
+    def to_json(self) -> dict:
+        payload = {
+            "label": self.label,
+            "limit": str(self.limit),
+            "rows": [
+                {"n": n, "value": str(value), "gap": str(gap)}
+                for (n, value), (_, gap) in zip(self.rows, self.gaps())
+            ],
+        }
+        payload.update((key, str(value)) for key, _, value in self.notes)
+        return payload
 
 
 def default_grid(lo: int, hi: int, points: int = 8) -> list[int]:

@@ -106,9 +106,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.word)
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
 
@@ -117,9 +114,6 @@ class Permutation:
         if self.size > 9:
             raise ValueError("compact form requires n <= 9")
         return "".join(str(v) for v in self.word)
-
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
@@ -256,14 +250,6 @@ class ZeroOneMatrix:
                 raise ValueError("row with more than one 1")
         if any(sum(column) > 1 for column in zip(*self.entries)):
             raise ValueError("column with more than one 1")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     @classmethod
     def from_permutation(cls, perm: Permutation) -> "ZeroOneMatrix":

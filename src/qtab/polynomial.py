@@ -82,9 +82,6 @@ class BivarPoly:
         """Terms sorted by (p-degree, q-degree) ascending."""
         return sorted(self._terms.items())
 
-    def coefficient(self, p_degree: int, q_degree: int) -> int:
-        return self._terms.get((p_degree, q_degree), 0)
-
     def degree_q(self) -> int:
         """Largest q-exponent, or -1 for the zero polynomial."""
         return max((j for _, j in self._terms), default=-1)

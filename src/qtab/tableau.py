@@ -84,9 +84,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
@@ -102,11 +99,6 @@ class Partition:
             return self
         width = self.parts[0]
         return Partition(tuple(sum(1 for p in self.parts if p > j) for j in range(width)))
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for r, row_len in enumerate(self.parts, start=1):
-            for c in range(1, row_len + 1):
-                yield (r, c)
 
     def hook_lengths(self) -> tuple[int, ...]:
         """Hook lengths of all cells, row-major."""
@@ -180,11 +172,6 @@ class SkewShape:
         if self.is_straight:
             return str(self.outer)
         return f"{self.outer}/{self.inner}"
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for r in range(1, self.outer.length + 1):
-            for c in range(self.inner.part(r) + 1, self.outer.part(r) + 1):
-                yield (r, c)
 
     def conjugate(self) -> "SkewShape":
         return SkewShape(self.outer.conjugate(), self.inner.conjugate())
@@ -339,9 +326,6 @@ class Tableau:
             cells = ["." * width] * inner.part(r) + [str(v).rjust(width) for v in row]
             lines.append(" ".join(cells))
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.pretty()
 
 
 def enumerate_syt(shape: SkewShape) -> Iterator[Tableau]:

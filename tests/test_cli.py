@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,9 +80,9 @@ def test_qpoly_binomial_rejects(capsys):
 def test_qpoly_tn_methods_agree(capsys):
     assert run(["qpoly", "tn", "6", "--method", "enum"]) == 0
     enum_out = out_of(capsys).splitlines()[-1]
-    assert run(["qpoly", "tn", "6", "--method", "hook"]) == 0
-    hook_out = out_of(capsys).splitlines()[-1]
-    assert enum_out == hook_out
+    assert run(["qpoly", "tn", "6"]) == 0
+    series_out = out_of(capsys).splitlines()[-1]
+    assert enum_out == series_out
 
 
 def test_qpoly_fshape_skew(capsys):
@@ -94,26 +95,27 @@ def test_qpoly_fshape_labels_its_path(capsys):
     assert out_of(capsys).splitlines() == ["method=determinant", "q + 2*q^2 + q^3 + q^4"]
     assert run(["qpoly", "fshape", "3,2/1", "--method", "enum"]) == 0
     assert out_of(capsys).splitlines() == ["method=enum", "q + 2*q^2 + q^3 + q^4"]
-    assert run(["qpoly", "fshape", "3,2", "--method", "hook"]) == 0
+    assert run(["qpoly", "fshape", "3,2"]) == 0
     assert out_of(capsys).splitlines()[0] == "method=hook"
     assert run(["qpoly", "fshape", "3,2", "--method", "enum"]) == 0
     assert out_of(capsys).splitlines()[0] == "method=enum"
-    # the hook product has no skew form; this used to enumerate silently
-    assert run(["qpoly", "fshape", "3,2/1", "--method", "hook"]) == 2
+    # enum is the only --method: the closed form is the default, worked out from the shape
+    with pytest.raises(SystemExit) as exc:
+        run(["qpoly", "fshape", "3,2/1", "--method", "hook"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and "error: " in captured.err
 
 
 def test_qpoly_tn_and_an_label_their_paths(capsys):
-    # t_n has no hook sum left: its closed form is the series, also under --method hook
-    for extra in ([], ["--method", "hook"]):
-        assert run(["qpoly", "tn", "3", *extra]) == 0
-        assert out_of(capsys).splitlines() == ["method=series", "1 + q + q^2 + q^3"]
+    # t_n has no hook sum left: its closed form is the series
+    assert run(["qpoly", "tn", "3"]) == 0
+    assert out_of(capsys).splitlines() == ["method=series", "1 + q + q^2 + q^3"]
     assert run(["qpoly", "tn", "3", "--json"]) == 0
     assert json.loads(out_of(capsys))["method"] == "series"
     assert run(["qpoly", "tn", "3", "--method", "enum"]) == 0
     assert out_of(capsys).splitlines()[0] == "method=enum"
-    for extra, method in (([], "hook"), (["--method", "hook"], "hook"), (["--method", "enum"], "enum")):
+    for extra, method in (([], "hook"), (["--method", "enum"], "enum")):
         assert run(["qpoly", "an", "3", *extra]) == 0
         assert out_of(capsys).splitlines()[0] == f"method={method}"
 
@@ -307,6 +309,22 @@ def test_limit_eq8(capsys):
     assert "stride ratio" in out_of(capsys)
 
 
+def test_limit_json_carries_xi_tail_and_eq8_stride(capsys):
+    # the values text mode prints on its trailing lines, as exact fractions
+    from qtab.limits import eq8_check, xi_product_with_tail
+
+    assert run(["limit", "xi", "--q", "1/2", "--n", "10", "--precision", "1/1000", "--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    _, tail = xi_product_with_tail(Fraction(1, 2), Fraction(1, 1000))
+    assert Fraction(payload["tail_bound"]) == tail
+    assert run(["limit", "eq8", "--n", "20", "--a", "2", "--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    assert Fraction(payload["stride_ratio"]) == eq8_check(2, 20).ratio_stride
+    # the other kinds carry no extra fields
+    assert run(["limit", "tlim", "--q", "1/2", "--n", "5", "--json"]) == 0
+    assert sorted(json.loads(out_of(capsys))) == ["label", "limit", "rows"]
+
+
 def test_limit_deterministic_output(capsys):
     argv = ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "1/3", "--q", "1/2", "--n", "8"]
     assert run(argv) == 0
@@ -470,6 +488,9 @@ _PROBE_ARGV = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(_QPOLY_ARGV | _PROBE_ARGV, st.booleans())
+@example(["qpoly", "factorial", "4", "--method", "enum"], False)
+@example(["qpoly", "binomial", "4", "2", "--method", "enum"], True)
+@example(["qpoly", "tn", "3", "--method", "hook"], False)
 def test_qpoly_and_probe_keep_exit_code_contract(argv, as_json):
     argv = argv + ["--json"] if as_json else argv
     out, err = io.StringIO(), io.StringIO()
@@ -489,6 +510,11 @@ def test_qpoly_and_probe_keep_exit_code_contract(argv, as_json):
         operands = list(itertools.takewhile(lambda tok: not tok.startswith("--"), argv[2:]))
         if len(operands) != _QPOLY_ARITY[argv[1]]:
             assert code == 2, argv  # a wrong operand count is a usage error
+        if "hook" in argv:
+            assert code == 2, argv  # enum is the only --method
+        if "--method" in argv and argv[1] in ("factorial", "binomial"):
+            assert code == 2, argv  # they have one path, so they read no --method
+            assert out.getvalue() == "" and "error: " in err.getvalue(), argv
 
 
 _WORDS = st.one_of(

@@ -54,7 +54,13 @@ TAB_PAIRS_M3_1 = list(itertools.product(SYTS_1_2, repeat=2)) + [
     (Tableau.from_rows([[1, 2], [3]]), Tableau.from_rows([[1], [2]]))
 ]
 PQ_M2_1 = [(Fraction(2, 5), Fraction(1, 3)), (Fraction(3), HALF), (Fraction(1), Fraction(2, 3))]
-PQ_M3_1 = [(HALF, Fraction(2, 3)), (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(1, 3))]
+# the last pair has p and q on opposite sides of 1
+PQ_M3_1 = [
+    (HALF, Fraction(2, 3)),
+    (Fraction(2), Fraction(3, 2)),
+    (Fraction(1), Fraction(1, 3)),
+    (HALF, Fraction(3)),
+]
 
 
 def test_real_param():
@@ -253,6 +259,28 @@ def test_m3_1_rhs_specializations():
     assert m3_1_rhs(a_tab, b_tab, one, q) == Fraction(syt_count(beta)) * f_alpha_q / (
         math.factorial(beta.size) * q_factorial_value(alpha.size, q)
     )
+
+
+def test_rhs_pinned_off_the_unit_parameter():
+    # exact limits recorded before the two family kernels were merged into one:
+    # both parameters below 1, both above 1, and p < 1 < q for the pair theorems
+    sigma, tau = Permutation.parse("21"), Permutation.parse("312")
+    a_tab = Tableau.from_rows([[1, 2], [3]])
+    b_tab = Tableau.from_rows([[1], [2]])
+    pattern = Permutation.parse("132")
+    for q, qlim1, m3 in (
+        (HALF, Fraction(107, 756), Fraction(79, 252)),
+        (Fraction(3), Fraction(397, 1924), Fraction(731, 2405)),
+    ):
+        assert qlim1_rhs(pattern, q) == qlim1, q
+        assert m3_rhs(a_tab, q) == m3, q
+    for p, q, m2_1, m3_1 in (
+        (HALF, Fraction(2, 3), Fraction(59, 1365), Fraction(205, 1482)),
+        (Fraction(3), Fraction(3, 2), Fraction(1899, 18460), Fraction(1565, 8094)),
+        (HALF, Fraction(3), Fraction(23, 462), Fraction(61, 429)),
+    ):
+        assert m2_1_rhs(sigma, tau, p, q) == m2_1, (p, q)
+        assert m3_1_rhs(a_tab, b_tab, p, q) == m3_1, (p, q)
 
 
 # -- bound, products, ratios ------------------------------------------------------
