@@ -27,7 +27,7 @@ _EXPORTS = {
         permutations phi phi_inverse shuffle standardize""",
     "polynomial": "BivarPoly format_decimal q_integer qbinomial qfactorial",
     "rsk": "rs rs_inverse rs_involution rs_involution_inverse",
-    "stats": """a_poly a_poly_enum a_value q_binomial_value q_factorial_value t_count t_poly
+    "stats": """a_poly a_poly_enum a_value q_factorial_value t_count t_poly
         t_poly_enum t_value""",
     "tableau": """Partition SkewShape Tableau conjecture_probe enumerate_syt f_poly f_poly_enum
         f_poly_hook partitions skew_syt_count syt_count""",

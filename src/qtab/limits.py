@@ -17,9 +17,13 @@ of the sizes.  The weights and their sums W(j) are the polynomials
 evaluates them at (p, q).  A :class:`ConvergenceReport` renders its rows as
 text, CSV or JSON.
 
-For a positive rational r the contraction factor min(r, 1/r) drives every
-limit; replacing a parameter by its reciprocal provably leaves all scaled
-quantities unchanged, which the test suite checks as exact equalities.
+Every limit is driven by the rate r of the factorial-scaled series, the
+limit of its consecutive ratio: ``t_limit`` for involutions, ``a_limit`` for
+permutations, which is 0 when p and q lie on opposite sides of 1.  The kernel
+reads its rate from them and nowhere else.  The scaled involution values are
+unchanged under q -> 1/q, and the scaled permutation values under the
+simultaneous flip (p, q) -> (1/p, 1/q), which the test suite checks as exact
+equalities; flipping one variable of a pair alone changes them.
 
 The logarithmic bound check and the infinite products are handled with
 one-sided rational bounds: truncated series plus closed-form geometric tail
@@ -45,12 +49,9 @@ from .permutation import Permutation
 from .polynomial import ZERO, BivarPoly, format_decimal
 from .stats import (
     a_scaled_value,
-    a_value,
-    q_binomial_value,
     q_factorial_value,
     t_count,
     t_scaled_value,
-    t_value,
 )
 from .tableau import Tableau
 
@@ -148,35 +149,31 @@ def _family(
     One parameter (q,) is the involution case (qlim1, m3), with a = b the
     pattern size and W(j) = t_j C(a, j) [a-j]_q! (``involution_weight_sum``).
     Two parameters (p, q) are the pair case (m2-1, m3-1), with
-    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! (``pair_weight_sum``).  Each
-    variable v carries a pair of sizes (f_v, l_v): p carries (a, b) and q
-    carries (b, a).  At finite n, T(j) = prod_v [n-f_v choose k]_v x_k with
-    k = n - a - b + j, where x_k is the series of the parameters (t_value or
-    a_value), and T(j) = 0 when k < 0.  In the limit,
-    T(j) = prod_v [l_v choose j]_v [j]_v! (1 - vbar)^j.
+    W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q! (``pair_weight_sum``).  The
+    term of cut j is T(j) = g(j) / prod_v [l_v - j]_v! with l_p = b and
+    l_q = a.  At finite n, g(j) is the scaled series of the parameters
+    (``t_scaled_value`` or ``a_scaled_value``) at k = n - a - b + j, and
+    T(j) = 0 when k < 0; this is prod_v [n - a - b + l_v choose k]_v x_k up
+    to a factor common to every cut.  In the limit, g(j) = r^j, where r is the
+    scaled series' rate (``t_limit`` or ``a_limit``), so with p and q on
+    opposite sides of 1 only the cut j = 0 remains.
     """
     params = tuple(Fraction(v) for v in params)
     if len(params) == 1:
-        sums, series, point = involution_weight_sum(a), t_value, (1, *params)
+        sums, scaled, rate, point = involution_weight_sum(a), t_scaled_value, t_limit, (1, *params)
     else:
-        sums, series, point = pair_weight_sum(a, b), a_value, params
-    sizes = list(zip(params, ((a, b), (b, a))))
+        sums, scaled, rate, point = pair_weight_sum(a, b), a_scaled_value, a_limit, params
     if n is None:
-        shrink = math.prod(1 - contraction(v) for v in params)
+        r = rate(*params)
     elif n < max(a, b):
         raise ValueError("n must be at least each pattern size")
     numerator = denominator = Fraction(0)
     for j, total in sums.items():
-        if n is None:
-            term = shrink**j * math.prod(
-                q_binomial_value(l, j, v) * q_factorial_value(j, v) for v, (_, l) in sizes
-            )
-        elif (k := n - a - b + j) >= 0:
-            term = series(k, *params) * math.prod(
-                q_binomial_value(n - f, k, v) for v, (f, _) in sizes
-            )
-        else:
+        if n is not None and (k := n - a - b + j) < 0:
             continue
+        term = (r**j if n is None else scaled(k, *params)) / math.prod(
+            q_factorial_value(l - j, v) for v, l in zip(params, (b, a))
+        )
         numerator += weight.get(j, ZERO).evaluate(*point) * term
         denominator += total.evaluate(*point) * term
     return numerator / denominator

@@ -30,7 +30,6 @@ __all__ = [
     "a_poly",
     "q_integer_value",
     "q_factorial_value",
-    "q_binomial_value",
     "t_scaled_value",
     "t_value",
     "a_scaled_value",
@@ -115,16 +114,6 @@ def q_factorial_value(n: int, q: Fraction) -> Fraction:
     value = Fraction(1)
     for i in range(1, n + 1):
         value *= q_integer_value(i, q)
-    return value
-
-
-def q_binomial_value(n: int, k: int, q: Fraction) -> Fraction:
-    """Gaussian binomial evaluated at a rational point; 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return Fraction(0)
-    value = Fraction(1)
-    for i in range(1, k + 1):
-        value *= q_integer_value(n - k + i, q) / q_integer_value(i, q)
     return value
 
 

@@ -418,7 +418,6 @@ def hook_packed(shape: Partition, width: int) -> int:
     return value << width * sum(i * p for i, p in enumerate(shape.parts))
 
 
-@lru_cache(maxsize=None)
 def f_poly_hook(shape: Partition) -> BivarPoly:
     """Maj generating polynomial of a straight shape via the hook-length product."""
     width = packed_width(syt_count(shape))

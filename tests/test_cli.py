@@ -333,6 +333,30 @@ def test_limit_deterministic_output(capsys):
     assert out_of(capsys) == first
 
 
+def test_limit_pairs_on_opposite_sides_print_the_first_cut(capsys):
+    # with p and q on opposite sides of 1 the pair limits keep only the cut
+    # j = 0; the finite values are unchanged, so only limit and gap depend on it
+    argv = ["limit", "m2-1", "--sigma", "21", "--tau", "312", "--p", "1/2", "--q", "3", "--n", "40"]
+    assert run(argv) == 0
+    assert out_of(capsys).splitlines()[1] == (
+        "n=40 value=0.0713671951458 limit=0.0714285714286 gap=0.0000613762828177"
+    )
+    assert run([*argv, "--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    assert payload["limit"] == "1/14"
+    (row,) = payload["rows"]
+    assert Fraction(row["gap"]) == abs(Fraction(row["value"]) - Fraction(1, 14))
+    tab_11 = json.dumps({"outer": [1, 1], "inner": [], "rows": [[1], [2]]})
+    argv = ["limit", "m3-1", "--tableau", _TAB_21, "--tableau2", tab_11, "--p", "3", "--q", "1/2"]
+    argv += ["--n", "40"]
+    assert run(argv) == 0
+    assert out_of(capsys).splitlines()[1] == (
+        "n=40 value=0.214101958588 limit=0.214285714286 gap=0.000183755697582"
+    )
+    assert run([*argv, "--json"]) == 0
+    assert json.loads(out_of(capsys))["limit"] == "3/14"
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtab.containment import tab_contains
+from qtab.containment import m2_1_weight, m3_1_weight, pair_weight_sum, tab_contains
 from qtab.limits import (
     ConvergenceReport,
     a_ratio,
@@ -262,8 +262,9 @@ def test_m3_1_rhs_specializations():
 
 
 def test_rhs_pinned_off_the_unit_parameter():
-    # exact limits recorded before the two family kernels were merged into one:
-    # both parameters below 1, both above 1, and p < 1 < q for the pair theorems
+    # exact limits with both parameters below 1, both above 1 and, for the pair
+    # theorems, p and q on opposite sides of 1 in both orders, where only the
+    # cut j = 0 survives (test_opposite_sides_limit_is_the_first_cut)
     sigma, tau = Permutation.parse("21"), Permutation.parse("312")
     a_tab = Tableau.from_rows([[1, 2], [3]])
     b_tab = Tableau.from_rows([[1], [2]])
@@ -277,10 +278,61 @@ def test_rhs_pinned_off_the_unit_parameter():
     for p, q, m2_1, m3_1 in (
         (HALF, Fraction(2, 3), Fraction(59, 1365), Fraction(205, 1482)),
         (Fraction(3), Fraction(3, 2), Fraction(1899, 18460), Fraction(1565, 8094)),
-        (HALF, Fraction(3), Fraction(23, 462), Fraction(61, 429)),
+        (HALF, Fraction(3), Fraction(1, 14), Fraction(1, 13)),
+        (Fraction(3), HALF, Fraction(3, 52), Fraction(3, 14)),
     ):
         assert m2_1_rhs(sigma, tau, p, q) == m2_1, (p, q)
         assert m3_1_rhs(a_tab, b_tab, p, q) == m3_1, (p, q)
+
+
+def test_opposite_sides_limit_is_the_first_cut():
+    # the pair rate a_limit is 0 with p and q on opposite sides of 1, so each
+    # pair limit is w(0)/W(0), and every finite ratio closes in on its limit
+    sigma, tau = Permutation.parse("21"), Permutation.parse("312")
+    a_tab = Tableau.from_rows([[1, 2], [3]])
+    b_tab = Tableau.from_rows([[1], [2]])
+    m2_1_first = m2_1_weight(sigma, tau)[0]
+    m3_1_first = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)[0]
+    for p, q in ((HALF, Fraction(3)), (Fraction(3), HALF)):
+        total = pair_weight_sum(sigma.size, tau.size)[0].evaluate(p, q)
+        assert m2_1_rhs(sigma, tau, p, q) == m2_1_first.evaluate(p, q) / total, (p, q)
+        total = pair_weight_sum(a_tab.size, b_tab.size)[0].evaluate(p, q)
+        assert m3_1_rhs(a_tab, b_tab, p, q) == m3_1_first.evaluate(p, q) / total, (p, q)
+    pattern = Permutation.parse("132")
+    cases = [(qlim1_lhs, qlim1_rhs, (pattern, q)) for q in (HALF, Fraction(3))]
+    cases += [(m3_lhs, m3_rhs, (a_tab, q)) for q in (HALF, Fraction(3))]
+    for p, q in ((HALF, Fraction(2, 3)), (Fraction(3), Fraction(3, 2)), (HALF, Fraction(3))):
+        cases += [
+            (m2_1_lhs, m2_1_rhs, (sigma, tau, p, q)),
+            (m3_1_lhs, m3_1_rhs, (a_tab, b_tab, p, q)),
+        ]
+    for lhs, rhs, args in cases:
+        limit = rhs(*args)
+        gaps = [abs(lhs(*args, n) - limit) for n in (10, 20, 40)]
+        assert gaps[0] > gaps[1] > gaps[2], (lhs.__name__, args[-2:])
+
+
+@pytest.mark.parametrize("q", [HALF, Fraction(3)])
+def test_involution_probabilities_sum_to_one(q):
+    for m in (1, 2, 3):
+        perms, tabs = list(permutations(m)), _syts(m)
+        assert sum(qlim1_lhs(sigma, q, 8) for sigma in perms) == 1, m
+        assert sum(m3_lhs(a_tab, q, 8) for a_tab in tabs) == 1, m
+        assert sum(qlim1_rhs(sigma, q) for sigma in perms) == 1, m
+        assert sum(m3_rhs(a_tab, q) for a_tab in tabs) == 1, m
+
+
+@pytest.mark.parametrize(
+    "p, q", [(HALF, Fraction(2, 3)), (Fraction(3), Fraction(3, 2)), (HALF, Fraction(3))]
+)
+def test_pair_probabilities_sum_to_one(p, q):
+    for a, b in ((1, 2), (2, 2), (2, 3)):
+        perms = list(itertools.product(permutations(a), permutations(b)))
+        tabs = list(itertools.product(_syts(a), _syts(b)))
+        assert sum(m2_1_lhs(sigma, tau, p, q, 7) for sigma, tau in perms) == 1, (a, b)
+        assert sum(m3_1_lhs(a_tab, b_tab, p, q, 7) for a_tab, b_tab in tabs) == 1, (a, b)
+        assert sum(m2_1_rhs(sigma, tau, p, q) for sigma, tau in perms) == 1, (a, b)
+        assert sum(m3_1_rhs(a_tab, b_tab, p, q) for a_tab, b_tab in tabs) == 1, (a, b)
 
 
 # -- bound, products, ratios ------------------------------------------------------

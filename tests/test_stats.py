@@ -10,7 +10,6 @@ from qtab.stats import (
     a_poly_enum,
     a_scaled_value,
     a_value,
-    q_binomial_value,
     q_factorial_value,
     q_integer_value,
     t_count,
@@ -112,16 +111,13 @@ def test_t_count_matches_enumeration(n):
 
 
 def test_q_values_against_polynomials():
-    from qtab.polynomial import q_integer, qbinomial
+    from qtab.polynomial import q_integer
 
     q = Fraction(2, 7)
     for h in range(6):
         assert q_integer_value(h, q) == q_integer(h).evaluate(1, q)
     for n in range(6):
         assert q_factorial_value(n, q) == qfactorial(n).evaluate(1, q)
-        for k in range(n + 1):
-            assert q_binomial_value(n, k, q) == qbinomial(n, k).evaluate(1, q)
-    assert q_binomial_value(4, 9, q) == 0
     assert q_integer_value(5, Fraction(1)) == 5
 
 
