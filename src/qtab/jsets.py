@@ -214,9 +214,8 @@ def is_j2_set(values: Iterable[int]) -> bool:
         blocks = psi2(values)
     except ValueError:
         return False
+    # each block ends at its only 1, so weak decrease is all that is left
     for block in blocks:
-        if sum(1 for a in block if a == 1) != 1:
-            return False
         if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
             return False
     return True

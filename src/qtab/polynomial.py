@@ -16,6 +16,7 @@ digits.  At width 0 every q-integer [h] is h, so the same formulas count.
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -342,45 +343,32 @@ def qbinomial(n: int, k: int) -> BivarPoly:
 def format_decimal(value: Fraction, significant_digits: int = 12) -> str:
     """Render an exact rational as a fixed-precision decimal string.
 
-    Presentation only: rounding happens at the final step, never inside a
-    computation.
+    The value is rounded half up (ties away from zero) to
+    ``significant_digits`` significant digits at any magnitude, by the
+    standard library's correctly rounded decimal arithmetic, and printed
+    without an exponent or trailing zeros.  Presentation only: rounding
+    happens at the final step, never inside a computation.
     """
     if significant_digits < 1:
         raise ValueError("need at least one significant digit")
     value = Fraction(value)
     if value == 0:
         return "0"
-    sign = "-" if value < 0 else ""
-    mag = -value if value < 0 else value
-    # exponent e with 10^e <= mag < 10^(e+1)
-    e = 0
-    if mag >= 1:
-        scaled = mag
-        while scaled >= 10:
-            scaled /= 10
-            e += 1
-    else:
-        scaled = mag
-        while scaled < 1:
-            scaled *= 10
-            e -= 1
-    shift = significant_digits - 1 - e
-    if shift >= 0:
-        scaled_int = mag.numerator * 10**shift // mag.denominator
-        rem = mag.numerator * 10**shift % mag.denominator
-    else:
-        scaled_int, rem = divmod(mag.numerator, mag.denominator * 10**-shift)
-    if 2 * rem >= mag.denominator:
-        scaled_int += 1
-    digits = str(scaled_int)
-    # rounding may add a digit (e.g. 999.95 -> 1000)
-    if len(digits) > significant_digits:
-        digits = digits[:significant_digits]
-        e += 1
-    point = e + 1
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}".rstrip("0").rstrip(".") or "0"
-    if point >= len(digits):
-        return f"{sign}{digits}{'0' * (point - len(digits))}"
-    text = f"{sign}{digits[:point]}.{digits[point:]}"
-    return text.rstrip("0").rstrip(".")
+    num, den = value.numerator, value.denominator
+    # Half up to p digits reads no digit past the (p + 1)-th, so the quotient
+    # truncated to p + 1 or more digits rounds as the value does.  With
+    # x = bits(den) - bits(num) + 1, |value| > 2^-x >= 10^-ceil(x/3), so a
+    # shift of p + ceil(x/3) digits leaves at least p + 1.  Python divides long
+    # integers with a short quotient in linear time, where decimal would
+    # convert both long operands in quadratic time.
+    shift = significant_digits + max(0, -((num.bit_length() - den.bit_length() - 1) // 3))
+    truncated = abs(num) * 10**shift // den
+    context = decimal.Context(
+        prec=significant_digits,
+        rounding=decimal.ROUND_HALF_UP,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+    )
+    rounded = decimal.Decimal(truncated if num > 0 else -truncated).scaleb(-shift, context)
+    text = format(rounded, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text

@@ -157,6 +157,26 @@ def test_verify_exit_code_and_json(capsys):
     assert {r["theorem"] for r in reports} == {"permcont1"}
 
 
+def test_verify_failure_exits_one(monkeypatch, capsys):
+    # a broken right-hand side must surface as FAIL lines and exit 1
+    from qtab import containment
+    from qtab.polynomial import ZERO
+
+    monkeypatch.setattr(containment, "involution_cut_sum", lambda *args: ZERO)
+    argv = ["verify", "permcont1", "--max-size", "1", "--max-total", "2"]
+    assert run(argv) == 1
+    lines = out_of(capsys).splitlines()
+    assert any(line.endswith(" FAIL") for line in lines[:-1])
+    total = dict(field.split("=") for field in lines[-1].split()[1:])
+    assert lines[-1].startswith("total: ") and int(total["failures"]) > 0
+    assert run([*argv, "--json"]) == 1
+    failures = [f for r in json.loads(out_of(capsys)) for f in r["failures"]]
+    assert failures
+    for failure in failures:
+        assert sorted(failure) == ["instance", "lhs", "rhs"]
+        assert all(isinstance(text, str) for text in failure.values())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -323,6 +343,26 @@ def test_limit_json_carries_xi_tail_and_eq8_stride(capsys):
     # the other kinds carry no extra fields
     assert run(["limit", "tlim", "--q", "1/2", "--n", "5", "--json"]) == 0
     assert sorted(json.loads(out_of(capsys))) == ["label", "limit", "rows"]
+
+
+def test_limit_json_prints_exact_values_past_the_str_digit_cap(capsys):
+    # the limit's numerator has about 37,000 digits, past CPython's default
+    # 4,300-digit cap on int-to-str conversion
+    from qtab.limits import xi_product_with_tail
+
+    assert run(["limit", "xi", "--q", "2/3", "--n", "10", "--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    limit, _ = xi_product_with_tail(Fraction(2, 3), Fraction(1, 10**7))
+    assert Fraction(payload["limit"]) == limit
+
+
+def test_limit_digits_round_values_past_their_integer_digits(capsys):
+    # the limit 20 (19.99...) and the gap 11.2 (14.9 at n = 1) to one digit
+    argv = ["limit", "xi", "--q", "1/2", "--n", "3", "--digits", "1"]
+    assert run(argv) == 0
+    assert "n=3 value=6 limit=20 gap=10" in out_of(capsys).splitlines()
+    assert run([*argv, "--csv"]) == 0
+    assert out_of(capsys).splitlines()[1] == "1,2,20,10"
 
 
 def test_limit_deterministic_output(capsys):

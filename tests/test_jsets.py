@@ -123,6 +123,7 @@ def test_is_overpartition():
     assert is_overpartition([(5, True), (4, False), (3, False), (3, True), (2, True)])
     assert not is_overpartition([(3, True), (3, False)])  # overline not on last
     assert not is_overpartition([(2, False), (3, False)])  # increasing
+    assert not is_overpartition([(2, True), (0, False)])  # non-positive
     assert is_overpartition([])
 
 
@@ -134,6 +135,7 @@ def test_worked_sets_classified():
     assert is_j2_set({0, 1, 3})
     assert not is_j_set({0, 1, 3})
     assert not is_j2_set({1, 2})  # missing 0
+    assert not is_j_set({1})  # missing 0
 
 
 def test_j_set_examples():

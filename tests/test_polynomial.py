@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtab.polynomial import (
     ONE,
@@ -200,3 +200,57 @@ def test_format_decimal():
     assert format_decimal(Fraction(123456789), 4) == "123500000"
     assert format_decimal(Fraction(1, 10**8), 3) == "0.00000001"
     assert format_decimal(Fraction(99995, 10), 4) == "10000"
+    # more integer digits than significant ones: round, then pad with zeros
+    assert format_decimal(Fraction(12), 1) == "10"
+    assert format_decimal(Fraction(-12), 1) == "-10"
+    assert format_decimal(Fraction(1049), 2) == "1000"
+    assert format_decimal(Fraction(123456789012301)) == "123456789012000"
+
+
+def _at_least_power_of_ten(num: int, den: int, e: int) -> bool:
+    """num/den >= 10^e for positive num and den, compared as integers."""
+    return num * 10 ** max(-e, 0) >= den * 10 ** max(e, 0)
+
+
+def _decimal_reference(value: Fraction, digits: int) -> str:
+    """Half-up rounding to significant digits in integer arithmetic only."""
+    if value == 0:
+        return "0"
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    e = len(str(num)) - len(str(den))
+    while not _at_least_power_of_ten(num, den, e):
+        e -= 1
+    while _at_least_power_of_ten(num, den, e + 1):
+        e += 1
+    # |value| * 10^shift rounded half up has `digits` digits, or is 10^digits
+    shift = digits - 1 - e
+    top, bottom = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+    kept, rest = divmod(top, bottom)
+    kept += 2 * rest >= bottom
+    if shift <= 0:
+        return f"{sign}{kept}{'0' * -shift}"
+    text = str(kept).rjust(shift + 1, "0")
+    text = f"{text[:-shift]}.{text[-shift:]}".rstrip("0").rstrip(".")
+    return sign + text
+
+
+_BOUND = 10**40
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-_BOUND, _BOUND),
+    st.integers(-_BOUND, _BOUND).filter(bool),
+    st.integers(1, 15),
+)
+@example(12, 1, 1)
+@example(-12, 1, 1)
+@example(25, 10, 1)
+@example(-15, 100, 1)
+@example(99995, 10, 4)
+@example(999999, 1, 3)
+@example(1, 3 * 10**30, 15)
+def test_format_decimal_matches_integer_reference(num, den, digits):
+    value = Fraction(num, den)
+    assert format_decimal(value, digits) == _decimal_reference(value, digits)
