@@ -358,7 +358,6 @@ _LIMIT_KINDS = {
 def _limit_report(args):
     """The ConvergenceReport of a limit command."""
     from . import limits
-    from .permutation import Permutation
 
     which = args.which
     # options only some reports read: passing one that this report ignores is an error
@@ -377,6 +376,8 @@ def _limit_report(args):
     for name in options:
         if getattr(args, name) is None:
             raise UsageError(f"limit {which} requires --{name}")
+    if "sigma" in pattern_options:
+        from .permutation import Permutation
     patterns = [
         _parse_tableau(getattr(args, name))
         if name.startswith("tableau")

@@ -42,7 +42,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -157,14 +156,31 @@ def enum_pair_containing(a_tab: Tableau, b_tab: Tableau, n: int) -> list[tuple[T
     return out
 
 
-@dataclass
 class IdentityReport:
-    """Outcome of checking one identity over a grid of instances."""
+    """Outcome of checking one identity over a grid of instances.  Reports
+    with equal fields are equal; being mutable, they are not hashable."""
 
-    theorem: str
-    params: dict
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(
+        self, theorem: str, params: dict, checked: int = 0, failures: list[dict] | None = None
+    ):
+        self.theorem = theorem
+        self.params = params
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (self.theorem, self.params, self.checked, self.failures)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"IdentityReport(theorem={self.theorem!r}, params={self.params!r}, "
+            f"checked={self.checked!r}, failures={self.failures!r})"
+        )
 
     @property
     def passed(self) -> bool:

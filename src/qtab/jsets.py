@@ -29,7 +29,6 @@ j2-set of (w, w^-1): the low restriction of w^-1 at j inverts the prefix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -143,18 +142,46 @@ def psi2(values: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
 class JProfile:
     """The full difference-sequence decomposition of a finite set.
 
     ``psi2_blocks`` is None when the difference sequence does not end in 1
-    (such a set is not a j2-set candidate).
+    (such a set is not a j2-set candidate).  An immutable value.
     """
 
-    delta: tuple[int, ...]
-    delta_bar: tuple[Entry, ...]
-    psi_blocks: tuple[tuple[Entry, ...], ...]
-    psi2_blocks: tuple[tuple[int, ...], ...] | None
+    __slots__ = ("delta", "delta_bar", "psi_blocks", "psi2_blocks")
+
+    def __init__(
+        self,
+        delta: tuple[int, ...],
+        delta_bar: tuple[Entry, ...],
+        psi_blocks: tuple[tuple[Entry, ...], ...],
+        psi2_blocks: tuple[tuple[int, ...], ...] | None,
+    ):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta_bar", delta_bar)
+        object.__setattr__(self, "psi_blocks", psi_blocks)
+        object.__setattr__(self, "psi2_blocks", psi2_blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.delta, self.delta_bar, self.psi_blocks, self.psi2_blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"JProfile(delta={self.delta!r}, delta_bar={self.delta_bar!r}, "
+            f"psi_blocks={self.psi_blocks!r}, psi2_blocks={self.psi2_blocks!r})"
+        )
 
     def to_json(self) -> dict:
         def entry(e: Entry) -> dict:

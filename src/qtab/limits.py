@@ -33,19 +33,9 @@ estimates, so a reported margin or gap is rigorous, not numerically hopeful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .containment import (
-    involution_weight_sum,
-    m2_1_weight,
-    m3_1_weight,
-    m3_weight,
-    pair_weight_sum,
-    qlim1_weight,
-)
-from .permutation import Permutation
 from .polynomial import ZERO, BivarPoly, format_decimal
 from .stats import (
     a_scaled_value,
@@ -53,7 +43,12 @@ from .stats import (
     t_count,
     t_scaled_value,
 )
-from .tableau import Tableau
+
+# The pattern theorems import their weights from :mod:`qtab.containment` when
+# they run, so that tlim, alim, xi and eq8 do not load the oracle modules.
+if TYPE_CHECKING:
+    from .permutation import Permutation
+    from .tableau import Tableau
 
 __all__ = [
     "contraction",
@@ -158,6 +153,8 @@ def _family(
     scaled series' rate (``t_limit`` or ``a_limit``), so with p and q on
     opposite sides of 1 only the cut j = 0 remains.
     """
+    from .containment import involution_weight_sum, pair_weight_sum
+
     params = tuple(Fraction(v) for v in params)
     if len(params) == 1:
         sums, scaled, rate, point = involution_weight_sum(a), t_scaled_value, t_limit, (1, *params)
@@ -186,11 +183,15 @@ def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
     the sum over all involutions of [n]; both sides assembled from Gaussian
     binomials and involution maj values rather than enumeration.
     """
+    from .containment import qlim1_weight
+
     return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), n)
 
 
 def qlim1_rhs(sigma: Permutation, q: Fraction) -> Fraction:
     """Limit of the involution containment ratio."""
+    from .containment import qlim1_weight
+
     return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), None)
 
 
@@ -198,11 +199,15 @@ def m2_1_lhs(
     sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n pair containment ratio over permutations of [n]."""
+    from .containment import m2_1_weight
+
     return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), n)
 
 
 def m2_1_rhs(sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the pair containment ratio."""
+    from .containment import m2_1_weight
+
     return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), None)
 
 
@@ -213,11 +218,15 @@ def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
     containing the pattern from Gaussian binomials, involution maj values,
     and inner skew sums of the pattern's shape.
     """
+    from .containment import m3_weight
+
     return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), n)
 
 
 def m3_rhs(a_tab: Tableau, q: Fraction) -> Fraction:
     """Limit of the tableau containment ratio."""
+    from .containment import m3_weight
+
     return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), None)
 
 
@@ -225,12 +234,16 @@ def m3_1_lhs(
     a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n same-shape pair containment ratio for tableaux."""
+    from .containment import m3_1_weight
+
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
     return _family(weight, a_tab.size, b_tab.size, (p, q), n)
 
 
 def m3_1_rhs(a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the same-shape pair containment ratio."""
+    from .containment import m3_1_weight
+
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
     return _family(weight, a_tab.size, b_tab.size, (p, q), None)
 
@@ -263,13 +276,36 @@ def _log_recip_upper(x: Fraction, tolerance: Fraction) -> Fraction:
             return total + tail
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    """One-sided rational verification of the log-product inequality."""
+    """One-sided rational verification of the log-product inequality.  An
+    immutable value."""
 
-    q: Fraction
-    lhs_upper: Fraction
-    rhs_lower: Fraction
+    __slots__ = ("q", "lhs_upper", "rhs_lower")
+
+    def __init__(self, q: Fraction, lhs_upper: Fraction, rhs_lower: Fraction):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lhs_upper", lhs_upper)
+        object.__setattr__(self, "rhs_lower", rhs_lower)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.q, self.lhs_upper, self.rhs_lower)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"BoundReport(q={self.q!r}, lhs_upper={self.lhs_upper!r}, "
+            f"rhs_lower={self.rhs_lower!r})"
+        )
 
     @property
     def margin(self) -> Fraction:
@@ -357,14 +393,38 @@ def xi_product_with_tail(q: Fraction, precision: Fraction) -> tuple[Fraction, Fr
 # -- involution number ratios --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Eq8Report:
-    """The two scaled involution-number ratios at a given enumeration size."""
+    """The two scaled involution-number ratios at a given enumeration size:
+    ``ratio_offset`` = n^a t_{n-a} / t_{n+a} and ``ratio_stride`` =
+    n^a t_n / t_{n+2a}.  An immutable value."""
 
-    a: int
-    n: int
-    ratio_offset: Fraction  # n^a t_{n-a} / t_{n+a}
-    ratio_stride: Fraction  # n^a t_n / t_{n+2a}
+    __slots__ = ("a", "n", "ratio_offset", "ratio_stride")
+
+    def __init__(self, a: int, n: int, ratio_offset: Fraction, ratio_stride: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ratio_offset", ratio_offset)
+        object.__setattr__(self, "ratio_stride", ratio_stride)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.a, self.n, self.ratio_offset, self.ratio_stride)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Eq8Report(a={self.a!r}, n={self.n!r}, ratio_offset={self.ratio_offset!r}, "
+            f"ratio_stride={self.ratio_stride!r})"
+        )
 
 
 def eq8_check(a: int, n: int) -> Eq8Report:
@@ -382,19 +442,40 @@ def eq8_check(a: int, n: int) -> Eq8Report:
 # -- convergence reports ---------------------------------------------------------------
 
 
-@dataclass
 class ConvergenceReport:
     """Finite-size values against a limit, with exact gaps.
 
     ``notes`` are further exact values as (key, caption, value) triples: text
     output ends with a line ``caption: value`` for each, and JSON output
-    carries each value under its key as an exact fraction string.
+    carries each value under its key as an exact fraction string.  Reports
+    with equal fields are equal; being mutable, they are not hashable.
     """
 
-    label: str
-    limit: Fraction
-    rows: list[tuple[int, Fraction]]
-    notes: list[tuple[str, str, Fraction]] = field(default_factory=list)
+    def __init__(
+        self,
+        label: str,
+        limit: Fraction,
+        rows: list[tuple[int, Fraction]],
+        notes: list[tuple[str, str, Fraction]] | None = None,
+    ):
+        self.label = label
+        self.limit = limit
+        self.rows = rows
+        self.notes = [] if notes is None else notes
+
+    def _fields(self) -> tuple:
+        return (self.label, self.limit, self.rows, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"ConvergenceReport(label={self.label!r}, limit={self.limit!r}, "
+            f"rows={self.rows!r}, notes={self.notes!r})"
+        )
 
     def gaps(self) -> list[tuple[int, Fraction]]:
         return [(n, abs(value - self.limit)) for n, value in self.rows]

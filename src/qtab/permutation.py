@@ -20,7 +20,6 @@ identities in :mod:`qtab.containment`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -71,15 +70,32 @@ def standardize(values: Sequence[int]) -> "Permutation":
     return Permutation(word_std(values))
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of [n] in one-line notation; n = 0 is the empty permutation."""
+    """A permutation of [n] in one-line notation; n = 0 is the empty permutation.
 
-    word: tuple[int, ...]
+    An immutable value: equal words give equal, equally hashed permutations.
+    """
 
-    def __post_init__(self):
-        if tuple(sorted(self.word)) != tuple(range(1, len(self.word) + 1)):
-            raise ValueError(f"{self.word} is not a permutation of 1..{len(self.word)}")
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        if tuple(sorted(word)) != tuple(range(1, len(word) + 1)):
+            raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(word={self.word!r})"
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -198,15 +214,29 @@ def involutions(n: int) -> Iterator[Permutation]:
         yield Permutation(word)
 
 
-@dataclass(frozen=True)
 class BinaryWord:
-    """A word of 0s and 1s; ``weight`` counts the 1s."""
+    """A word of 0s and 1s; ``weight`` counts the 1s.  An immutable value."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"{self.bits} is not a 0/1 word")
+    def __init__(self, bits: tuple[int, ...]):
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"{bits} is not a 0/1 word")
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __repr__(self) -> str:
+        return f"BinaryWord(bits={self.bits!r})"
 
     @classmethod
     def parse(cls, text: str) -> "BinaryWord":
@@ -233,23 +263,38 @@ def binary_words(length: int, weight: int) -> Iterator[BinaryWord]:
         yield BinaryWord(tuple(int(i in ones) for i in range(length)))
 
 
-@dataclass(frozen=True)
 class ZeroOneMatrix:
-    """A 0-1 matrix in which every row and column holds at most one 1."""
+    """A 0-1 matrix in which every row and column holds at most one 1.  An
+    immutable value."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
+        for row in entries:
             if any(x not in (0, 1) for x in row):
                 raise ValueError("entries must be 0 or 1")
             if sum(row) > 1:
                 raise ValueError("row with more than one 1")
-        if any(sum(column) > 1 for column in zip(*self.entries)):
+        if any(sum(column) > 1 for column in zip(*entries)):
             raise ValueError("column with more than one 1")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"ZeroOneMatrix(entries={self.entries!r})"
 
     @classmethod
     def from_permutation(cls, perm: Permutation) -> "ZeroOneMatrix":
@@ -272,7 +317,6 @@ def matrix_of(perm: Permutation) -> ZeroOneMatrix:
     return ZeroOneMatrix.from_permutation(perm)
 
 
-@dataclass(frozen=True)
 class PhiImage:
     """Image of a permutation under the 2x2 block decomposition of its matrix.
 
@@ -280,38 +324,55 @@ class PhiImage:
     after row b.  ``p11``, ``p12``, ``p21``, ``p22`` are the compressions of
     the four blocks; ``c1`` and ``c2`` are the column words of the bottom-left
     and bottom-right blocks, ``r1`` and ``r2`` the row words of the top-right
-    and bottom-right blocks.
+    and bottom-right blocks.  An immutable value.
     """
 
-    p11: Permutation
-    p12: Permutation
-    p21: Permutation
-    p22: Permutation
-    c1: BinaryWord
-    r1: BinaryWord
-    c2: BinaryWord
-    r2: BinaryWord
-    a: int
-    b: int
+    __slots__ = ("p11", "p12", "p21", "p22", "c1", "r1", "c2", "r2", "a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
-        m, n = len(self.c2), len(self.r2)
-        if len(self.c1) != a or len(self.r1) != b:
+    def __init__(
+        self,
+        p11: Permutation,
+        p12: Permutation,
+        p21: Permutation,
+        p22: Permutation,
+        c1: BinaryWord,
+        r1: BinaryWord,
+        c2: BinaryWord,
+        r2: BinaryWord,
+        a: int,
+        b: int,
+    ):
+        m, n = len(c2), len(r2)
+        if len(c1) != a or len(r1) != b:
             raise ValueError("word lengths do not match the cut sizes")
         if a + m != b + n:
             raise ValueError("block dimensions are inconsistent")
-        j = self.p11.size
+        j = p11.size
         k = n - a + j
-        if self.p12.size != b - j or self.p21.size != a - j or self.p22.size != k:
+        if p12.size != b - j or p21.size != a - j or p22.size != k:
             raise ValueError("block permutation sizes do not match")
-        if (
-            self.c1.weight != a - j
-            or self.r1.weight != b - j
-            or self.c2.weight != k
-            or self.r2.weight != k
-        ):
+        if c1.weight != a - j or r1.weight != b - j or c2.weight != k or r2.weight != k:
             raise ValueError("word weights do not match the block sizes")
+        for name, value in zip(self.__slots__, (p11, p12, p21, p22, c1, r1, c2, r2, a, b)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PhiImage({shown})"
 
 
 def phi(perm: Permutation, a: int, b: int) -> PhiImage:

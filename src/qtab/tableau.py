@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -53,17 +52,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A weakly decreasing tuple of positive integers; () is the empty partition."""
+    """A weakly decreasing tuple of positive integers; () is the empty partition.
 
-    parts: tuple[int, ...]
+    An immutable value: equal parts give equal, equally hashed partitions.
+    """
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError(f"{self.parts}: parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"{self.parts} is not weakly decreasing")
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
+            raise ValueError(f"{parts}: parts must be positive")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"{parts} is not weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -92,7 +108,9 @@ class Partition:
         return self.parts[row - 1] if 1 <= row <= len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
-        return all(self.part(r) >= other.part(r) for r in range(1, other.length + 1))
+        # parts are positive, so a longer other never fits
+        mine, theirs = self.parts, other.parts
+        return len(theirs) <= len(mine) and all(a >= b for a, b in zip(mine, theirs))
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -139,16 +157,30 @@ def partitions_inside(n: int, outer: Partition) -> Iterator[Partition]:
             yield mu
 
 
-@dataclass(frozen=True)
 class SkewShape:
-    """The cells of ``outer`` not in ``inner``."""
+    """The cells of ``outer`` not in ``inner``.  An immutable value."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        if not self.outer.contains(self.inner):
-            raise ValueError(f"inner {self.inner} does not fit inside outer {self.outer}")
+    def __init__(self, outer: Partition, inner: Partition):
+        if not outer.contains(inner):
+            raise ValueError(f"inner {inner} does not fit inside outer {outer}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.outer == other.outer and self.inner == other.inner
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.inner))
+
+    def __repr__(self) -> str:
+        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
 
     @classmethod
     def straight(cls, outer: Partition) -> "SkewShape":
@@ -177,34 +209,50 @@ class SkewShape:
         return SkewShape(self.outer.conjugate(), self.inner.conjugate())
 
 
-@dataclass(frozen=True)
 class Tableau:
     """A standard filling of a (possibly skew) shape with 1..n.
 
     ``rows[i]`` carries the entries of row i + 1, covering columns
-    ``inner[i] + 1`` through ``outer[i]``.
+    ``inner[i] + 1`` through ``outer[i]``.  An immutable value: equal shapes
+    and rows give equal, equally hashed tableaux.
     """
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self):
-        outer, inner = self.shape.outer, self.shape.inner
-        if len(self.rows) != outer.length:
+    def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...]):
+        # set before the checks, which read the cells through ``entries``
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
+        outer, inner = shape.outer, shape.inner
+        if len(rows) != outer.length:
             raise ValueError("row count does not match the outer shape")
-        for r, row in enumerate(self.rows, start=1):
+        for r, row in enumerate(rows, start=1):
             if len(row) != outer.part(r) - inner.part(r):
                 raise ValueError(f"row {r} has wrong length")
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError(f"row {r} is not strictly increasing")
-        n = self.shape.size
-        if sorted(self.entries().values()) != list(range(1, n + 1)):
-            raise ValueError(f"entries are not a permutation of 1..{n}")
+        n = shape.size
         cells = self.entries()
+        if sorted(cells.values()) != list(range(1, n + 1)):
+            raise ValueError(f"entries are not a permutation of 1..{n}")
         for (r, c), v in cells.items():
             above = cells.get((r - 1, c))
             if above is not None and above >= v:
                 raise ValueError(f"column {c} is not strictly increasing")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.shape == other.shape and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Tableau(shape={self.shape!r}, rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Tableau":

@@ -39,18 +39,25 @@ EXPORTED = [
 ]
 
 
-def loaded_after(code: str) -> set[str]:
-    """The qtab submodules a fresh interpreter holds after running code."""
-    probe = (
-        f"import sys\n{code}\n"
-        "import json\n"
-        "print(json.dumps(sorted(m[5:] for m in sys.modules if m.startswith('qtab.'))))"
-    )
+def modules_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running code."""
+    probe = f"import sys\n{code}\nimport json\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_after(code: str) -> set[str]:
+    """The qtab submodules a fresh interpreter holds after running code."""
+    return {m[5:] for m in modules_after(code) if m.startswith("qtab.")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """What the interpreter holds before any qtab code runs (site hooks included)."""
+    return modules_after("pass")
 
 
 def test_all_lists_the_eager_exports():
@@ -92,6 +99,10 @@ def test_import_qtab_loads_no_submodule():
 
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
+# the limits of the pattern theorems read the pattern weights of containment,
+# which imports every oracle module; the others need only the series
+_LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats"}
+_EVERY_MODULE = _LIMIT_KERNEL | {"containment", "jsets", "permutation", "rsk", "tableau"}
 
 
 COMMAND_MODULES = [
@@ -104,12 +115,23 @@ COMMAND_MODULES = [
     (["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"], {"cli", "polynomial", "tableau"}),
     (["jset", "21"], {"cli", "jsets", "permutation"}),
     (["j2", "count", "--max", "3"], {"cli", "jsets", "permutation"}),
+    (["rs", "21"], {"cli", "permutation", "polynomial", "rsk", "tableau"}),
+    (["limit", "tlim", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
+    (["limit", "alim", "--p", "1/2", "--q", "2/3", "--n", "4"], _LIMIT_KERNEL),
+    (["limit", "xi", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
+    (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL),
+    (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "4"], _EVERY_MODULE),
+    (["limit", "m3", "--tableau", _TAB_1, "--q", "1/2", "--n", "4"], _EVERY_MODULE),
+    (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _EVERY_MODULE - {"limits"}),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, modules", COMMAND_MODULES, ids=[" ".join(argv[:3]) for argv, _ in COMMAND_MODULES]
 )
-def test_command_loads_only_its_modules(argv, modules):
+def test_command_loads_only_its_modules(argv, modules, bare_modules):
     code = f"import qtab.cli\nassert qtab.cli.run({argv!r}) == 0"
-    assert loaded_after(code) == modules
+    loaded = modules_after(code)
+    assert {m[5:] for m in loaded if m.startswith("qtab.")} == modules
+    # dataclasses alone costs a fresh process more than the limit commands' work
+    assert "dataclasses" not in loaded - bare_modules

@@ -162,6 +162,26 @@ def test_eval_is_ring_homomorphism(f, g, pv, qv):
     assert (f * g).evaluate(pv, qv) == f.evaluate(pv, qv) * g.evaluate(pv, qv)
 
 
+def term_by_term(poly, pv, qv):
+    """The evaluation as one Fraction power and product per term."""
+    pv, qv = Fraction(pv), Fraction(qv)
+    return sum((c * pv**i * qv**j for (i, j), c in poly.sorted_terms()), Fraction(0))
+
+
+# points below 1, at 1, above 1, at 0 and negative
+POINTS = st.sampled_from([Fraction(1, 2), 1, Fraction(5, 2), 0, -1, Fraction(-2, 3)]) | (
+    st.fractions(min_value=-4, max_value=4, max_denominator=12)
+)
+
+
+@given(poly_strategy(), POINTS, POINTS)
+@example(ZERO, 0, 0)
+@example(BivarPoly({(0, 0): 3, (2, 5): -1}), 0, Fraction(-1, 3))
+def test_evaluate_matches_term_by_term_sum(poly, pv, qv):
+    value = poly.evaluate(pv, qv)
+    assert type(value) is Fraction and value == term_by_term(poly, pv, qv)
+
+
 @given(st.lists(st.integers(0, 300), max_size=8))
 def test_exact_division_roundtrip(coeffs):
     # pack f * [3] at q = 2^width, divide [3] out exactly and decode f again
