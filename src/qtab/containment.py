@@ -210,20 +210,25 @@ class IdentityReport:
 # -- theorem weights -------------------------------------------------------------
 #
 # A weight maps each cut size j to a polynomial: q marks the maj side, p the
-# imaj side.  The cached ones depend on the pattern's shape only.
+# imaj side.  Each is computed once per pattern and returned read-only; the
+# tableau weights depend on the pattern's shape only.
 
 
-def qlim1_weight(sigma: Permutation) -> dict[int, BivarPoly]:
+@lru_cache(maxsize=None)
+def qlim1_weight(sigma: Permutation) -> Mapping[int, BivarPoly]:
     """q^(maj of sigma's suffix past j), on the j-set of sigma."""
-    return {j: BivarPoly.monomial(0, sigma.suffix(j).maj()) for j in j_set(sigma)}
+    return MappingProxyType(
+        {j: BivarPoly.monomial(0, sigma.suffix(j).maj()) for j in j_set(sigma)}
+    )
 
 
-def m2_1_weight(sigma: Permutation, tau: Permutation) -> dict[int, BivarPoly]:
+@lru_cache(maxsize=None)
+def m2_1_weight(sigma: Permutation, tau: Permutation) -> Mapping[int, BivarPoly]:
     """p^(imaj of tau's j highest values) q^(maj of sigma's suffix past j), on the j2-set."""
-    return {
+    return MappingProxyType({
         j: BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
         for j in j2_set(sigma, tau)
-    }
+    })
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +274,23 @@ def pair_weight_sum(a: int, b: int) -> dict[int, BivarPoly]:
     }
 
 
+@lru_cache(maxsize=None)
+def _involution_cut_term(n: int, k: int) -> BivarPoly:
+    return qbinomial(n, k) * t_poly(k)
+
+
+@lru_cache(maxsize=None)
+def _pair_cut_term(m: int, n: int, k: int) -> BivarPoly:
+    return qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
+
+
 def involution_cut_sum(weight: Mapping[int, BivarPoly], m: int, n: int) -> BivarPoly:
     """sum_j w(j) [n choose k]_q t_k(q), k = n - m + j, for patterns of size m and
     n free points; cuts with k < 0 drop out."""
     total = ZERO
     for j, w in weight.items():
         if (k := n - m + j) >= 0:
-            total = total + w * qbinomial(n, k) * t_poly(k)
+            total = total + w * _involution_cut_term(n, k)
     return total
 
 
@@ -287,7 +302,7 @@ def pair_cut_sum(weight: Mapping[int, BivarPoly], a: int, b: int, m: int, n: int
     total = ZERO
     for j, w in weight.items():
         if (k := n - a + j) >= 0:
-            total = total + w * qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
+            total = total + w * _pair_cut_term(m, n, k)
     return total
 
 
@@ -482,8 +497,14 @@ def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityRep
     return permtotab_pair_reports(a_tab, b_tab, [j])[0]
 
 
-def _outer_shapes(base: Partition, added: int) -> list[Partition]:
-    return [lam for lam in partitions(base.size + added) if lam.contains(base)]
+@lru_cache(maxsize=None)
+def _partition_list(n: int) -> tuple[Partition, ...]:
+    return tuple(partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _outer_shapes(base: Partition, added: int) -> tuple[Partition, ...]:
+    return tuple(lam for lam in _partition_list(base.size + added) if lam.contains(base))
 
 
 def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
@@ -534,7 +555,7 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
         if m - k > beta.size or n - k > alpha.size:
             continue
         inner_count = 0
-        for mu in partitions(beta.size - (m - k)):
+        for mu in _partition_list(beta.size - (m - k)):
             if beta.contains(mu) and alpha.contains(mu) and alpha.size - mu.size == n - k:
                 inner_count += skew_syt_count(SkewShape(beta, mu)) * skew_syt_count(
                     SkewShape(alpha, mu)

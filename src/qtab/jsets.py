@@ -24,13 +24,15 @@ Brute-force j2-sets walk the cuts down from min(len sigma, len tau): a step
 pops the last letter r of sigma's standardized prefix, lowers the letters
 above r, and drops j from tau's low restriction.  The j-set of w is the
 j2-set of (w, w^-1): the low restriction of w^-1 at j inverts the prefix.
+The brute list of j2-sets of (w, w) stops each walk at its first kept cut
+below the top and looks up the rest among the sets of the smaller words.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .permutation import Permutation, word_low, word_std
 
@@ -321,14 +323,40 @@ def j_sets_of(n: int) -> frozenset[frozenset[int]]:
     return frozenset(_j_set_word(w) for w in itertools.permutations(range(1, n + 1)))
 
 
+def _j2_word_sets(n: int) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """Each w in S_n with J2(w, w), walking down from n to the first kept cut j < n
+    and reading the cuts up to j from ``_j2_memo(j)`` (see ``j2_sets_of``)."""
+    if n == 0:
+        yield (), frozenset((0,))
+        return
+    for w in itertools.permutations(range(1, n + 1)):
+        pre, low = list(w), list(w)
+        for j in range(n - 1, -1, -1):
+            r = pre.pop()
+            pre = [v - 1 if v > r else v for v in pre]
+            low.remove(j + 1)
+            if pre == low:
+                yield w, _j2_memo(j)[tuple(pre)] | {n}
+                break
+
+
+@lru_cache(maxsize=None)
+def _j2_memo(n: int) -> dict[tuple[int, ...], frozenset[int]]:
+    """J2(u, u) for every u in S_n, each distinct set one shared object."""
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    return {u: interned.setdefault(cuts, cuts) for u, cuts in _j2_word_sets(n)}
+
+
 @lru_cache(maxsize=None)
 def j2_sets_of(n: int) -> frozenset[frozenset[int]]:
     """All j2-sets of pairs (pi, pi) over permutations of [n] (brute force).
 
     Every j2-set with largest element n arises this way, so this is the full
-    list of j2-sets with maximum n.
+    list of j2-sets with maximum n.  Each walk stops at its first kept cut
+    j < n, where u = std(w[:j]) = low_j(w), and takes J2(u, u) for the cuts up
+    to j: for i <= j, std(w[:i]) = std(u[:i]) and low_i(w) = low_i(u).
     """
-    return frozenset(_j2_set_words(w, w) for w in itertools.permutations(range(1, n + 1)))
+    return frozenset(cuts for _, cuts in _j2_word_sets(n))
 
 
 def j2_count(n: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -293,12 +294,8 @@ class Tableau:
 
     def descents(self) -> frozenset[int]:
         """Entries i whose successor i + 1 sits in a strictly lower row."""
-        row_index = {}
-        for r, row in enumerate(self.rows, start=1):
-            for v in row:
-                row_index[v] = r
-        n = self.size
-        return frozenset(i for i in range(1, n) if row_index[i + 1] > row_index[i])
+        row_index = {v: r for r, row in enumerate(self.rows, start=1) for v in row}
+        return frozenset(i for i in range(1, self.size) if row_index[i + 1] > row_index[i])
 
     def maj(self) -> int:
         return sum(self.descents())
@@ -376,43 +373,45 @@ class Tableau:
         return "\n".join(lines)
 
 
+def _row_words(shape: SkewShape) -> Iterator[tuple[int, ...]]:
+    """The row of each entry 1..n for every standard filling, depth first with
+    rows tried top to bottom: a row's next cell is free when the row has room
+    and the cell above it is inner or filled.  ``ends[r]`` is row r's last inner
+    or filled column; row 0, never tried, ends at the first row's length."""
+    n, outer = shape.size, (0, *shape.outer.parts)
+    ends = [shape.outer.part(1), *map(shape.inner.part, range(1, len(outer)))]
+    word, i, r, top = [0] * n, 0, 1, len(outer)
+    while True:
+        if i == n:
+            yield tuple(word)
+        else:
+            while r < top and (ends[r] >= outer[r] or ends[r] >= ends[r - 1]):
+                r += 1
+            if r < top:
+                ends[r] += 1
+                word[i], i, r = r, i + 1, 1
+                continue
+        if i == 0:
+            return
+        i -= 1
+        ends[word[i]] -= 1
+        r = word[i] + 1
+
+
 def enumerate_syt(shape: SkewShape) -> Iterator[Tableau]:
     """All standard fillings of a skew shape, in a deterministic order."""
-    outer, inner = shape.outer, shape.inner
-    nrows = outer.length
-    n = shape.size
-    widths = [outer.part(r) - inner.part(r) for r in range(1, nrows + 1)]
-    rows: list[list[int]] = [[] for _ in range(nrows)]
-
-    def placeable(r: int) -> bool:
-        if len(rows[r]) >= widths[r]:
-            return False
-        col = inner.part(r + 1) + len(rows[r]) + 1
-        if r == 0:
-            return True
-        # cell above must be outside the skew shape or already filled
-        return col <= inner.part(r) or col <= inner.part(r) + len(rows[r - 1])
-
-    def fill(value: int) -> Iterator[Tableau]:
-        if value > n:
-            yield Tableau(shape, tuple(tuple(row) for row in rows))
-            return
-        for r in range(nrows):
-            if placeable(r):
-                rows[r].append(value)
-                yield from fill(value + 1)
-                rows[r].pop()
-
-    if n == 0:
-        yield Tableau(shape, tuple(() for _ in range(nrows)))
-        return
-    yield from fill(1)
+    rows = range(1, shape.outer.length + 1)
+    for w in _row_words(shape):
+        yield Tableau(shape, tuple(tuple(v for v, s in enumerate(w, 1) if s == r) for r in rows))
 
 
 @lru_cache(maxsize=None)
 def f_poly_enum(shape: SkewShape) -> BivarPoly:
-    """Maj generating polynomial by enumerating every standard filling (the oracle)."""
-    return BivarPoly(((0, t.maj()), 1) for t in enumerate_syt(shape))
+    """Maj generating polynomial by enumerating every standard filling (the oracle),
+    tallied from row words with no tableau built: i is a descent when entry i + 1
+    sits in a lower row than entry i."""
+    majs = Counter(sum(i for i in range(1, len(w)) if w[i - 1] < w[i]) for w in _row_words(shape))
+    return BivarPoly({(0, maj): c for maj, c in majs.items()})
 
 
 def _jacobi_trudi(shape: SkewShape, width: int) -> int:

@@ -34,6 +34,7 @@ from qtab.containment import (
     verify_permtotab,
     verify_permtotab_pair,
 )
+from qtab.limits import m3_1_lhs, m3_lhs
 from qtab.permutation import (
     Permutation,
     involution_words,
@@ -236,6 +237,17 @@ def test_m2_1_weights_sum_to_the_pair_weight_sum(a, b):
     assert totals == expected == pair_weight_sum(a, b)
 
 
+def test_pattern_weights_are_cached_read_only_mappings():
+    sigma, tau = Permutation.parse("2143"), Permutation.parse("312")
+    for weight, again in (
+        (qlim1_weight(sigma), qlim1_weight(Permutation.parse("2143"))),
+        (m2_1_weight(sigma, tau), m2_1_weight(Permutation.parse("2143"), Permutation.parse("312"))),
+    ):
+        assert weight is again
+        with pytest.raises(TypeError):
+            weight[0] = ZERO
+
+
 def test_pair_cut_sum_rejects_inconsistent_sizes():
     with pytest.raises(ValueError):
         pair_cut_sum(pair_weight_sum(1, 1), 1, 1, 2, 3)
@@ -387,6 +399,23 @@ def test_conjecture_probe_equals_enumeration_counts(n):
                 term *= count(lam, alpha) if lam.contains(alpha) else 0
             numerator += term
         assert conjecture_probe(patterns, n) == Fraction(numerator, denominator)
+
+
+PROBE_PAIRS = [
+    (Tableau.from_rows([[1]]), Tableau.from_rows([[1, 2]])),
+    (Tableau.from_rows([[1, 2]]), Tableau.from_rows([[1, 2], [3]])),
+    (Tableau.from_rows([[1], [2]]), Tableau.from_rows([[1, 3], [2]])),
+    (Tableau.from_rows([[1, 2], [3]]), Tableau.from_rows([[1, 2, 3]])),
+]
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_conjecture_probe_at_one_equals_the_m3_kernels(n):
+    # partition sums of skew counts against the cut-sum kernel of the limit theorems
+    for a_tab, b_tab in PROBE_PAIRS:
+        assert conjecture_probe([a_tab], n) == m3_lhs(a_tab, Fraction(1), n), a_tab
+        pair = m3_1_lhs(a_tab, b_tab, Fraction(1), Fraction(1), n)
+        assert conjecture_probe([a_tab, b_tab], n) == pair, (a_tab, b_tab)
 
 
 def test_conjecture_probe_rejects_skew_patterns():

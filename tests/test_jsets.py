@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from qtab.jsets import (
+    _j2_memo,
+    _j2_set_words,
+    _j2_word_sets,
     delta,
     delta_bar,
     format_entries,
@@ -84,6 +88,31 @@ def test_j2_sets_of_matches_per_cut_reference_through_8():
         words = itertools.permutations(range(1, n + 1))
         assert j2_sets_of(n) == {_j2_set_per_cut(w, w) for w in words}, n
     assert [j2_count(n) for n in range(9)] == j2_series(8)
+
+
+def test_j2_walk_matches_full_walk_per_word_through_8():
+    for n in range(9):
+        walked = dict(_j2_word_sets(n))
+        assert len(walked) == math.factorial(n)
+        for w, cuts in walked.items():
+            assert cuts == _j2_set_words(w, w), w
+
+
+def test_j2_set_below_a_kept_cut_is_that_of_the_prefix_through_7():
+    for n in range(8):
+        for w in itertools.permutations(range(1, n + 1)):
+            cuts = _j2_set_words(w, w)
+            for j in cuts:
+                u = word_std(w[:j])
+                assert u == word_low(w, j)
+                assert {i for i in cuts if i <= j} == _j2_set_words(u, u), (w, j)
+
+
+def test_j2_memo_shares_one_object_per_distinct_set():
+    for j in range(8):
+        memo = _j2_memo(j)
+        assert len(memo) == math.factorial(j)
+        assert len({id(cuts) for cuts in memo.values()}) == j2_count(j), j
 
 
 def test_delta_worked_example():

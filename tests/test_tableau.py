@@ -172,15 +172,51 @@ def test_hook_polynomial_equals_enumeration(n):
         assert f_poly_hook(shape) == f_poly_enum(SkewShape.straight(shape)), shape
 
 
+def _enumerate_syt_recursive(shape):
+    # the recursive generator the row walk replaced, frozen here as its order oracle
+    outer, inner = shape.outer, shape.inner
+    nrows, n = outer.length, shape.size
+    widths = [outer.part(r) - inner.part(r) for r in range(1, nrows + 1)]
+    rows = [[] for _ in range(nrows)]
+
+    def placeable(r):
+        if len(rows[r]) >= widths[r]:
+            return False
+        col = inner.part(r + 1) + len(rows[r]) + 1
+        if r == 0:
+            return True
+        return col <= inner.part(r) or col <= inner.part(r) + len(rows[r - 1])
+
+    def fill(value):
+        if value > n:
+            yield Tableau(shape, tuple(tuple(row) for row in rows))
+            return
+        for r in range(nrows):
+            if placeable(r):
+                rows[r].append(value)
+                yield from fill(value + 1)
+                rows[r].pop()
+
+    if n == 0:
+        yield Tableau(shape, tuple(() for _ in range(nrows)))
+        return
+    yield from fill(1)
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_skew_polynomial_and_count_equal_enumeration(n):
-    # every pair mu inside lam with |lam| = n: 862 pairs for n <= 8
+    # every pair mu inside lam with |lam| = n: 862 pairs for n <= 8.  The row walk
+    # gives the recursive generator's tableaux in its order, and the maj tallied
+    # from row words is the maj of each built tableau.
     for lam in partitions(n):
         for size in range(n + 1):
             for mu in partitions_inside(size, lam):
                 shape = SkewShape(lam, mu)
+                tabs = list(enumerate_syt(shape))
+                assert tabs == list(_enumerate_syt_recursive(shape)), shape
+                assert f_poly_enum(shape) == BivarPoly(((0, t.maj()), 1) for t in tabs), shape
                 assert f_poly(shape) == f_poly_enum(shape), shape
-                assert skew_syt_count(shape) == len(list(enumerate_syt(shape))), shape
+                assert skew_syt_count(shape) == len(tabs), shape
 
 
 def test_skew_determinant_beyond_enumeration():
