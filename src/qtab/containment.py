@@ -20,12 +20,13 @@ than a bare assertion.  The identities verified:
 
 Each identity is a sum over cut sizes j of a weight w(j) times a cut term
 T(j), and so is each limit theorem, which is the ratio of two such sums.  The
-weights are defined here once, as a polynomial per j: the pattern weights
-``qlim1_weight``, ``m2_1_weight``, ``m3_weight`` and ``m3_1_weight``, and the
-weight sums W(j) over all patterns of a size (``involution_weight_sum``,
-``pair_weight_sum``).  ``involution_cut_sum`` and ``pair_cut_sum`` are the two
-polynomial sums over the cuts.  The reports check these polynomials, and
-:mod:`qtab.limits` evaluates the same ones at rational points.
+weights, a polynomial per j, are defined once in :mod:`qtab.weights` and
+re-exported here: the pattern weights ``qlim1_weight``, ``m2_1_weight``,
+``m3_weight`` and ``m3_1_weight``, and the weight sums W(j) over all patterns
+of a size (``involution_weight_sum``, ``pair_weight_sum``).
+``involution_cut_sum`` and ``pair_cut_sum`` are the two polynomial sums over
+the cuts.  The reports check these polynomials, and :mod:`qtab.limits`
+evaluates the same ones at rational points without loading this module.
 
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
@@ -44,13 +45,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .jsets import j2_set, j_set
 from .permutation import Permutation, involution_words, involutions, permutations
 from .permutation import word_low, word_std
-from .polynomial import ZERO, BivarPoly, qbinomial, qfactorial
+from .polynomial import ZERO, BivarPoly, qbinomial
 from .rsk import rs
 from .stats import a_poly, t_count, t_poly
 from .tableau import (
@@ -59,11 +59,18 @@ from .tableau import (
     Tableau,
     conjecture_probe,
     enumerate_syt,
-    f_poly,
     f_poly_enum,
     partitions,
     partitions_inside,
     skew_syt_count,
+)
+from .weights import (
+    involution_weight_sum,
+    m2_1_weight,
+    m3_1_weight,
+    m3_weight,
+    pair_weight_sum,
+    qlim1_weight,
 )
 
 __all__ = [
@@ -207,73 +214,6 @@ class IdentityReport:
         )
 
 
-# -- theorem weights -------------------------------------------------------------
-#
-# A weight maps each cut size j to a polynomial: q marks the maj side, p the
-# imaj side.  Each is computed once per pattern and returned read-only; the
-# tableau weights depend on the pattern's shape only.
-
-
-@lru_cache(maxsize=None)
-def qlim1_weight(sigma: Permutation) -> Mapping[int, BivarPoly]:
-    """q^(maj of sigma's suffix past j), on the j-set of sigma."""
-    return MappingProxyType(
-        {j: BivarPoly.monomial(0, sigma.suffix(j).maj()) for j in j_set(sigma)}
-    )
-
-
-@lru_cache(maxsize=None)
-def m2_1_weight(sigma: Permutation, tau: Permutation) -> Mapping[int, BivarPoly]:
-    """p^(imaj of tau's j highest values) q^(maj of sigma's suffix past j), on the j2-set."""
-    return MappingProxyType({
-        j: BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
-        for j in j2_set(sigma, tau)
-    })
-
-
-@lru_cache(maxsize=None)
-def m3_weight(alpha: Partition) -> Mapping[int, BivarPoly]:
-    """Sum of f_{alpha/mu}(q) over the inner shapes mu of size j."""
-    return MappingProxyType({
-        j: sum((f_poly(SkewShape(alpha, mu)) for mu in partitions_inside(j, alpha)), ZERO)
-        for j in range(alpha.size + 1)
-    })
-
-
-@lru_cache(maxsize=None)
-def m3_1_weight(alpha: Partition, beta: Partition) -> Mapping[int, BivarPoly]:
-    """Sum of f_{beta/mu}(p) f_{alpha/mu}(q) over the inner shapes mu of size j in both."""
-    return MappingProxyType({
-        j: sum(
-            (
-                f_poly(SkewShape(beta, mu)).swap_variables() * f_poly(SkewShape(alpha, mu))
-                for mu in partitions_inside(j, alpha)
-                if beta.contains(mu)
-            ),
-            ZERO,
-        )
-        for j in range(min(alpha.size, beta.size) + 1)
-    })
-
-
-def involution_weight_sum(m: int) -> dict[int, BivarPoly]:
-    """W(j) = t_j C(m, j) [m-j]_q!, the involution weights summed over the patterns of size m."""
-    return {j: t_count(j) * math.comb(m, j) * qfactorial(m - j) for j in range(m + 1)}
-
-
-def pair_weight_sum(a: int, b: int) -> dict[int, BivarPoly]:
-    """W(j) = j! C(a, j) C(b, j) [b-j]_p! [a-j]_q!, the pair weights summed over the
-    patterns of sizes a and b."""
-    return {
-        j: math.factorial(j)
-        * math.comb(a, j)
-        * math.comb(b, j)
-        * qfactorial(b - j).swap_variables()
-        * qfactorial(a - j)
-        for j in range(min(a, b) + 1)
-    }
-
-
 @lru_cache(maxsize=None)
 def _involution_cut_term(n: int, k: int) -> BivarPoly:
     return qbinomial(n, k) * t_poly(k)
@@ -364,18 +304,33 @@ def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tupl
     counts of (imaj of the high restriction at a, maj of the suffix past b) by
     (low restriction at a, standardized prefix at b).  That imaj is the maj of
     the inverse word past a, so one suffix-maj pass over the word and one over
-    its inverse serve every a and b."""
+    its inverse serve every a and b.
+
+    The standardized prefix at b depends only on the raw prefix w[:b], and the
+    low restriction at a only on the positions inv[:a] of the values 1..a, so
+    each is computed once per raw key and looked up after."""
     if any(total < max(pair) for pair in pairs):
         raise ValueError("ambient size smaller than a pattern")
     counts: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
     sizes_a, sizes_b = {a for a, _ in counts}, {b for _, b in counts}
+    low_by_positions: dict[tuple[int, ...], tuple[int, ...]] = {}
+    std_by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
     inv = [0] * total
     for w in itertools.permutations(range(1, total + 1)):
         for i, v in enumerate(w, start=1):
             inv[v - 1] = i
         imajs, majs = _suffix_majs(inv), _suffix_majs(w)
-        lows = {a: word_low(w, a) for a in sizes_a}
-        heads = {b: word_std(w[:b]) for b in sizes_b}
+        lows, heads = {}, {}
+        for a in sizes_a:
+            key = tuple(inv[:a])
+            if (low := low_by_positions.get(key)) is None:
+                low = low_by_positions[key] = word_low(w, a)
+            lows[a] = low
+        for b in sizes_b:
+            key = w[:b]
+            if (head := std_by_prefix.get(key)) is None:
+                head = std_by_prefix[key] = word_std(key)
+            heads[b] = head
         for (a, b), bucket in counts.items():
             tally, stat = bucket.setdefault((lows[a], heads[b]), {}), (imajs[a], majs[b])
             tally[stat] = tally.get(stat, 0) + 1
@@ -507,6 +462,18 @@ def _outer_shapes(base: Partition, added: int) -> tuple[Partition, ...]:
     return tuple(lam for lam in _partition_list(base.size + added) if lam.contains(base))
 
 
+@lru_cache(maxsize=None)
+def _common_inner_counts(alpha: Partition, beta: Partition) -> dict[int, int]:
+    """By size, the sum of f^{beta/mu} f^{alpha/mu} over the shapes mu inside both."""
+    counts: dict[int, int] = {}
+    for size in range(min(alpha.size, beta.size) + 1):
+        for mu in partitions_inside(size, alpha):
+            if beta.contains(mu):
+                product = skew_syt_count(SkewShape(beta, mu)) * skew_syt_count(SkewShape(alpha, mu))
+                counts[size] = counts.get(size, 0) + product
+    return counts
+
+
 def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
     """Skew maj sums over all outer shapes (enumerated) vs binomial/involution closed form.
 
@@ -543,24 +510,24 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     )
     lhs = rhs = ZERO
     if m + alpha.size == n + beta.size:
+        # f_{lam/alpha}(p) f_{lam/beta}(q), summed term by term into one tally
+        tally: Counter = Counter()
         for lam in _outer_shapes(alpha, m):
             if lam.contains(beta):
-                lhs = lhs + (
-                    f_poly_enum(SkewShape(lam, alpha)).swap_variables()
-                    * f_poly_enum(SkewShape(lam, beta))
-                )
+                p_side = f_poly_enum(SkewShape(lam, alpha)).sorted_terms()
+                q_side = f_poly_enum(SkewShape(lam, beta)).sorted_terms()
+                for (_, i), c in p_side:
+                    for (_, j), d in q_side:
+                        tally[i, j] += c * d
+        lhs = BivarPoly(tally)
         rhs = pair_cut_sum(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
+    inner_counts = _common_inner_counts(alpha, beta)
     count_rhs = 0
     for k in range(min(m, n) + 1):
-        if m - k > beta.size or n - k > alpha.size:
-            continue
-        inner_count = 0
-        for mu in _partition_list(beta.size - (m - k)):
-            if beta.contains(mu) and alpha.contains(mu) and alpha.size - mu.size == n - k:
-                inner_count += skew_syt_count(SkewShape(beta, mu)) * skew_syt_count(
-                    SkewShape(alpha, mu)
-                )
-        count_rhs += math.comb(m, k) * math.comb(n, k) * math.factorial(k) * inner_count
+        size = beta.size - (m - k)
+        if size >= 0 and alpha.size - size == n - k >= 0:
+            pairs = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+            count_rhs += pairs * inner_counts.get(size, 0)
     report.record(f"alpha={alpha} beta={beta} m={m} n={n}", lhs, rhs)
     report.record(
         f"alpha={alpha} beta={beta} m={m} n={n} p=q=1 count",

@@ -13,7 +13,7 @@ which runs on the parameter tuple as the series of :mod:`qtab.stats` does:
 pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
 finite n or in the limit, where W(j) is the weight summed over all patterns
 of the sizes.  The weights and their sums W(j) are the polynomials
-:mod:`qtab.containment` defines and ``qtab verify`` checks; the kernel
+:mod:`qtab.weights` defines and ``qtab verify`` checks; the kernel
 evaluates them at (p, q).  A :class:`ConvergenceReport` renders its rows as
 text, CSV or JSON.
 
@@ -44,8 +44,8 @@ from .stats import (
     t_scaled_value,
 )
 
-# The pattern theorems import their weights from :mod:`qtab.containment` when
-# they run, so that tlim, alim, xi and eq8 do not load the oracle modules.
+# The pattern theorems import their weights from :mod:`qtab.weights` when they
+# run, so that tlim, alim, xi and eq8 do not load it.
 if TYPE_CHECKING:
     from .permutation import Permutation
     from .tableau import Tableau
@@ -153,7 +153,7 @@ def _family(
     scaled series' rate (``t_limit`` or ``a_limit``), so with p and q on
     opposite sides of 1 only the cut j = 0 remains.
     """
-    from .containment import involution_weight_sum, pair_weight_sum
+    from .weights import involution_weight_sum, pair_weight_sum
 
     params = tuple(Fraction(v) for v in params)
     if len(params) == 1:
@@ -183,14 +183,14 @@ def qlim1_lhs(sigma: Permutation, q: Fraction, n: int) -> Fraction:
     the sum over all involutions of [n]; both sides assembled from Gaussian
     binomials and involution maj values rather than enumeration.
     """
-    from .containment import qlim1_weight
+    from .weights import qlim1_weight
 
     return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), n)
 
 
 def qlim1_rhs(sigma: Permutation, q: Fraction) -> Fraction:
     """Limit of the involution containment ratio."""
-    from .containment import qlim1_weight
+    from .weights import qlim1_weight
 
     return _family(qlim1_weight(sigma), sigma.size, sigma.size, (q,), None)
 
@@ -199,14 +199,14 @@ def m2_1_lhs(
     sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n pair containment ratio over permutations of [n]."""
-    from .containment import m2_1_weight
+    from .weights import m2_1_weight
 
     return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), n)
 
 
 def m2_1_rhs(sigma: Permutation, tau: Permutation, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the pair containment ratio."""
-    from .containment import m2_1_weight
+    from .weights import m2_1_weight
 
     return _family(m2_1_weight(sigma, tau), sigma.size, tau.size, (p, q), None)
 
@@ -218,14 +218,14 @@ def m3_lhs(a_tab: Tableau, q: Fraction, n: int) -> Fraction:
     containing the pattern from Gaussian binomials, involution maj values,
     and inner skew sums of the pattern's shape.
     """
-    from .containment import m3_weight
+    from .weights import m3_weight
 
     return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), n)
 
 
 def m3_rhs(a_tab: Tableau, q: Fraction) -> Fraction:
     """Limit of the tableau containment ratio."""
-    from .containment import m3_weight
+    from .weights import m3_weight
 
     return _family(m3_weight(a_tab.straight_shape()), a_tab.size, a_tab.size, (q,), None)
 
@@ -234,7 +234,7 @@ def m3_1_lhs(
     a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction, n: int
 ) -> Fraction:
     """Finite-n same-shape pair containment ratio for tableaux."""
-    from .containment import m3_1_weight
+    from .weights import m3_1_weight
 
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
     return _family(weight, a_tab.size, b_tab.size, (p, q), n)
@@ -242,7 +242,7 @@ def m3_1_lhs(
 
 def m3_1_rhs(a_tab: Tableau, b_tab: Tableau, p: Fraction, q: Fraction) -> Fraction:
     """Limit of the same-shape pair containment ratio."""
-    from .containment import m3_1_weight
+    from .weights import m3_1_weight
 
     weight = m3_1_weight(a_tab.straight_shape(), b_tab.straight_shape())
     return _family(weight, a_tab.size, b_tab.size, (p, q), None)

@@ -9,7 +9,8 @@ Cauchy's identity gives the joint (imaj, maj) value over all permutations
 (``a_value``), whose polynomial (``a_poly``) sums hook-length products over
 same-shape pairs of tableaux.  Each point's prefix is cached and grows on
 demand, so every caller at one point shares a single series; the scaled
-evaluators that :mod:`qtab.limits` reads divide it by q-factorials.  The test
+evaluators that :mod:`qtab.limits` reads divide it by q-factorials, whose
+values at each point are a cached prefix of their own.  The test
 suite pins each closed form to enumeration and to the partition/hook-length
 sums, and the CLI reports which path produced a polynomial.
 """
@@ -110,11 +111,19 @@ def q_integer_value(h: int, q: Fraction) -> Fraction:
     return (q**h - 1) / (q - 1)
 
 
+# Per point q, the prefix [0]_q!, [1]_q!, ...; like _SERIES it only ever grows.
+_Q_FACTORIALS: dict[Fraction, list[Fraction]] = {}
+
+
 def q_factorial_value(n: int, q: Fraction) -> Fraction:
-    value = Fraction(1)
-    for i in range(1, n + 1):
-        value *= q_integer_value(i, q)
-    return value
+    """Value of [n]_q! = [1]_q [2]_q ... [n]_q at a rational point."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    q = Fraction(q)
+    values = _Q_FACTORIALS.setdefault(q, [Fraction(1)])
+    while len(values) <= n:
+        values.append(values[-1] * q_integer_value(len(values), q))
+    return values[n]
 
 
 # Littlewood's and Cauchy's identities under principal specialization
@@ -176,7 +185,7 @@ def t_value(n: int, q: Fraction) -> Fraction:
 
 def t_scaled_value(n: int, q: Fraction) -> Fraction:
     """Involutions' maj polynomial at q, divided by the q-factorial of n."""
-    return t_value(n, q) / q_factorial_value(n, Fraction(q))
+    return t_value(n, q) / q_factorial_value(n, q)
 
 
 def a_value(n: int, p: Fraction, q: Fraction) -> Fraction:

@@ -99,10 +99,13 @@ def test_import_qtab_loads_no_submodule():
 
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
-# the limits of the pattern theorems read the pattern weights of containment,
-# which imports every oracle module; the others need only the series
+# tlim, alim, xi and eq8 need only the series; the pattern theorems add the
+# weights and what those read: the j-sets of permutation patterns, or the skew
+# polynomials of tableau shapes, never the oracle modules
 _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats"}
-_EVERY_MODULE = _LIMIT_KERNEL | {"containment", "jsets", "permutation", "rsk", "tableau"}
+_PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
+_TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
+_EVERY_MODULE = _LIMIT_KERNEL | {"containment", "jsets", "permutation", "rsk", "tableau", "weights"}
 
 
 COMMAND_MODULES = [
@@ -120,8 +123,17 @@ COMMAND_MODULES = [
     (["limit", "alim", "--p", "1/2", "--q", "2/3", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "xi", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL),
-    (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "4"], _EVERY_MODULE),
-    (["limit", "m3", "--tableau", _TAB_1, "--q", "1/2", "--n", "4"], _EVERY_MODULE),
+    (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "4"], _PERMUTATION_LIMIT),
+    (
+        ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "1/2", "--q", "2/3", "--n", "4"],
+        _PERMUTATION_LIMIT,
+    ),
+    (["limit", "m3", "--tableau", _TAB_1, "--q", "1/2", "--n", "4"], _TABLEAU_LIMIT),
+    (
+        ["limit", "m3-1", "--tableau", _TAB_1, "--tableau2", _TAB_1, "--p", "1/2", "--q", "2/3",
+         "--n", "4"],
+        _TABLEAU_LIMIT,
+    ),
     (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _EVERY_MODULE - {"limits"}),
 ]
 
@@ -135,3 +147,24 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     assert {m[5:] for m in loaded if m.startswith("qtab.")} == modules
     # dataclasses alone costs a fresh process more than the limit commands' work
     assert "dataclasses" not in loaded - bare_modules
+
+
+def test_every_limit_kind_has_its_module_set_pinned():
+    from qtab import cli
+
+    pinned = {argv[1] for argv, _ in COMMAND_MODULES if argv[0] == "limit"}
+    assert pinned == set(cli._LIMIT_KINDS)
+
+
+WEIGHTS = [
+    "qlim1_weight", "m2_1_weight", "m3_weight", "m3_1_weight",
+    "involution_weight_sum", "pair_weight_sum",
+]
+
+
+@pytest.mark.parametrize("name", WEIGHTS)
+def test_containment_reexports_each_weight(name):
+    from qtab import containment, weights
+
+    assert name in weights.__all__ and name in containment.__all__
+    assert getattr(containment, name) is getattr(weights, name)

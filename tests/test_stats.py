@@ -121,6 +121,23 @@ def test_q_values_against_polynomials():
     assert q_integer_value(5, Fraction(1)) == 5
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2), Fraction(1), Fraction(2, 3)])
+def test_q_factorial_prefix_matches_the_direct_product(q, monkeypatch):
+    from qtab import stats
+
+    # an empty cache, grown out of order: the largest n first, then the rest
+    monkeypatch.setattr(stats, "_Q_FACTORIALS", {})
+    order = [30, 7, 0, 15, *range(31)]
+    for n in order:
+        direct = Fraction(1)
+        for i in range(1, n + 1):
+            direct *= q_integer_value(i, q)
+        assert q_factorial_value(n, q) == direct
+    assert len(stats._Q_FACTORIALS[q]) == 31
+    with pytest.raises(ValueError):
+        q_factorial_value(-1, q)
+
+
 @pytest.mark.parametrize("n", range(0, 8))
 def test_rational_evaluators_match_enumeration(n):
     q = Fraction(1, 3)
