@@ -243,7 +243,7 @@ def _cmd_j2(args) -> int:
         raise UsageError(f"--max must be nonnegative, got {n_max}")
     if args.method == "brute":
         _check_enum_size(n_max, "permutation enumeration")
-        counts = [jsets.j2_count(n) for n in range(n_max + 1)]
+        counts = jsets.j2_counts(n_max)
     else:
         counts = jsets.j2_series(n_max)
     _emit(

@@ -262,14 +262,22 @@ def _suffix_majs(word: Sequence[int]) -> list[int]:
 
 def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
     """One sweep of the involutions of [total] for every pattern size m:
-    counts of the suffix maj past m, by low restriction at m."""
+    counts of the suffix maj past m, by low restriction at m.
+
+    In an involution the values 1..m sit at the positions w[:m], so the low
+    restriction at m depends only on that raw prefix and is computed once per
+    prefix, as in ``permcont2_buckets``."""
     if any(m > total for m in sizes):
         raise ValueError("ambient size smaller than a pattern")
     counts: dict[int, dict] = {m: {} for m in sizes}
+    low_by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in involution_words(total):
         majs = _suffix_majs(w)
         for m, bucket in counts.items():
-            tally = bucket.setdefault(word_low(w, m), {})
+            key = w[:m]
+            if (low := low_by_prefix.get(key)) is None:
+                low = low_by_prefix[key] = word_low(w, m)
+            tally = bucket.setdefault(low, {})
             tally[majs[m]] = tally.get(majs[m], 0) + 1
     return counts
 
@@ -463,6 +471,15 @@ def _outer_shapes(base: Partition, added: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
+def _outer_majs(base: Partition, added: int) -> dict[Partition, tuple[tuple[int, int], ...]]:
+    """The (maj, count) terms of f_{lam/base}, for each lam in ``_outer_shapes(base, added)``."""
+    return {
+        lam: tuple((maj, c) for (_, maj), c in f_poly_enum(SkewShape(lam, base)).sorted_terms())
+        for lam in _outer_shapes(base, added)
+    }
+
+
+@lru_cache(maxsize=None)
 def _common_inner_counts(alpha: Partition, beta: Partition) -> dict[int, int]:
     """By size, the sum of f^{beta/mu} f^{alpha/mu} over the shapes mu inside both."""
     counts: dict[int, int] = {}
@@ -510,14 +527,14 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     )
     lhs = rhs = ZERO
     if m + alpha.size == n + beta.size:
-        # f_{lam/alpha}(p) f_{lam/beta}(q), summed term by term into one tally
+        # f_{lam/alpha}(p) f_{lam/beta}(q), summed term by term into one tally; the
+        # shapes of size |alpha| + m that contain beta are those outer to beta by n
         tally: Counter = Counter()
-        for lam in _outer_shapes(alpha, m):
-            if lam.contains(beta):
-                p_side = f_poly_enum(SkewShape(lam, alpha)).sorted_terms()
-                q_side = f_poly_enum(SkewShape(lam, beta)).sorted_terms()
-                for (_, i), c in p_side:
-                    for (_, j), d in q_side:
+        q_majs = _outer_majs(beta, n)
+        for lam, p_side in _outer_majs(alpha, m).items():
+            if (q_side := q_majs.get(lam)) is not None:
+                for i, c in p_side:
+                    for j, d in q_side:
                         tally[i, j] += c * d
         lhs = BivarPoly(tally)
         rhs = pair_cut_sum(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)

@@ -25,7 +25,9 @@ pops the last letter r of sigma's standardized prefix, lowers the letters
 above r, and drops j from tau's low restriction.  The j-set of w is the
 j2-set of (w, w^-1): the low restriction of w^-1 at j inverts the prefix.
 The brute list of j2-sets of (w, w) stops each walk at its first kept cut
-below the top and looks up the rest among the sets of the smaller words.
+below the top and looks up the rest among the sets of the smaller words; it
+walks ``bytes`` words, since n! bounds the sizes it can reach, while
+``j_set``/``j2_set`` walk words of any length.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "j_sets_of",
     "j2_sets_of",
     "j2_count",
+    "j2_counts",
     "j2_series",
     "parse_int_set",
     "format_int_set",
@@ -64,11 +67,16 @@ Entry = tuple[int, bool]
 
 
 def parse_int_set(text: str) -> frozenset[int]:
-    """Parse a comma list such as ``0,1,3,6``."""
+    """Parse a comma list such as ``0,1,3,6``; a malformed token raises ValueError."""
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(tok) for tok in text.split(","))
+    try:
+        return frozenset(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"cannot parse set {text!r}: expected integers separated by commas, like 0,1,3"
+        ) from None
 
 
 def format_int_set(values: Iterable[int]) -> str:
@@ -323,26 +331,35 @@ def j_sets_of(n: int) -> frozenset[frozenset[int]]:
     return frozenset(_j_set_word(w) for w in itertools.permutations(range(1, n + 1)))
 
 
-def _j2_word_sets(n: int) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-    """Each w in S_n with J2(w, w), walking down from n to the first kept cut j < n
-    and reading the cuts up to j from ``_j2_memo(j)`` (see ``j2_sets_of``)."""
+def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
+    """Each w in S_n, as a ``bytes`` word, with J2(w, w), walking down from n to
+    the first kept cut j < n and reading the cuts up to j from ``_j2_memo(j)``
+    (see ``j2_sets_of``).
+
+    A step is three C calls: ``translate`` pops the last letter r of the
+    standardized prefix and lowers the letters above r, ``replace`` drops j + 1
+    from the low restriction, and the two words are compared.  The tables are
+    built per call for letters up to n, so importing this module builds none."""
     if n == 0:
-        yield (), frozenset((0,))
+        yield b"", frozenset((0,))
         return
-    for w in itertools.permutations(range(1, n + 1)):
-        pre, low = list(w), list(w)
+    # drop[r] maps v to v - 1 above r; letter[v] is the one-letter word v
+    drop = [bytes(range(r + 1)) + bytes(range(r, 255)) for r in range(n + 1)]
+    letter = [bytes((v,)) for v in range(n + 1)]
+    for w in map(bytes, itertools.permutations(range(1, n + 1))):
+        pre = low = w
         for j in range(n - 1, -1, -1):
-            r = pre.pop()
-            pre = [v - 1 if v > r else v for v in pre]
-            low.remove(j + 1)
+            pre = pre[:-1].translate(drop[pre[-1]])
+            low = low.replace(letter[j + 1], b"")
             if pre == low:
-                yield w, _j2_memo(j)[tuple(pre)] | {n}
+                yield w, _j2_memo(j)[pre] | {n}
                 break
 
 
 @lru_cache(maxsize=None)
-def _j2_memo(n: int) -> dict[tuple[int, ...], frozenset[int]]:
-    """J2(u, u) for every u in S_n, each distinct set one shared object."""
+def _j2_memo(n: int) -> dict[bytes, frozenset[int]]:
+    """J2(u, u) for every u in S_n, keyed by the ``bytes`` word of u, each
+    distinct set one shared object."""
     interned: dict[frozenset[int], frozenset[int]] = {}
     return {u: interned.setdefault(cuts, cuts) for u, cuts in _j2_word_sets(n)}
 
@@ -362,6 +379,19 @@ def j2_sets_of(n: int) -> frozenset[frozenset[int]]:
 def j2_count(n: int) -> int:
     """Number of j2-sets with largest element n, by brute force over [n]."""
     return len(j2_sets_of(n))
+
+
+def j2_counts(n_max: int) -> list[int]:
+    """``j2_count(n)`` for n = 0..n_max, walking each S_n once.
+
+    The walk of S_n_max fills ``_j2_memo(j)`` for every j < n_max, and the
+    distinct values of that memo are the j2-sets with maximum j.  The top size
+    is not memoized: its n_max! words are not needed again.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    top = j2_count(n_max)
+    return [len(set(_j2_memo(j).values())) for j in range(n_max)] + [top]
 
 
 def j2_series(n_max: int) -> list[int]:

@@ -134,6 +134,15 @@ def test_j2set_check(capsys):
     assert "j2-set: no" in out_of(capsys)
 
 
+@pytest.mark.parametrize("text", ["{0,1,3}", "0,,1", "a", "0,1,"])
+def test_j2set_check_malformed_set_is_a_usage_error(text, capsys):
+    assert run(["j2set", "check", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "0,1,3" in captured.err
+    assert "invalid literal" not in captured.err
+
+
 def test_j2_count_gf(capsys):
     assert run(["j2", "count", "--max", "15", "--method", "gf"]) == 0
     assert out_of(capsys) == "1,1,1,2,4,8,15,29,55,105,200,381,725,1381,2629,5005"

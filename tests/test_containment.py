@@ -46,13 +46,14 @@ from qtab.permutation import (
     word_maj,
     word_std,
 )
-from qtab.polynomial import ZERO, qfactorial
+from qtab.polynomial import ZERO, BivarPoly, qfactorial
 from qtab.stats import t_count
 from qtab.tableau import (
     Partition,
     SkewShape,
     Tableau,
     enumerate_syt,
+    f_poly_enum,
     partitions,
     skew_syt_count,
 )
@@ -167,6 +168,17 @@ def test_permcont1_buckets_equal_per_word_statistics():
             for w in involution_words(total):
                 _tally(expected, word_low(w, m), word_maj(w[m:]))
             assert swept[m] == expected, (m, total)
+
+
+def test_involution_low_restriction_is_a_function_of_the_raw_prefix_through_9():
+    # permcont1_buckets keys its low restrictions on w[:m]: in an involution the
+    # values 1..m sit at the positions w[:m]
+    for n in range(10):
+        for m in range(n + 1):
+            low_by_prefix = {}
+            for w in involution_words(n):
+                low = low_by_prefix.setdefault(w[:m], word_low(w, m))
+                assert low == word_low(w, m), (w, m)
 
 
 def test_permcont2_buckets_equal_per_word_statistics():
@@ -346,6 +358,18 @@ def test_majgen1_small():
                 n = m + alpha.size - beta.size
                 if 0 <= n <= 3:
                     assert verify_majgen1(alpha, beta, m, n).passed
+
+
+def test_outer_majs_are_the_outer_shapes_maj_terms():
+    for size in range(5):
+        for base in partitions(size):
+            for added in range(6):
+                majs = containment._outer_majs(base, added)
+                assert tuple(majs) == containment._outer_shapes(base, added)
+                for lam, terms in majs.items():
+                    poly = BivarPoly({(0, maj): c for maj, c in terms})
+                    assert poly == f_poly_enum(SkewShape(lam, base)), (lam, base)
+                    assert [maj for maj, _ in terms] == sorted({maj for maj, _ in terms})
 
 
 def test_report_failure_shape():

@@ -118,6 +118,7 @@ COMMAND_MODULES = [
     (["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"], {"cli", "polynomial", "tableau"}),
     (["jset", "21"], {"cli", "jsets", "permutation"}),
     (["j2", "count", "--max", "3"], {"cli", "jsets", "permutation"}),
+    (["j2", "count", "--method", "brute", "--max", "3"], {"cli", "jsets", "permutation"}),
     (["rs", "21"], {"cli", "permutation", "polynomial", "rsk", "tableau"}),
     (["limit", "tlim", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "alim", "--p", "1/2", "--q", "2/3", "--n", "4"], _LIMIT_KERNEL),

@@ -15,6 +15,7 @@ from qtab.jsets import (
     is_j_set,
     is_overpartition,
     j2_count,
+    j2_counts,
     j2_extend_ok,
     j2_series,
     j2_set,
@@ -94,6 +95,7 @@ def test_j2_walk_matches_full_walk_per_word_through_8():
     for n in range(9):
         walked = dict(_j2_word_sets(n))
         assert len(walked) == math.factorial(n)
+        assert all(type(w) is bytes for w in walked)
         for w, cuts in walked.items():
             assert cuts == _j2_set_words(w, w), w
 
@@ -113,6 +115,19 @@ def test_j2_memo_shares_one_object_per_distinct_set():
         memo = _j2_memo(j)
         assert len(memo) == math.factorial(j)
         assert len({id(cuts) for cuts in memo.values()}) == j2_count(j), j
+
+
+def test_j2_counts_walk_each_size_once_through_8():
+    for n in range(9):
+        j2_sets_of.cache_clear()
+        _j2_memo.cache_clear()
+        counts = j2_counts(n)
+        # the top size is walked without a memo, every smaller size once into one
+        assert _j2_memo.cache_info().currsize == n
+        assert j2_sets_of.cache_info().currsize == 1
+        assert counts == [j2_count(k) for k in range(n + 1)] == j2_series(n), n
+    with pytest.raises(ValueError):
+        j2_counts(-1)
 
 
 def test_delta_worked_example():
@@ -309,3 +324,4 @@ def test_set_formats():
     assert parse_int_set("0,1,3,6") == frozenset({0, 1, 3, 6})
     assert format_int_set({3, 0, 1}) == "0,1,3"
     assert parse_int_set("") == frozenset()
+
