@@ -15,16 +15,17 @@ import importlib
 
 # home module -> the names it exports at package level
 _EXPORTS = {
+    "blocks": "BinaryWord PhiImage ZeroOneMatrix matrix_of phi phi_inverse shuffle",
+    "bounds": "BoundReport Eq8Report check_bound eq8_check",
     "containment": """IdentityReport contains enum_inv_containing enum_pair_containing
         enum_perm_containing enum_tab_containing pair_contains tab_contains verify_majgen
         verify_majgen1 verify_permcont1 verify_permcont2 verify_permtotab verify_permtotab_pair""",
-    "jsets": """JProfile delta delta_bar is_j2_set is_j_set j2_count j2_extend_ok j2_series
-        j2_set j_extend_ok j_profile j_set psi psi2""",
-    "limits": """BoundReport ConvergenceReport Eq8Report a_ratio check_bound contraction
-        eq8_check m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs m3_lhs m3_rhs qlim1_lhs qlim1_rhs
-        t_ratio xi_partial xi_product_with_tail""",
-    "permutation": """BinaryWord Permutation PhiImage ZeroOneMatrix involutions matrix_of
-        permutations phi phi_inverse shuffle standardize""",
+    "jcriteria": """JProfile delta delta_bar is_j2_set is_j_set j2_extend_ok j2_series
+        j_extend_ok j_profile psi psi2""",
+    "jsets": "j2_count j2_set j_set",
+    "limits": """ConvergenceReport a_ratio contraction m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs
+        m3_lhs m3_rhs qlim1_lhs qlim1_rhs t_ratio xi_partial xi_product_with_tail""",
+    "permutation": "Permutation involutions permutations standardize",
     "polynomial": "BivarPoly format_decimal q_integer qbinomial qfactorial",
     "rsk": "rs rs_inverse rs_involution rs_involution_inverse",
     "stats": """a_poly a_poly_enum a_value q_factorial_value t_count t_poly

@@ -11,7 +11,7 @@ the maj side and p the imaj side.
 
 Each weight is computed once per pattern, or once per pattern size for the
 sums, and returned read-only; the tableau weights depend on the pattern's
-shape only.  The j-set criteria and the tableau functions are imported by
+shape only.  The j-sets and the tableau functions are imported by
 the weights that read them, so a limit over permutation patterns loads no
 tableau code and one over tableau patterns no permutation code.
 """

@@ -63,8 +63,9 @@ from qtab import (
     xi_partial,
     xi_product_with_tail,
 )
-from qtab.jsets import delta, delta_bar, format_entries, j2_sets_of, j_sets_of, psi, psi2
-from qtab.permutation import binary_words
+from qtab.blocks import binary_words
+from qtab.jcriteria import delta, delta_bar, format_entries, psi, psi2
+from qtab.jsets import j2_sets_of, j_sets_of
 from qtab.polynomial import BivarPoly, format_decimal
 
 HALF = Fraction(1, 2)

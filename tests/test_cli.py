@@ -77,6 +77,26 @@ def test_qpoly_binomial_rejects(capsys):
     assert run(["qpoly", "binomial", "3", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpoly", "factorial", "x"],
+        ["qpoly", "tn", "x"],
+        ["qpoly", "an", "2.5"],
+        ["qpoly", "binomial", "5", "x"],
+        ["qpoly", "binomial", "x", "2"],
+    ],
+)
+def test_qpoly_non_integer_operand_is_named(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(tok for tok in argv[2:] if not tok.isdigit())
+    assert captured.err == (
+        f"error: qpoly {argv[1]}: cannot parse operand {bad!r}: expected an integer, like 5\n"
+    )
+
+
 def test_qpoly_tn_methods_agree(capsys):
     assert run(["qpoly", "tn", "6", "--method", "enum"]) == 0
     enum_out = out_of(capsys).splitlines()[-1]
@@ -340,7 +360,8 @@ def test_limit_eq8(capsys):
 
 def test_limit_json_carries_xi_tail_and_eq8_stride(capsys):
     # the values text mode prints on its trailing lines, as exact fractions
-    from qtab.limits import eq8_check, xi_product_with_tail
+    from qtab.bounds import eq8_check
+    from qtab.limits import xi_product_with_tail
 
     assert run(["limit", "xi", "--q", "1/2", "--n", "10", "--precision", "1/1000", "--json"]) == 0
     payload = json.loads(out_of(capsys))
@@ -448,14 +469,25 @@ def test_limit_bad_precision_or_digits_prints_nothing(argv, capsys):
         ["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "5", "--a", "2"],
         ["limit", "xi", "--q", "1/2", "--n", "5", "--a", "1"],
         ["limit", "eq8", "--n", "20", "--precision", "1/10"],
+        ["limit", "qlim1", "--sigma", "21", "--tau", "12", "--q", "1/2", "--n", "5"],
+        ["limit", "tlim", "--q", "1/2", "--p", "1/2", "--n", "5"],
+        ["limit", "tlim", "--q", "1/2", "--n", "5", "--tableau", "x"],
+        ["limit", "alim", "--p", "1/2", "--q", "1/2", "--n", "5", "--sigma", "12"],
+        ["limit", "eq8", "--q", "1/2", "--n", "5"],
+        ["limit", "m3", "--tableau", '{"outer":[1],"rows":[[1]]}', "--q", "1/2", "--n", "5"]
+        + ["--sigma", "21"],
+        ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "1/2", "--q", "1/2", "--n", "5"]
+        + ["--tableau2", '{"outer":[1],"rows":[[1]]}'],
     ],
 )
 def test_limit_rejects_options_its_kind_ignores(argv, capsys):
-    # --precision is read only by xi, --a only by eq8, --digits not under --json
+    # --precision is read only by xi, --a only by eq8, --digits not under --json,
+    # and each pattern or parameter option only by the kinds that list it
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: limit {argv[1]} does not read --")
+    assert captured.err.split()[6] in argv  # the option named is one that was passed
 
 
 def test_limit_options_apply_where_read(capsys):

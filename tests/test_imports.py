@@ -4,6 +4,7 @@ The module sets are read in fresh interpreters, since an import made by any
 earlier test in this process would hide a top-level import added later.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -99,31 +100,41 @@ def test_import_qtab_loads_no_submodule():
 
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
-# tlim, alim, xi and eq8 need only the series; the pattern theorems add the
-# weights and what those read: the j-sets of permutation patterns, or the skew
-# polynomials of tableau shapes, never the oracle modules
+# tlim, alim, xi and eq8 need only the series (eq8 adds its ratios); the
+# pattern theorems add the weights and what those read: the j-sets of
+# permutation patterns, or the skew polynomials of tableau shapes, never the
+# oracle modules, the j-set criteria or the handlers of the other commands
 _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats"}
 _PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
 _TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
-_EVERY_MODULE = _LIMIT_KERNEL | {"containment", "jsets", "permutation", "rsk", "tableau", "weights"}
+_COMMANDS = {"cli", "commands"}
+_VERIFY = _COMMANDS | {
+    "containment", "jsets", "permutation", "polynomial", "rsk", "stats", "tableau", "weights"
+}
 
 
 COMMAND_MODULES = [
-    (["stat", "perm", "21"], {"cli", "permutation"}),
-    (["qpoly", "factorial", "5"], {"cli", "polynomial"}),
-    (["qpoly", "binomial", "6", "2"], {"cli", "polynomial"}),
-    (["qpoly", "fshape", "3,2/1"], {"cli", "polynomial", "tableau"}),
-    (["qpoly", "tn", "6"], {"cli", "polynomial", "stats"}),
-    (["qpoly", "an", "5"], {"cli", "polynomial", "stats", "tableau"}),
-    (["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"], {"cli", "polynomial", "tableau"}),
-    (["jset", "21"], {"cli", "jsets", "permutation"}),
-    (["j2", "count", "--max", "3"], {"cli", "jsets", "permutation"}),
-    (["j2", "count", "--method", "brute", "--max", "3"], {"cli", "jsets", "permutation"}),
-    (["rs", "21"], {"cli", "permutation", "polynomial", "rsk", "tableau"}),
+    (["stat", "perm", "21"], _COMMANDS | {"permutation"}),
+    (["stat", "tab", _TAB_1], _COMMANDS | {"polynomial", "tableau"}),
+    (["qpoly", "factorial", "5"], _COMMANDS | {"polynomial"}),
+    (["qpoly", "binomial", "6", "2"], _COMMANDS | {"polynomial"}),
+    (["qpoly", "fshape", "3,2/1"], _COMMANDS | {"polynomial", "tableau"}),
+    (["qpoly", "tn", "6"], _COMMANDS | {"polynomial", "stats"}),
+    (["qpoly", "an", "5"], _COMMANDS | {"polynomial", "stats", "tableau"}),
+    (
+        ["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"],
+        _COMMANDS | {"polynomial", "tableau"},
+    ),
+    (["jset", "21"], _COMMANDS | {"jcriteria", "jsets", "permutation"}),
+    (["j2set", "21", "12"], _COMMANDS | {"jcriteria", "jsets", "permutation"}),
+    (["j2set", "check", "0,1,3"], _COMMANDS | {"jcriteria"}),
+    (["j2", "count", "--max", "3", "--method", "gf"], _COMMANDS | {"jcriteria"}),
+    (["j2", "count", "--method", "brute", "--max", "3"], _COMMANDS | {"jsets", "permutation"}),
+    (["rs", "21"], _COMMANDS | {"permutation", "polynomial", "rsk", "tableau"}),
     (["limit", "tlim", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "alim", "--p", "1/2", "--q", "2/3", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "xi", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
-    (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL),
+    (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL | {"bounds"}),
     (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "4"], _PERMUTATION_LIMIT),
     (
         ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "1/2", "--q", "2/3", "--n", "4"],
@@ -135,7 +146,8 @@ COMMAND_MODULES = [
          "--n", "4"],
         _TABLEAU_LIMIT,
     ),
-    (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _EVERY_MODULE - {"limits"}),
+    (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _VERIFY),
+    (["verify", "permcont1", "--max-size", "1", "--max-total", "2"], _VERIFY),
 ]
 
 
@@ -150,11 +162,47 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     assert "dataclasses" not in loaded - bare_modules
 
 
+# Where no bytecode cache is written, a process compiles every module it
+# imports.  These ceilings, about 10% above the AST node counts of the qtab
+# modules each limit kind loads (the package included), fail a change that
+# puts code no limit kind runs back on their path.
+_LIMIT_COMPILE_CEILING = {
+    "qlim1": 10_700,
+    "m2-1": 10_700,
+    "m3": 12_400,
+    "m3-1": 12_400,
+    "tlim": 8_000,
+    "alim": 8_000,
+    "xi": 8_000,
+    "eq8": 8_900,
+}
+_LIMIT_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "limit"]
+
+
+def _ast_nodes(module: str) -> int:
+    name = "__init__" if module == "qtab" else module.removeprefix("qtab.")
+    return sum(1 for _ in ast.walk(ast.parse((SRC / "qtab" / f"{name}.py").read_text())))
+
+
+@pytest.mark.parametrize("argv", _LIMIT_ROWS, ids=[argv[1] for argv in _LIMIT_ROWS])
+def test_limit_compiles_at_most_its_ceiling(argv):
+    code = f"import qtab.cli\nassert qtab.cli.run({argv!r}) == 0"
+    nodes = {
+        m: _ast_nodes(m) for m in modules_after(code) if m == "qtab" or m.startswith("qtab.")
+    }
+    total, largest = sum(nodes.values()), max(nodes, key=nodes.get)
+    ceiling = _LIMIT_COMPILE_CEILING[argv[1]]
+    assert total <= ceiling, (
+        f"limit {argv[1]} compiles {total} AST nodes, over its ceiling {ceiling}; "
+        f"the largest module is {largest} ({nodes[largest]} nodes)"
+    )
+
+
 def test_every_limit_kind_has_its_module_set_pinned():
     from qtab import cli
 
     pinned = {argv[1] for argv, _ in COMMAND_MODULES if argv[0] == "limit"}
-    assert pinned == set(cli._LIMIT_KINDS)
+    assert pinned == set(cli._LIMIT_KINDS) == set(_LIMIT_COMPILE_CEILING)
 
 
 WEIGHTS = [

@@ -3,10 +3,7 @@ import math
 
 import pytest
 
-from qtab.jsets import (
-    _j2_memo,
-    _j2_set_words,
-    _j2_word_sets,
+from qtab.jcriteria import (
     delta,
     delta_bar,
     format_entries,
@@ -14,19 +11,24 @@ from qtab.jsets import (
     is_j2_set,
     is_j_set,
     is_overpartition,
-    j2_count,
-    j2_counts,
     j2_extend_ok,
     j2_series,
-    j2_set,
-    j2_sets_of,
     j_extend_ok,
     j_profile,
-    j_set,
-    j_sets_of,
     parse_int_set,
     psi,
     psi2,
+)
+from qtab.jsets import (
+    _j2_memo,
+    _j2_set_words,
+    _j2_word_sets,
+    j2_count,
+    j2_counts,
+    j2_set,
+    j2_sets_of,
+    j_set,
+    j_sets_of,
 )
 from qtab.permutation import Permutation, permutations, word_low, word_std
 

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from qtab.bounds import check_bound, eq8_check
 from qtab.containment import m2_1_weight, m3_1_weight, pair_weight_sum, tab_contains
 from qtab.limits import (
     ConvergenceReport,
     a_ratio,
-    check_bound,
     contraction,
     default_grid,
-    eq8_check,
     m2_1_lhs,
     m2_1_rhs,
     m3_1_lhs,

@@ -3,18 +3,20 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from qtab.permutation import (
+from qtab.blocks import (
     BinaryWord,
-    Permutation,
     ZeroOneMatrix,
     binary_words,
-    involution_words,
-    involutions,
     matrix_of,
-    permutations,
     phi,
     phi_inverse,
     shuffle,
+)
+from qtab.permutation import (
+    Permutation,
+    involution_words,
+    involutions,
+    permutations,
     standardize,
     word_high,
     word_imaj,

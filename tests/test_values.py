@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from qtab.blocks import BinaryWord, ZeroOneMatrix, phi
+from qtab.bounds import BoundReport, Eq8Report
 from qtab.containment import IdentityReport
-from qtab.jsets import JProfile
-from qtab.limits import BoundReport, ConvergenceReport, Eq8Report
-from qtab.permutation import BinaryWord, Permutation, ZeroOneMatrix, phi
+from qtab.jcriteria import JProfile
+from qtab.limits import ConvergenceReport
+from qtab.permutation import Permutation
 from qtab.tableau import Partition, SkewShape, Tableau
 
 # (build, repr of the built value, field to assign, or None for a mutable report);
