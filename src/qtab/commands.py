@@ -219,68 +219,32 @@ def _cmd_j2(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _verify_reports(args) -> list:
-    from . import containment
-    from .tableau import SkewShape, enumerate_syt, partitions
+# the --max-total default of each kind, and what the size under QTAB_MAX_N counts
+_VERIFY_CAPS = {
+    "permcont1": (8, "involution enumeration"),
+    "permcont2": (6, "permutation enumeration"),
+    "majgen": (5, "tableau enumeration"),
+    "majgen1": (5, "tableau enumeration"),
+}
 
-    which = args.which
-    k = args.max_size
+
+def _verify_reports(args) -> list:
+    which, k = args.which, args.max_size
     for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be nonnegative, got {value}")
-    reports = []
-    # permcont1/2: one sweep per ambient size, whose buckets go before the
-    # next sweep; the reports are then put in pattern-size order
-    if which == "permcont1":
-        total_cap = args.max_total if args.max_total is not None else 8
-        _check_enum_size(total_cap, "involution enumeration")
-        for total in range(total_cap + 1):
-            sizes = range(min(k, total) + 1)
-            swept = containment.permcont1_buckets(total, sizes)
-            reports += [containment.permcont1_report(m, total - m, swept.pop(m)) for m in sizes]
-        return sorted(reports, key=lambda r: (r.params["m"], r.params["n"]))
-    if which == "permcont2":
-        total_cap = args.max_total if args.max_total is not None else 6
-        _check_enum_size(total_cap, "permutation enumeration")
-        for total in range(total_cap + 1):
-            pairs = [(a, b) for a in range(min(k, total) + 1) for b in range(min(k, total) + 1)]
-            swept = containment.permcont2_buckets(total, pairs)
-            reports += [containment.permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
-        return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
     if which == "permtotab":
         if args.max_total is not None:
             raise UsageError("verify permtotab does not read --max-total")
+        cap = None
         _check_enum_size(k, "permutation enumeration")
-        tabs = [
-            tab
-            for size in range(1, k + 1)
-            for shape in partitions(size)
-            for tab in enumerate_syt(SkewShape.straight(shape))
-        ]
-        for tab in tabs:
-            reports += containment.permtotab_reports(tab, range(tab.size + 1))
-        for a_tab in tabs:
-            for b_tab in tabs:
-                cuts = range(min(a_tab.size, b_tab.size) + 1)
-                reports += containment.permtotab_pair_reports(a_tab, b_tab, cuts)
-    elif which == "majgen":
-        n_cap = args.max_total if args.max_total is not None else 5
-        _check_enum_size(n_cap, "tableau enumeration")
-        shapes = [shape for size in range(k + 1) for shape in partitions(size)]
-        for alpha in shapes:
-            for n in range(n_cap + 1):
-                reports.append(containment.verify_majgen(alpha, n))
-    else:  # majgen1
-        n_cap = args.max_total if args.max_total is not None else 5
-        _check_enum_size(n_cap, "tableau enumeration")
-        shapes = [shape for size in range(k + 1) for shape in partitions(size)]
-        for alpha in shapes:
-            for beta in shapes:
-                for m in range(n_cap + 1):
-                    n = m + alpha.size - beta.size
-                    if 0 <= n <= n_cap:
-                        reports.append(containment.verify_majgen1(alpha, beta, m, n))
-    return reports
+    else:
+        default, what = _VERIFY_CAPS[which]
+        cap = args.max_total if args.max_total is not None else default
+        _check_enum_size(cap, what)
+    from .containment import sweep_reports
+
+    return sweep_reports(which, k, cap)
 
 
 def _cmd_verify(args) -> int:

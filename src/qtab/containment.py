@@ -24,9 +24,14 @@ weights, a polynomial per j, are defined once in :mod:`qtab.weights` and
 re-exported here: the pattern weights ``qlim1_weight``, ``m2_1_weight``,
 ``m3_weight`` and ``m3_1_weight``, and the weight sums W(j) over all patterns
 of a size (``involution_weight_sum``, ``pair_weight_sum``).
-``involution_cut_sum`` and ``pair_cut_sum`` are the two polynomial sums over
-the cuts.  The reports check these polynomials, and :mod:`qtab.limits`
-evaluates the same ones at rational points without loading this module.
+The reports check the two polynomial sums over the cuts, of the involution
+and of the pair cut terms, and :mod:`qtab.limits` evaluates the same ones at
+rational points without loading this module.
+
+A check packs each side into one integer, the side at q = 2^w and
+p = 2^(w * D) for a width w and stride D that make packing injective on
+both sides (see ``_check``), and compares the integers; polynomials are
+unpacked only to print a failure.
 
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
@@ -35,6 +40,7 @@ buckets; ``verify_permcont1``/``verify_permcont2`` are the one-instance case.
 Likewise ``permtotab_reports``/``permtotab_pair_reports`` check every cut of
 one tableau (pair) from one j-set (j2-set) per permutation (pair), and
 ``verify_permtotab``/``verify_permtotab_pair`` are the one-cut case.
+``sweep_reports`` runs the report loops of ``qtab verify``.
 """
 
 from __future__ import annotations
@@ -42,16 +48,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .jsets import j2_set, j_set
 from .permutation import Permutation, involution_words, involutions, permutations
 from .permutation import word_low, word_std
-from .polynomial import ZERO, BivarPoly, qbinomial
-from .rsk import rs
+from .polynomial import ZERO, BivarPoly, packed_qbinomial, packed_width, unpack
 from .stats import a_poly, t_count, t_poly
 from .tableau import (
     Partition,
@@ -88,8 +93,6 @@ __all__ = [
     "m3_1_weight",
     "involution_weight_sum",
     "pair_weight_sum",
-    "involution_cut_sum",
-    "pair_cut_sum",
     "perms_with_insertion_tableau",
     "perms_with_recording_tableau",
     "permcont1_buckets",
@@ -104,6 +107,7 @@ __all__ = [
     "verify_permtotab_pair",
     "verify_majgen",
     "verify_majgen1",
+    "sweep_reports",
     "conjecture_probe",
 ]
 
@@ -193,10 +197,11 @@ class IdentityReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, instance: str, lhs, rhs) -> None:
+    def record(self, instance: str, lhs, rhs, show: Callable[[object], str] = str) -> None:
+        """Count one check of lhs = rhs; a failure keeps both sides as ``show`` prints them."""
         self.checked += 1
         if lhs != rhs:
-            self.failures.append({"instance": instance, "lhs": str(lhs), "rhs": str(rhs)})
+            self.failures.append({"instance": instance, "lhs": show(lhs), "rhs": show(rhs)})
 
     def to_json(self) -> dict:
         return {
@@ -214,40 +219,145 @@ class IdentityReport:
         )
 
 
-@lru_cache(maxsize=None)
-def _involution_cut_term(n: int, k: int) -> BivarPoly:
-    return qbinomial(n, k) * t_poly(k)
+# -- packed identity checks ------------------------------------------------------
+
+# A side of an identity as (pack, value, degree): pack(width, stride) is its
+# polynomial at q = 2^width, p = 2^(width * stride); value, its value at
+# p = q = 1, and degree, a bound on its q-degree (-1 for the zero polynomial),
+# come from the side's own pieces.
+Side = tuple[Callable[[int, int], int], int, int]
 
 
-@lru_cache(maxsize=None)
-def _pair_cut_term(m: int, n: int, k: int) -> BivarPoly:
-    return qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
-
-
-def involution_cut_sum(weight: Mapping[int, BivarPoly], m: int, n: int) -> BivarPoly:
-    """sum_j w(j) [n choose k]_q t_k(q), k = n - m + j, for patterns of size m and
-    n free points; cuts with k < 0 drop out."""
-    total = ZERO
-    for j, w in weight.items():
-        if (k := n - m + j) >= 0:
-            total = total + w * _involution_cut_term(n, k)
+def _pack(terms: Iterable[tuple[tuple[int, int], int]], width: int, stride: int) -> int:
+    """The terms ((i, j), c), read as c p^i q^j, at q = 2^width, p = 2^(width * stride)."""
+    total = 0
+    for (i, j), c in terms:
+        total += c << width * (stride * i + j)
     return total
 
 
-def pair_cut_sum(weight: Mapping[int, BivarPoly], a: int, b: int, m: int, n: int) -> BivarPoly:
+def _pack_q(terms: Iterable[tuple[int, int]], width: int) -> int:
+    """The terms (j, c), read as c q^j, at q = 2^width."""
+    total = 0
+    for j, c in terms:
+        total += c << width * j
+    return total
+
+
+def _unpack(value: int, width: int, stride: int) -> BivarPoly:
+    """The polynomial ``_pack`` gave value at (width, stride): a row of
+    ``stride`` digits per power of p."""
+    bits, rows = width * stride, []
+    while value:
+        rows.append(value & ((1 << bits) - 1))
+        value >>= bits
+    return unpack(width, *rows)
+
+
+def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
+    """Record whether two sides agree, compared as one packed integer each, and
+    return the left side's value at p = q = 1.
+
+    Packing is evaluation, a ring homomorphism, so a side packs by summing
+    the products of its packed pieces, and at width 0 every piece, so the
+    side, packs to its value at p = q = 1.
+
+    The comparison is exact.  Every piece of either side (a brute-force tally,
+    a skew maj polynomial, a weight, a Gaussian binomial, t_k or A_k) has
+    nonnegative coefficients, so each side does, and none of its coefficients
+    exceeds its value at p = q = 1, their sum.  The width is ``packed_width``
+    of the larger of the two values, so no coefficient reaches 2^width; the
+    stride is the least power of two above the larger of the two degree
+    bounds, so every term c p^i q^j of either side has j < stride (a power of
+    two lets checks share their packed pieces).  Each value and each bound
+    comes from that side's own pieces, never from the identity.  A term
+    c p^i q^j packs to the digit c at place stride * i + j in base 2^width,
+    distinct terms to distinct places, and no digit carries: the base-2^width
+    digits of a packed side are its coefficients.  Two sides that pack to one
+    integer are one polynomial, and a failure prints the sides unpacked.
+    """
+    (pack_lhs, value, degree_lhs), (pack_rhs, value_rhs, degree_rhs) = lhs, rhs
+    width = packed_width(max(value, value_rhs))
+    stride = 1 << max(degree_lhs, degree_rhs, 0).bit_length()
+    report.record(
+        instance,
+        pack_lhs(width, stride),
+        pack_rhs(width, stride),
+        lambda packed: str(_unpack(packed, width, stride)),
+    )
+    return value
+
+
+def _tally_side(tally: Mapping[tuple[int, int], int]) -> Side:
+    """A tally of counts by (p-degree, q-degree)."""
+    return (
+        lambda width, stride: _pack(tally.items(), width, stride),
+        sum(tally.values()),
+        max([j for _, j in tally], default=-1),
+    )
+
+
+def _maj_side(tally: Mapping[int, int]) -> Side:
+    """A tally of counts by q-degree."""
+    return lambda width, _: _pack_q(tally.items(), width), sum(tally.values()), max(tally, default=-1)
+
+
+def _side_sum(sides: list[Side]) -> Side:
+    """The sum of the sides."""
+    return (
+        lambda width, stride: sum(pack(width, stride) for pack, _, _ in sides),
+        sum(value for _, value, _ in sides),
+        max((degree for _, _, degree in sides), default=-1),
+    )
+
+
+@lru_cache(maxsize=None)
+def _poly_side(poly: BivarPoly) -> Side:
+    """A polynomial as a side; a weight shared by many checks is read once."""
+    terms = poly.sorted_terms()
+    return lambda width, stride: _pack(terms, width, stride), _pack(terms, 0, 0), poly.degree_q()
+
+
+@lru_cache(maxsize=None)
+def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> tuple[int, int]:
+    """The cut term at q = 2^width, p = 2^(width * stride), and its q-degree:
+    [m choose k]_p [n choose k]_q A_k(p, q) for pairs, else [n choose k]_q t_k(q)."""
+    series = a_poly(k) if pair else t_poly(k)
+    term = packed_qbinomial(n, k, width) * _pack(series.sorted_terms(), width, stride)
+    if pair:
+        term *= packed_qbinomial(m, k, width * stride)
+    return term, k * (n - k) + series.degree_q()
+
+
+def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offset: int) -> Side:
+    """sum_j w(j) T(k), k = j + offset, over the cuts with k >= 0; T is ``_cut_term``."""
+    cuts = [(w.sorted_terms(), w.degree_q(), k) for j, w in weight.items() if (k := j + offset) >= 0]
+
+    def pack(width: int, stride: int) -> int:
+        return sum(
+            _pack(terms, width, stride) * _cut_term(pair, m, n, k, width, stride)[0]
+            for terms, _, k in cuts
+        )
+
+    degree = max((d + _cut_term(pair, m, n, k, 0, 0)[1] for _, d, k in cuts), default=-1)
+    return pack, pack(0, 0), degree
+
+
+def _involution_cut_side(weight: Mapping[int, BivarPoly], m: int, n: int) -> Side:
+    """sum_j w(j) [n choose k]_q t_k(q), k = n - m + j, for patterns of size m and
+    n free points; cuts with k < 0 drop out."""
+    return _cut_side(weight, False, 0, n, n - m)  # only the pair terms read m
+
+
+def _pair_cut_side(weight: Mapping[int, BivarPoly], a: int, b: int, m: int, n: int) -> Side:
     """sum_j w(j) [m choose k]_p [n choose k]_q A_k(p, q), k = n - a + j, for patterns
     of sizes a and b with m + a = n + b; cuts with k < 0 drop out."""
     if m + a != n + b:
         raise ValueError("pair cut sum needs m + a = n + b")
-    total = ZERO
-    for j, w in weight.items():
-        if (k := n - a + j) >= 0:
-            total = total + w * _pair_cut_term(m, n, k)
-    return total
+    return _cut_side(weight, True, m, n, n - a)
 
 
-def _maj_poly(maj_counts: dict[int, int]) -> BivarPoly:
-    return BivarPoly({(0, m): c for m, c in maj_counts.items()})
+# -- sweeps and reports -------------------------------------------------------------
 
 
 def _suffix_majs(word: Sequence[int]) -> list[int]:
@@ -286,19 +396,16 @@ def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
     """Both involution identities at pattern size m, free size n, on swept buckets;
     the q = 1 rows double-check the plain count over binomials and involutions."""
     report = IdentityReport("permcont1", {"m": m, "n": n})
-    overall = sum(map(_maj_poly, by_low.values()), ZERO)
-    report.record("all involutions", overall, involution_cut_sum(involution_weight_sum(m), m, n))
+    overall = _side_sum([_maj_side(tally) for tally in by_low.values()])
+    _check(report, "all involutions", overall, _involution_cut_side(involution_weight_sum(m), m, n))
 
     for sigma in permutations(m):
-        lhs = _maj_poly(by_low.get(sigma.word, {}))
         weight = qlim1_weight(sigma)
         count_rhs = sum(math.comb(n, k) * t_count(k) for j in weight if (k := n - m + j) >= 0)
-        report.record(f"sigma={sigma.compact()}", lhs, involution_cut_sum(weight, m, n))
-        report.record(
-            f"sigma={sigma.compact()} q=1 count",
-            lhs.evaluate(1, 1),
-            Fraction(count_rhs),
-        )
+        instance = f"sigma={sigma.compact()}"
+        lhs = _maj_side(by_low.get(sigma.word, {}))
+        value = _check(report, instance, lhs, _involution_cut_side(weight, m, n))
+        report.record(f"{instance} q=1 count", value, count_rhs)
     return report
 
 
@@ -350,12 +457,11 @@ def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport
     against Gaussian binomials, the two-variable maj polynomial and the j2-sets."""
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
     m, n = total - a, total - b
-    overall = sum(map(BivarPoly, by_key.values()), ZERO)
-    report.record("all permutations", overall, pair_cut_sum(pair_weight_sum(a, b), a, b, m, n))
+    overall = _side_sum([_tally_side(tally) for tally in by_key.values()])
+    _check(report, "all permutations", overall, _pair_cut_side(pair_weight_sum(a, b), a, b, m, n))
 
     for sigma in permutations(a):
         for tau in permutations(b):
-            lhs = BivarPoly(by_key.get((sigma.word, tau.word), {}))
             weight = m2_1_weight(sigma, tau)
             count_rhs = sum(
                 math.comb(m, k) * math.comb(n, k) * math.factorial(k)
@@ -363,8 +469,9 @@ def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport
                 if (k := n - a + j) >= 0
             )
             instance = f"sigma={sigma.compact()} tau={tau.compact()}"
-            report.record(instance, lhs, pair_cut_sum(weight, a, b, m, n))
-            report.record(f"{instance} p=q=1 count", lhs.evaluate(1, 1), Fraction(count_rhs))
+            lhs = _tally_side(by_key.get((sigma.word, tau.word), {}))
+            value = _check(report, instance, lhs, _pair_cut_side(weight, a, b, m, n))
+            report.record(f"{instance} p=q=1 count", value, count_rhs)
     return report
 
 
@@ -376,6 +483,8 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
 @lru_cache(maxsize=None)
 def _perms_by_tableau(n: int) -> tuple[dict[Tableau, list[Permutation]], ...]:
     """Permutations of [n] grouped by insertion tableau and by recording tableau."""
+    from .rsk import rs  # only permtotab reads the tableaux, so only it loads rsk
+
     by_insertion: dict[Tableau, list[Permutation]] = {}
     by_recording: dict[Tableau, list[Permutation]] = {}
     for pi in permutations(n):
@@ -410,10 +519,12 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
         for j in j_set(sigma) & by_cut.keys():
             by_cut[j][majs[j]] += 1
     rows = a_tab.to_json()["rows"]
+    weight = m3_weight(alpha)
     reports = []
     for j, tally in by_cut.items():
         report = IdentityReport("permtotab", {"tableau": rows, "j": j})
-        report.record(f"shape={alpha} j={j}", _maj_poly(tally), m3_weight(alpha).get(j, ZERO))
+        rhs = _poly_side(weight.get(j, ZERO))
+        _check(report, f"shape={alpha} j={j}", _maj_side(tally), rhs)
         reports.append(report)
     return reports
 
@@ -445,12 +556,12 @@ def permtotab_pair_reports(
             for j in j2_set(sigma, tau) & by_cut.keys():
                 by_cut[j][imajs[j], majs[j]] += 1
     params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}
+    weight = m3_1_weight(alpha, beta)
     reports = []
     for j, tally in by_cut.items():
         report = IdentityReport("permtotab-pair", {**params, "j": j})
-        report.record(
-            f"shapes={alpha};{beta} j={j}", BivarPoly(tally), m3_1_weight(alpha, beta).get(j, ZERO)
-        )
+        rhs = _poly_side(weight.get(j, ZERO))
+        _check(report, f"shapes={alpha};{beta} j={j}", _tally_side(tally), rhs)
         reports.append(report)
     return reports
 
@@ -466,17 +577,21 @@ def _partition_list(n: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _outer_shapes(base: Partition, added: int) -> tuple[Partition, ...]:
-    return tuple(lam for lam in _partition_list(base.size + added) if lam.contains(base))
+def _outer_majs(base: Partition, added: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (maj, count) terms of f_{lam/base} for each lam in ``_partition_list(|base| +
+    added)``, in that order; none where lam does not contain base."""
+    return tuple(
+        tuple((maj, c) for (_, maj), c in f_poly_enum(SkewShape(lam, base)).sorted_terms())
+        if lam.contains(base)
+        else ()
+        for lam in _partition_list(base.size + added)
+    )
 
 
 @lru_cache(maxsize=None)
-def _outer_majs(base: Partition, added: int) -> dict[Partition, tuple[tuple[int, int], ...]]:
-    """The (maj, count) terms of f_{lam/base}, for each lam in ``_outer_shapes(base, added)``."""
-    return {
-        lam: tuple((maj, c) for (_, maj), c in f_poly_enum(SkewShape(lam, base)).sorted_terms())
-        for lam in _outer_shapes(base, added)
-    }
+def _outer_packed(base: Partition, added: int, width: int) -> tuple[int, ...]:
+    """``_outer_majs(base, added)``, each f_{lam/base} at q = 2^width."""
+    return tuple(_pack_q(terms, width) for terms in _outer_majs(base, added))
 
 
 @lru_cache(maxsize=None)
@@ -499,10 +614,12 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
     counts.
     """
     report = IdentityReport("majgen", {"alpha": str(alpha), "n": n})
-    lhs = ZERO
-    for lam in _outer_shapes(alpha, n):
-        lhs = lhs + f_poly_enum(SkewShape(lam, alpha))
-    rhs = involution_cut_sum(m3_weight(alpha), alpha.size, n)
+    lhs = (
+        lambda width, _: sum(_outer_packed(alpha, n, width)),
+        sum(_outer_packed(alpha, n, 0)),
+        max((terms[-1][0] for terms in _outer_majs(alpha, n) if terms), default=-1),
+    )
+    rhs = _involution_cut_side(m3_weight(alpha), alpha.size, n)
     count_rhs = 0
     for k in range(n + 1):
         if n - k > alpha.size:
@@ -511,8 +628,8 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
         for mu in partitions_inside(alpha.size - (n - k), alpha):
             inner_count += skew_syt_count(SkewShape(alpha, mu))
         count_rhs += math.comb(n, k) * t_count(k) * inner_count
-    report.record(f"alpha={alpha} n={n}", lhs, rhs)
-    report.record(f"alpha={alpha} n={n} q=1 count", lhs.evaluate(1, 1), Fraction(count_rhs))
+    value = _check(report, f"alpha={alpha} n={n}", lhs, rhs)
+    report.record(f"alpha={alpha} n={n} q=1 count", value, count_rhs)
     return report
 
 
@@ -525,19 +642,19 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     report = IdentityReport(
         "majgen1", {"alpha": str(alpha), "beta": str(beta), "m": m, "n": n}
     )
-    lhs = rhs = ZERO
+    lhs = rhs = _poly_side(ZERO)
     if m + alpha.size == n + beta.size:
-        # f_{lam/alpha}(p) f_{lam/beta}(q), summed term by term into one tally; the
-        # shapes of size |alpha| + m that contain beta are those outer to beta by n
-        tally: Counter = Counter()
-        q_majs = _outer_majs(beta, n)
-        for lam, p_side in _outer_majs(alpha, m).items():
-            if (q_side := q_majs.get(lam)) is not None:
-                for i, c in p_side:
-                    for j, d in q_side:
-                        tally[i, j] += c * d
-        lhs = BivarPoly(tally)
-        rhs = pair_cut_sum(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
+        # sum of f_{lam/alpha}(p) f_{lam/beta}(q) over the shapes lam of size
+        # |alpha| + m = |beta| + n, which are outer to both
+        p_majs, q_majs = _outer_majs(alpha, m), _outer_majs(beta, n)
+
+        def pack(width: int, stride: int) -> int:
+            p_side = _outer_packed(alpha, m, width * stride)
+            return sum(map(operator.mul, p_side, _outer_packed(beta, n, width)))
+
+        degree = max((q[-1][0] for p, q in zip(p_majs, q_majs) if p and q), default=-1)
+        lhs = pack, pack(0, 0), degree
+        rhs = _pair_cut_side(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
     inner_counts = _common_inner_counts(alpha, beta)
     count_rhs = 0
     for k in range(min(m, n) + 1):
@@ -545,10 +662,60 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
         if size >= 0 and alpha.size - size == n - k >= 0:
             pairs = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
             count_rhs += pairs * inner_counts.get(size, 0)
-    report.record(f"alpha={alpha} beta={beta} m={m} n={n}", lhs, rhs)
-    report.record(
-        f"alpha={alpha} beta={beta} m={m} n={n} p=q=1 count",
-        lhs.evaluate(1, 1),
-        Fraction(count_rhs),
-    )
+    instance = f"alpha={alpha} beta={beta} m={m} n={n}"
+    value = _check(report, instance, lhs, rhs)
+    report.record(f"{instance} p=q=1 count", value, count_rhs)
     return report
+
+
+# -- the sweeps of ``qtab verify`` --------------------------------------------------
+
+
+def sweep_reports(which: str, max_size: int, cap: int | None = None) -> list[IdentityReport]:
+    """The reports of ``qtab verify <which>`` over pattern sizes up to max_size.
+
+    cap bounds the ambient total for permcont1/permcont2 and the added size n
+    for majgen/majgen1; permtotab reads only max_size.  permcont1/2 run one
+    sweep per ambient size, whose buckets go before the next sweep, and put
+    the reports in pattern-size order.
+    """
+    k = max_size
+    reports = []
+    if which == "permcont1":
+        for total in range(cap + 1):
+            sizes = range(min(k, total) + 1)
+            swept = permcont1_buckets(total, sizes)
+            reports += [permcont1_report(m, total - m, swept.pop(m)) for m in sizes]
+        return sorted(reports, key=lambda r: (r.params["m"], r.params["n"]))
+    if which == "permcont2":
+        for total in range(cap + 1):
+            pairs = [(a, b) for a in range(min(k, total) + 1) for b in range(min(k, total) + 1)]
+            swept = permcont2_buckets(total, pairs)
+            reports += [permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
+        return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
+    if which == "permtotab":
+        tabs = [
+            tab
+            for size in range(1, k + 1)
+            for shape in partitions(size)
+            for tab in enumerate_syt(SkewShape.straight(shape))
+        ]
+        for tab in tabs:
+            reports += permtotab_reports(tab, range(tab.size + 1))
+        for a_tab in tabs:
+            for b_tab in tabs:
+                cuts = range(min(a_tab.size, b_tab.size) + 1)
+                reports += permtotab_pair_reports(a_tab, b_tab, cuts)
+        return reports
+    shapes = [shape for size in range(k + 1) for shape in partitions(size)]
+    if which == "majgen":
+        return [verify_majgen(alpha, n) for alpha in shapes for n in range(cap + 1)]
+    if which == "majgen1":
+        return [
+            verify_majgen1(alpha, beta, m, n)
+            for alpha in shapes
+            for beta in shapes
+            for m in range(cap + 1)
+            if 0 <= (n := m + alpha.size - beta.size) <= cap
+        ]
+    raise ValueError(f"no verify sweep named {which!r}")

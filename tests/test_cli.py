@@ -191,7 +191,8 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     from qtab import containment
     from qtab.polynomial import ZERO
 
-    monkeypatch.setattr(containment, "involution_cut_sum", lambda *args: ZERO)
+    zero_side = containment._poly_side(ZERO)
+    monkeypatch.setattr(containment, "_involution_cut_side", lambda *args: zero_side)
     argv = ["verify", "permcont1", "--max-size", "1", "--max-total", "2"]
     assert run(argv) == 1
     lines = out_of(capsys).splitlines()

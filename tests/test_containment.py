@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from qtab.containment import (
     involution_weight_sum,
     m2_1_weight,
     pair_contains,
-    pair_cut_sum,
     pair_weight_sum,
     permcont1_buckets,
     permcont1_report,
@@ -46,8 +46,9 @@ from qtab.permutation import (
     word_maj,
     word_std,
 )
-from qtab.polynomial import ZERO, BivarPoly, qfactorial
-from qtab.stats import t_count
+from qtab.jsets import j2_set, j_set
+from qtab.polynomial import ZERO, BivarPoly, packed_width, qbinomial, qfactorial
+from qtab.stats import a_poly, t_count, t_poly
 from qtab.tableau import (
     Partition,
     SkewShape,
@@ -262,7 +263,7 @@ def test_pattern_weights_are_cached_read_only_mappings():
 
 def test_pair_cut_sum_rejects_inconsistent_sizes():
     with pytest.raises(ValueError):
-        pair_cut_sum(pair_weight_sum(1, 1), 1, 1, 2, 3)
+        containment._pair_cut_side(pair_weight_sum(1, 1), 1, 1, 2, 3)
 
 
 def test_permtotab_single_examples():
@@ -361,15 +362,28 @@ def test_majgen1_small():
 
 
 def test_outer_majs_are_the_outer_shapes_maj_terms():
+    # one entry per partition of the outer size, empty where it does not contain the base
     for size in range(5):
         for base in partitions(size):
             for added in range(6):
                 majs = containment._outer_majs(base, added)
-                assert tuple(majs) == containment._outer_shapes(base, added)
-                for lam, terms in majs.items():
+                shapes = list(partitions(size + added))
+                assert len(majs) == len(shapes)
+                for lam, terms in zip(shapes, majs):
+                    if not lam.contains(base):
+                        assert terms == (), (lam, base)
+                        continue
                     poly = BivarPoly({(0, maj): c for maj, c in terms})
                     assert poly == f_poly_enum(SkewShape(lam, base)), (lam, base)
                     assert [maj for maj, _ in terms] == sorted({maj for maj, _ in terms})
+                for width in (0, 8, 24):
+                    packed = containment._outer_packed(base, added, width)
+                    assert packed == tuple(
+                        f_poly_enum(SkewShape(lam, base)).evaluate(1, 2**width)
+                        if lam.contains(base)
+                        else 0
+                        for lam in shapes
+                    )
 
 
 def test_report_failure_shape():
@@ -458,3 +472,320 @@ def test_conjecture_probe_triple_runs():
     value = conjecture_probe([one_cell, column, column], 6)
     assert isinstance(value, Fraction)
     assert 0 < value < 1
+
+
+# -- the packed checks against the dict-polynomial sides -----------------------------
+#
+# Each identity check packs its two sides into one integer each.  The tests
+# below rebuild both sides as dict polynomials, the way the checks were
+# written before packing: the left side from the buckets and enumerations,
+# the right side by BivarPoly arithmetic from the weights, Gaussian binomials,
+# t_k and A_k.
+
+
+def _involution_rhs(weight, m, n):
+    return sum(
+        (w * qbinomial(n, k) * t_poly(k) for j, w in weight.items() if (k := n - m + j) >= 0),
+        ZERO,
+    )
+
+
+def _pair_rhs(weight, a, b, m, n):
+    return sum(
+        (
+            w * qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
+            for j, w in weight.items()
+            if (k := n - a + j) >= 0
+        ),
+        ZERO,
+    )
+
+
+def _permcont1_lhs(m, n, sigma=None):
+    by_low = permcont1_buckets(m + n, [m])[m]
+    tallies = by_low.values() if sigma is None else [by_low.get(sigma.word, {})]
+    return sum((BivarPoly({(0, maj): c for maj, c in t.items()}) for t in tallies), ZERO)
+
+
+def _permcont2_lhs(a, b, total, sigma=None, tau=None):
+    by_key = permcont2_buckets(total, [(a, b)])[a, b]
+    tallies = by_key.values() if sigma is None else [by_key.get((sigma.word, tau.word), {})]
+    return sum(map(BivarPoly, tallies), ZERO)
+
+
+def _permtotab_lhs(tab, j):
+    return sum(
+        (
+            BivarPoly.monomial(0, sigma.suffix(j).maj())
+            for sigma in perms_with_insertion_tableau(tab)
+            if j in j_set(sigma)
+        ),
+        ZERO,
+    )
+
+
+def _permtotab_pair_lhs(a_tab, b_tab, j):
+    return sum(
+        (
+            BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
+            for sigma in perms_with_insertion_tableau(a_tab)
+            for tau in perms_with_recording_tableau(b_tab)
+            if j in j2_set(sigma, tau)
+        ),
+        ZERO,
+    )
+
+
+def _majgen_lhs(alpha, n):
+    return sum(
+        (
+            f_poly_enum(SkewShape(lam, alpha))
+            for lam in partitions(alpha.size + n)
+            if lam.contains(alpha)
+        ),
+        ZERO,
+    )
+
+
+def _majgen1_lhs(alpha, beta, m, n):
+    return sum(
+        (
+            f_poly_enum(SkewShape(lam, alpha)).swap_variables() * f_poly_enum(SkewShape(lam, beta))
+            for lam in partitions(alpha.size + m)
+            if lam.contains(alpha) and lam.contains(beta)
+        ),
+        ZERO,
+    )
+
+
+def _unpacked(side):
+    """A side's polynomial, read off the digits of a packing injective on it alone."""
+    pack, value, degree = side
+    width, stride = packed_width(value), max(degree, 0) + 1
+    return containment._unpack(pack(width, stride), width, stride)
+
+
+@pytest.fixture
+def packed_checks(monkeypatch):
+    """Every packed check run while the test runs, as (instance, lhs, rhs) unpacked."""
+    seen = []
+    check = containment._check
+
+    def spy(report, instance, lhs, rhs):
+        seen.append((instance, _unpacked(lhs), _unpacked(rhs)))
+        return check(report, instance, lhs, rhs)
+
+    monkeypatch.setattr(containment, "_check", spy)
+    return seen
+
+
+def test_permcont1_packed_sides_are_the_dict_sides(packed_checks):
+    for m in range(4):
+        for n in range(6 - m):
+            packed_checks.clear()
+            assert verify_permcont1(m, n).passed
+            patterns = [None, *permutations(m)]
+            assert [instance for instance, _, _ in packed_checks] == [
+                "all involutions",
+                *(f"sigma={sigma.compact()}" for sigma in patterns[1:]),
+            ]
+            for sigma, (_, lhs, rhs) in zip(patterns, packed_checks):
+                weight = involution_weight_sum(m) if sigma is None else qlim1_weight(sigma)
+                assert lhs == _permcont1_lhs(m, n, sigma), (m, n, sigma)
+                assert rhs == _involution_rhs(weight, m, n) == lhs, (m, n, sigma)
+
+
+@pytest.mark.parametrize("a,b,total", [(1, 1, 4), (2, 1, 4), (2, 2, 5), (3, 2, 5), (0, 0, 4)])
+def test_permcont2_packed_sides_are_the_dict_sides(a, b, total, packed_checks):
+    assert verify_permcont2(a, b, total).passed
+    m, n = total - a, total - b
+    pairs = [(None, None)] + [(s, t) for s in permutations(a) for t in permutations(b)]
+    assert len(packed_checks) == len(pairs)
+    for (sigma, tau), (_, lhs, rhs) in zip(pairs, packed_checks):
+        weight = pair_weight_sum(a, b) if sigma is None else m2_1_weight(sigma, tau)
+        assert lhs == _permcont2_lhs(a, b, total, sigma, tau), (sigma, tau)
+        assert rhs == _pair_rhs(weight, a, b, m, n) == lhs, (sigma, tau)
+
+
+def test_permtotab_packed_sides_are_the_dict_sides(packed_checks):
+    from qtab.weights import m3_1_weight, m3_weight
+
+    tabs = _tableaux(3)
+    for tab in tabs:
+        packed_checks.clear()
+        permtotab_reports(tab, range(tab.size + 1))
+        for j, (_, lhs, rhs) in enumerate(packed_checks):
+            assert lhs == _permtotab_lhs(tab, j) == rhs == m3_weight(tab.shape.outer)[j]
+    for a_tab in tabs:
+        for b_tab in tabs:
+            packed_checks.clear()
+            permtotab_pair_reports(a_tab, b_tab, range(min(a_tab.size, b_tab.size) + 1))
+            weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
+            for j, (_, lhs, rhs) in enumerate(packed_checks):
+                assert lhs == _permtotab_pair_lhs(a_tab, b_tab, j) == rhs == weight[j]
+
+
+def test_majgen_packed_sides_are_the_dict_sides(packed_checks):
+    from qtab.weights import m3_weight
+
+    for size in range(4):
+        for alpha in partitions(size):
+            for n in range(5):
+                packed_checks.clear()
+                assert verify_majgen(alpha, n).passed
+                [(_, lhs, rhs)] = packed_checks
+                assert lhs == _majgen_lhs(alpha, n), (alpha, n)
+                assert rhs == _involution_rhs(m3_weight(alpha), size, n) == lhs, (alpha, n)
+
+
+def test_majgen1_packed_sides_are_the_dict_sides(packed_checks):
+    from qtab.weights import m3_1_weight
+
+    shapes = [p for size in range(4) for p in partitions(size)]
+    for alpha in shapes:
+        for beta in shapes:
+            for m in range(4):
+                n = m + alpha.size - beta.size
+                if 0 <= n <= 3:
+                    packed_checks.clear()
+                    assert verify_majgen1(alpha, beta, m, n).passed
+                    [(_, lhs, rhs)] = packed_checks
+                    weight = m3_1_weight(alpha, beta)
+                    assert lhs == _majgen1_lhs(alpha, beta, m, n), (alpha, beta, m, n)
+                    expected = _pair_rhs(weight, alpha.size, beta.size, m, n)
+                    assert rhs == expected == lhs, (alpha, beta, m, n)
+
+
+# -- planted failures -------------------------------------------------------------------
+#
+# Each case plants a fault in one weight of one family, at the cut j = 0,
+# where the fault reaches the named instances only.  "plus_one" adds 1 to
+# the weight; "moved" moves its last term c p^i q^r to c p^(i-1) q^(r+S)
+# (c q^(r+S) when i = 0), S the stride a packing of the left side alone
+# would take.  That is the aliasing edge: at stride S the moved term packs
+# to the place it left, so only a stride above both sides' degrees tells the
+# sides apart.
+
+_SHAPE = Partition((2, 1))
+_TAB_A = Tableau.from_rows([[1, 2], [3]])
+_TAB_B = Tableau.from_rows([[1, 3], [2]])
+
+
+def _failing_sides(theorem, params):
+    """The dict-polynomial sides of the one planted check of a report."""
+    if theorem == "permcont1":
+        sigma = Permutation.parse("21")
+        m, n = params["m"], params["n"]
+        return _permcont1_lhs(m, n, sigma), _involution_rhs(containment.qlim1_weight(sigma), m, n)
+    if theorem == "permcont2":
+        sigma = tau = Permutation.parse("21")
+        a, b, total = params["a"], params["b"], params["total"]
+        weight = containment.m2_1_weight(sigma, tau)
+        return (
+            _permcont2_lhs(a, b, total, sigma, tau),
+            _pair_rhs(weight, a, b, total - a, total - b),
+        )
+    if theorem == "permtotab":
+        tab = Tableau.from_rows(params["tableau"])
+        return _permtotab_lhs(tab, params["j"]), containment.m3_weight(_SHAPE)[params["j"]]
+    if theorem == "permtotab-pair":
+        a_tab = Tableau.from_rows(params["tableau_a"])
+        lhs = _permtotab_pair_lhs(a_tab, Tableau.from_rows(params["tableau_b"]), params["j"])
+        return lhs, containment.m3_1_weight(_SHAPE, _SHAPE)[params["j"]]
+    if theorem == "majgen":
+        n = params["n"]
+        return _majgen_lhs(_SHAPE, n), _involution_rhs(containment.m3_weight(_SHAPE), 3, n)
+    m, n = params["m"], params["n"]
+    weight = containment.m3_1_weight(_SHAPE, _SHAPE)
+    return _majgen1_lhs(_SHAPE, _SHAPE, m, n), _pair_rhs(weight, 3, 3, m, n)
+
+
+# family: (argv, weight name, planted pattern, the edge instance's left side,
+# the params of every report the fault reaches)
+PLANTED = {
+    "permcont1": (
+        ["verify", "permcont1", "--max-size", "2", "--max-total", "4"],
+        "qlim1_weight",
+        (Permutation.parse("21"),),
+        lambda: _permcont1_lhs(2, 2, Permutation.parse("21")),
+        [{"m": 2, "n": 2}],
+    ),
+    "permcont2": (
+        ["verify", "permcont2", "--max-size", "2", "--max-total", "4"],
+        "m2_1_weight",
+        (Permutation.parse("21"), Permutation.parse("21")),
+        lambda: _permcont2_lhs(2, 2, 4, Permutation.parse("21"), Permutation.parse("21")),
+        [{"a": 2, "b": 2, "total": 4}],
+    ),
+    "permtotab": (
+        ["verify", "permtotab", "--max-size", "3"],
+        "m3_weight",
+        (_SHAPE,),
+        lambda: _permtotab_lhs(_TAB_A, 0),
+        [{"tableau": rows, "j": 0} for rows in ([[1, 2], [3]], [[1, 3], [2]])],
+    ),
+    "permtotab-pair": (
+        ["verify", "permtotab", "--max-size", "3"],
+        "m3_1_weight",
+        (_SHAPE, _SHAPE),
+        lambda: _permtotab_pair_lhs(_TAB_A, _TAB_B, 0),
+        [
+            {"tableau_a": a_rows, "tableau_b": b_rows, "j": 0}
+            for a_rows in ([[1, 2], [3]], [[1, 3], [2]])
+            for b_rows in ([[1, 2], [3]], [[1, 3], [2]])
+        ],
+    ),
+    "majgen": (
+        ["verify", "majgen", "--max-size", "3", "--max-total", "3"],
+        "m3_weight",
+        (_SHAPE,),
+        lambda: _majgen_lhs(_SHAPE, 3),
+        [{"alpha": "2,1", "n": 3}],
+    ),
+    "majgen1": (
+        ["verify", "majgen1", "--max-size", "3", "--max-total", "3"],
+        "m3_1_weight",
+        (_SHAPE, _SHAPE),
+        lambda: _majgen1_lhs(_SHAPE, _SHAPE, 3, 3),
+        [{"alpha": "2,1", "beta": "2,1", "m": 3, "n": 3}],
+    ),
+}
+
+
+def _plus_one(poly, stride):
+    return poly + 1
+
+
+def _moved(poly, stride):
+    (i, r), c = poly.sorted_terms()[-1]
+    target = (i - 1, r + stride) if i else (0, r + stride)
+    return poly - BivarPoly.monomial(i, r, c) + BivarPoly.monomial(*target, c)
+
+
+@pytest.mark.parametrize("fault", [_plus_one, _moved], ids=["plus_one", "moved"])
+@pytest.mark.parametrize("family", PLANTED)
+def test_planted_fault_fails_with_the_dict_sides(family, fault, monkeypatch, capsys):
+    from qtab.cli import run
+
+    argv, name, pattern, edge_lhs, reached = PLANTED[family]
+    stride = 1 << edge_lhs().degree_q().bit_length()  # the left side's alone
+    weight_of = getattr(containment, name)
+
+    def planted(*args):
+        weight = weight_of(*args)
+        if args != pattern:
+            return weight
+        return {**weight, 0: fault(weight[0], stride)}
+
+    monkeypatch.setattr(containment, name, planted)
+    assert run(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.endswith(" FAIL") for line in lines[:-1]) == len(reached)
+    assert lines[-1].endswith(f" failures={len(reached)}")
+    assert run([*argv, "--json"]) == 1
+    failed = [(r, f) for r in json.loads(capsys.readouterr().out) for f in r["failures"]]
+    assert [r["range"] for r, _ in failed] == reached
+    for report, failure in failed:
+        lhs, rhs = _failing_sides(report["theorem"], report["range"])
+        assert lhs != rhs
+        assert (failure["lhs"], failure["rhs"]) == (str(lhs), str(rhs))

@@ -109,7 +109,7 @@ _PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
 _TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
 _COMMANDS = {"cli", "commands"}
 _VERIFY = _COMMANDS | {
-    "containment", "jsets", "permutation", "polynomial", "rsk", "stats", "tableau", "weights"
+    "containment", "jsets", "permutation", "polynomial", "stats", "tableau", "weights"
 }
 
 
@@ -147,7 +147,10 @@ COMMAND_MODULES = [
         _TABLEAU_LIMIT,
     ),
     (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _VERIFY),
+    (["verify", "majgen1", "--max-size", "1", "--max-total", "2"], _VERIFY),
     (["verify", "permcont1", "--max-size", "1", "--max-total", "2"], _VERIFY),
+    (["verify", "permcont2", "--max-size", "1", "--max-total", "2"], _VERIFY),
+    (["verify", "permtotab", "--max-size", "2"], _VERIFY | {"rsk"}),
 ]
 
 
@@ -184,18 +187,32 @@ def _ast_nodes(module: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse((SRC / "qtab" / f"{name}.py").read_text())))
 
 
-@pytest.mark.parametrize("argv", _LIMIT_ROWS, ids=[argv[1] for argv in _LIMIT_ROWS])
-def test_limit_compiles_at_most_its_ceiling(argv):
+def _assert_compiles_at_most(argv, ceiling):
     code = f"import qtab.cli\nassert qtab.cli.run({argv!r}) == 0"
     nodes = {
         m: _ast_nodes(m) for m in modules_after(code) if m == "qtab" or m.startswith("qtab.")
     }
     total, largest = sum(nodes.values()), max(nodes, key=nodes.get)
-    ceiling = _LIMIT_COMPILE_CEILING[argv[1]]
     assert total <= ceiling, (
-        f"limit {argv[1]} compiles {total} AST nodes, over its ceiling {ceiling}; "
+        f"{' '.join(argv[:2])} compiles {total} AST nodes, over its ceiling {ceiling}; "
         f"the largest module is {largest} ({nodes[largest]} nodes)"
     )
+
+
+@pytest.mark.parametrize("argv", _LIMIT_ROWS, ids=[argv[1] for argv in _LIMIT_ROWS])
+def test_limit_compiles_at_most_its_ceiling(argv):
+    _assert_compiles_at_most(argv, _LIMIT_COMPILE_CEILING[argv[1]])
+
+
+# The benchmark's set-up probe and the lightest handler command compile
+# 4,802 and 5,975 nodes.  These ceilings, about 8% above, fail a change that
+# puts the verify report loops (about 520 nodes) back in `commands`.
+_HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_450}
+
+
+@pytest.mark.parametrize("argv", list(_HANDLER_COMPILE_CEILING), ids=" ".join)
+def test_handler_command_compiles_at_most_its_ceiling(argv):
+    _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
 def test_every_limit_kind_has_its_module_set_pinned():
