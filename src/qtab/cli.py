@@ -12,20 +12,23 @@ Exit codes: 0 on success or all checks passing, 1 on a verification failure,
 environment variable ``QTAB_MAX_N`` caps brute-force enumeration sizes as a
 safety rail.  Identical invocations produce byte-identical output.
 
-This module holds the parser, the shared option parsers and the ``limit``
-handler; the handlers of the other commands are in :mod:`qtab.commands`,
-which ``run`` imports only for them.  Each handler imports the ``qtab``
+This module holds the command-line grammar, one table that both the
+parser and ``-h`` read, and the shared option parsers.  The ``limit``
+handler is in :mod:`qtab.limitcmd` and the handlers of the other commands
+in :mod:`qtab.commands`; ``run`` imports the one the command needs, and
+:mod:`qtab.usage` only for ``-h``.  Each handler imports the ``qtab``
 modules its computation reads when it runs (``qpoly factorial`` loads only
 ``polynomial``), and ``json`` only for ``--json`` output, so a process
-compiles and runs only what it uses.
+compiles and runs only what it uses.  No process loads ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 __all__ = ["main", "run"]
 
@@ -70,13 +73,13 @@ def _emit(args, text_lines: list[str], payload) -> None:
             print(line)
 
 
-# -- limit -------------------------------------------------------------------------
+# -- limit kinds -------------------------------------------------------------------
 
 # kind -> (pattern options, parameter options, finite evaluator, limit evaluator).
 # Evaluators are names in ``limits``, looked up when a report is built, so a
 # wrapper installed on the module later is the one called.  The finite one
 # takes (*patterns, *parameters, n), the limit one (*patterns, *parameters).
-# xi and eq8 build their limits and notes in _limit_report.
+# xi and eq8 build their limits and notes in qtab.limitcmd, which runs limit.
 _LIMIT_KINDS = {
     "qlim1": (("sigma",), ("q",), "qlim1_lhs", "qlim1_rhs"),
     "m2-1": (("sigma", "tau"), ("p", "q"), "m2_1_lhs", "m2_1_rhs"),
@@ -89,164 +92,188 @@ _LIMIT_KINDS = {
 }
 
 
-def _limit_report(args):
-    """The ConvergenceReport of a limit command."""
-    from . import limits
+# -- command line grammar ---------------------------------------------------------
 
-    which = args.which
-    # options only some reports read: passing one that this report ignores is an error
-    for name, default, read in (
-        ("precision", Fraction(1, 10**7), which == "xi"),
-        ("a", 1, which == "eq8"),
-        ("digits", 12, args.csv or not args.json),
-    ):
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif not read:
-            where = " under --json" if name == "digits" else ""
-            raise UsageError(f"limit {which} does not read --{name}{where}")
-    pattern_options, parameter_options, finite_name, limit_name = _LIMIT_KINDS[which]
-    options = (*pattern_options, *parameter_options)
-    for name in ("sigma", "tau", "tableau", "tableau2", "p", "q"):
-        if name not in options and getattr(args, name) is not None:
-            raise UsageError(f"limit {which} does not read --{name}")
-    for name in options:
-        if getattr(args, name) is None:
-            raise UsageError(f"limit {which} requires --{name}")
-    if "sigma" in pattern_options:
-        from .permutation import Permutation
-    patterns = [
-        _parse_tableau(getattr(args, name))
-        if name.startswith("tableau")
-        else Permutation.parse(getattr(args, name))
-        for name in pattern_options
-    ]
-    parameters = [getattr(args, name) for name in parameter_options]
-    # tableau JSON or file references stay out of the label
-    shown = [name for name in options if not name.startswith("tableau")]
-    label = " ".join([which, *(f"{name}={getattr(args, name)}" for name in shown)])
-    lo = max((pattern.size for pattern in patterns), default=1)
-    finite = lambda n: getattr(limits, finite_name)(*patterns, *parameters, n)
-    notes = []
-    if which == "xi":
-        limit, tail = limits.xi_product_with_tail(args.q, args.precision)
-        notes.append(("tail_bound", "product tail bound", tail))
-    elif which == "eq8":
-        from .bounds import eq8_check
+# command -> (summary, operands, options, defaults).  An operand is (name,
+# convert, default) and an option maps "--name" to its convert: a function
+# of the token, a tuple of the values allowed, bool for a flag (no value,
+# default False) or list for one or more tokens.  Options default to None
+# unless defaults says otherwise, and default ... makes an argument
+# required.  Every command also takes --json; see _parse_args for the rules.
+_GRAMMAR = {
+    "stat": (
+        "descent set, maj, imaj of a permutation word, or of tableau JSON / @file",
+        [("kind", ("perm", "tab"), ...), ("object", str, ...)],
+        {},
+        {},
+    ),
+    "rs": (
+        "insertion correspondence and its inverse",
+        [("operands", list, ...)],
+        {"--inverse": bool},
+        {},
+    ),
+    "qpoly": (
+        "exact q-polynomials; --method enum enumerates instead of the closed form (tn, an, fshape)",
+        [("which", ("factorial", "binomial", "tn", "an", "fshape"), ...), ("args", list, ...)],
+        {"--method": ("enum",)},
+        {},
+    ),
+    "jset": ("j-set of a permutation", [("perm", str, ...)], {}, {}),
+    "j2set": (
+        "j2-set of a pair (SIGMA TAU), or membership check (check SET)",
+        [("first", str, ...), ("second", str, None)],
+        {},
+        {},
+    ),
+    "j2": (
+        "count j2-sets by largest element",
+        [("action", ("count",), ...)],
+        {"--max": int, "--method": ("gf", "brute")},
+        {"--max": ..., "--method": "gf"},
+    ),
+    "verify": (
+        "machine-check the exact identities; --max-total caps the ambient enumeration size"
+        " (theorem-specific default)",
+        [("which", ("permcont1", "permcont2", "permtotab", "majgen", "majgen1"), ...)],
+        {"--max-size": int, "--max-total": int},
+        {"--max-size": ...},
+    ),
+    "limit": (
+        "finite-size values against limit formulas; --tableau and --tableau2 take JSON or"
+        " @file, --a is the offset of eq8 (default 1), --precision the product tail bound of"
+        " xi (default 1/10^7), --digits the significant digits of text and --csv output"
+        " (default 12)",
+        [("which", tuple(_LIMIT_KINDS), ...)],
+        {
+            "--q": _parse_rational,
+            "--p": _parse_rational,
+            "--n": int,
+            "--sigma": str,
+            "--tau": str,
+            "--tableau": str,
+            "--tableau2": str,
+            "--a": int,
+            "--precision": _parse_rational,
+            "--csv": bool,
+            "--digits": int,
+        },
+        {"--n": ...},
+    ),
+    "probe": (
+        "exploratory tuple containment ratio",
+        [("what", ("conjecture",), ...)],
+        {"--tableaux": list, "--n": int},
+        {"--tableaux": ..., "--n": ...},
+    ),
+}
 
-        limit, lo = Fraction(1), max(args.a, 1)
-        finite = lambda n: eq8_check(args.a, n).ratio_offset
-    else:
-        limit = getattr(limits, limit_name)(*patterns, *parameters)
-    grid = limits.default_grid(lo, args.n, 8) if args.csv else [args.n]
-    report = limits.ConvergenceReport(label, limit, [(n, finite(n)) for n in grid], notes)
-    # after the grid, so an empty --csv grid is reported before a bad --a
-    if which == "eq8":
-        stride = eq8_check(args.a, args.n).ratio_stride
-        report.notes.append(("stride_ratio", f"stride ratio at n={args.n}", stride))
-    return report
+
+def _fail(prog: str, message: str):
+    print(f"error: {prog}: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _cmd_limit(args) -> int:
-    report = _limit_report(args)
-    # rendered in full before printing, so a bad --digits prints nothing
-    if args.csv:
-        text = report.to_csv(args.digits)
-    elif args.json:
-        import json
+def _help(command: str | None):
+    """Print the -h text of the program (command None) or of a command, and exit 0."""
+    from .usage import print_usage
 
-        text = json.dumps(report.to_json(), sort_keys=True)
-    else:
-        text = report.to_text(args.digits)
-    print(text)
-    return 0
+    print_usage(command)
+    raise SystemExit(0)
 
 
-# -- parser ---------------------------------------------------------------------------
+def _convert(prog: str, name: str, convert, tokens: list[str]):
+    """The value of an argument read from its tokens (one, unless it is a list)."""
+    if convert is list:
+        return tokens
+    try:
+        if type(convert) is not tuple:
+            return convert(tokens[0])
+        if tokens[0] in convert:
+            return tokens[0]
+    except ValueError:
+        pass
+    choices = f" (choose from {', '.join(convert)})" if type(convert) is tuple else ""
+    _fail(prog, f"{name}: invalid value {tokens[0]!r}{choices}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qtab",
-        description="Exact q-analog statistics for tableau and permutation containment.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command line, read by the grammar table.
 
-    p_stat = sub.add_parser("stat", help="descent set, maj, imaj of an object")
-    p_stat.add_argument("kind", choices=["perm", "tab"])
-    p_stat.add_argument("object", help="permutation word, or tableau JSON / @file")
-    p_stat.add_argument("--json", action="store_true")
+    A token that starts with "-" is an option unless it is "-", a negative
+    number or has a space in it.  Each option is read with the tokens up to
+    the next option: it takes its value from --name=VALUE or else from
+    those tokens (a list option all of them), and the rest fill the operands
+    still open, in order; a list operand takes all of them, and an optional
+    operand the next one or else its default.  The last of a repeated option
+    wins.  A grammar error prints one error line and raises SystemExit(2);
+    -h prints the usage and raises SystemExit(0).
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _GRAMMAR:
+        given = f"unknown command {command!r}" if argv else "no command"
+        _fail("qtab", f"{given}; the commands are {', '.join(_GRAMMAR)}")
+    prog, tokens = f"qtab {command}", argv[1:]
+    _, operands, options, defaults = _GRAMMAR[command]
+    options = {**options, "--json": bool}
+    values = {name: default for name, _, default in operands}
+    for name, convert in options.items():
+        values[name] = defaults.get(name, False if convert is bool else None)
+    options["-h"] = options["--help"] = None
 
-    p_rs = sub.add_parser("rs", help="insertion correspondence and its inverse")
-    p_rs.add_argument("operands", nargs="+")
-    p_rs.add_argument("--inverse", action="store_true")
-    p_rs.add_argument("--json", action="store_true")
+    def option(token):
+        """(name, explicit value) of an option, name None if unknown; None for an operand."""
+        name, eq, value = token.partition("=")
+        if token in options:
+            return token, None
+        if eq and name in options:
+            return name, value
+        if token[:1] == "-" != token and " " not in token:
+            return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) else (None, None)
 
-    p_qpoly = sub.add_parser("qpoly", help="exact q-polynomials")
-    p_qpoly.add_argument(
-        "which", choices=["factorial", "binomial", "tn", "an", "fshape"]
-    )
-    p_qpoly.add_argument("args", nargs="+")
-    p_qpoly.add_argument(
-        "--method", choices=["enum"], help="enumerate instead of the closed form (tn, an, fshape)"
-    )
-    p_qpoly.add_argument("--json", action="store_true")
-
-    p_jset = sub.add_parser("jset", help="j-set of a permutation")
-    p_jset.add_argument("perm")
-    p_jset.add_argument("--json", action="store_true")
-
-    p_j2set = sub.add_parser("j2set", help="j2-set of a pair, or membership check")
-    p_j2set.add_argument("first", help="sigma, or the word 'check'")
-    p_j2set.add_argument("second", nargs="?", help="tau, or the set to check")
-    p_j2set.add_argument("--json", action="store_true")
-
-    p_j2 = sub.add_parser("j2", help="count j2-sets by largest element")
-    p_j2.add_argument("action", choices=["count"])
-    p_j2.add_argument("--max", type=int, required=True)
-    p_j2.add_argument("--method", choices=["gf", "brute"], default="gf")
-    p_j2.add_argument("--json", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="machine-check the exact identities")
-    p_verify.add_argument(
-        "which",
-        choices=["permcont1", "permcont2", "permtotab", "majgen", "majgen1"],
-    )
-    p_verify.add_argument("--max-size", type=int, required=True)
-    p_verify.add_argument(
-        "--max-total",
-        type=int,
-        default=None,
-        help="cap on the ambient enumeration size (theorem-specific default)",
-    )
-    p_verify.add_argument("--json", action="store_true")
-
-    p_limit = sub.add_parser("limit", help="finite-size values against limit formulas")
-    p_limit.add_argument("which", choices=list(_LIMIT_KINDS))
-    p_limit.add_argument("--q", type=_parse_rational)
-    p_limit.add_argument("--p", type=_parse_rational)
-    p_limit.add_argument("--n", type=int, required=True)
-    p_limit.add_argument("--sigma")
-    p_limit.add_argument("--tau")
-    p_limit.add_argument("--tableau", help="tableau JSON or @file")
-    p_limit.add_argument("--tableau2", help="tableau JSON or @file")
-    p_limit.add_argument("--a", type=int, help="offset for eq8 (default 1)")
-    p_limit.add_argument(
-        "--precision", type=_parse_rational, help="product tail bound for xi (default 1/10^7)"
-    )
-    p_limit.add_argument("--csv", action="store_true")
-    p_limit.add_argument(
-        "--digits", type=int, help="significant digits in text and --csv output (default 12)"
-    )
-    p_limit.add_argument("--json", action="store_true")
-
-    p_probe = sub.add_parser("probe", help="exploratory tuple containment ratio")
-    p_probe.add_argument("what", choices=["conjecture"])
-    p_probe.add_argument("--tableaux", nargs="+", required=True)
-    p_probe.add_argument("--n", type=int, required=True)
-    p_probe.add_argument("--json", action="store_true")
-
-    return parser
+    # each pass reads one option (or, first, none) with the operands after it
+    extras, i, k = [], 0, 0
+    while i < len(tokens):
+        found = option(tokens[i])
+        j = start = i + (found is not None)
+        while j < len(tokens) and option(tokens[j]) is None:
+            j += 1
+        run = tokens[start:j]
+        if found and found[0] is None:
+            extras.append(tokens[i])
+        elif found:
+            name, explicit = found
+            convert = options[name]
+            if convert in (bool, None):
+                if explicit is not None:
+                    _fail(prog, f"{name} takes no value")
+                if convert is None:
+                    _help(command)
+                values[name] = True
+            elif explicit is not None:
+                values[name] = _convert(prog, name, convert, [explicit])
+            elif not run:
+                _fail(prog, f"{name} expects a value")
+            else:
+                take = len(run) if convert is list else 1
+                values[name], run = _convert(prog, name, convert, run[:take]), run[take:]
+        for name, convert, default in operands[k:]:
+            take = len(run) if convert is list else min(len(run), 1)
+            if not take and default is ...:
+                break
+            values[name] = _convert(prog, name, convert, run[:take]) if take else default
+            run, k = run[take:], k + 1
+        extras += run
+        i = j
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        _fail(prog, f"missing {', '.join(missing)}")
+    if extras:
+        _fail(prog, f"unrecognized arguments: {' '.join(extras)}")
+    values = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, **values)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -254,11 +281,12 @@ def run(argv: list[str] | None = None) -> int:
     # CPython 3.11 converts to and from str by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "limit":
-            return _cmd_limit(args)
+            from .limitcmd import cmd_limit
+
+            return cmd_limit(args)
         from .commands import HANDLERS
 
         return HANDLERS[args.command](args)

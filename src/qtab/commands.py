@@ -1,9 +1,10 @@
 """Handlers of every ``qtab`` command but ``limit``.
 
-``qtab.cli`` builds the parser and runs ``limit`` itself; it imports this
-module only for the other commands, so a ``limit`` process does not compile
-them.  Each handler imports the ``qtab`` modules its computation reads when
-it runs (``qpoly factorial`` loads only ``polynomial``).
+``qtab.cli`` parses the command line and imports this module only for
+these commands, and :mod:`qtab.limitcmd` only for ``limit``, so neither
+compiles the other's handlers.  Each handler imports the ``qtab`` modules
+its computation reads when it runs (``qpoly factorial`` loads only
+``polynomial``).
 
 The brute-force size cap ``QTAB_MAX_N`` (see :mod:`qtab.cli`) is read here,
 since no ``limit`` kind enumerates.

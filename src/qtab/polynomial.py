@@ -37,6 +37,7 @@ __all__ = [
     "packed_qfactorial",
     "packed_qbinomial",
     "divide_packed",
+    "packed_digits",
     "unpack",
     "format_decimal",
 ]
@@ -320,6 +321,13 @@ def packed_qbinomial(n: int, k: int, width: int) -> int:
     return divide_packed(numerator, denominator)
 
 
+def packed_digits(width: int, value: int) -> list[int]:
+    """The base-2^width digits of a packed value, lowest first: its coefficients."""
+    step = width // 8
+    data = value.to_bytes(-(-value.bit_length() // 8), "little")
+    return [int.from_bytes(data[d : d + step], "little") for d in range(0, len(data), step)]
+
+
 def unpack(width: int, *rows: int) -> BivarPoly:
     """The polynomial whose packed value is ``rows[i]`` in its p^i row.
 
@@ -328,13 +336,13 @@ def unpack(width: int, *rows: int) -> BivarPoly:
     the width ``packed_width`` gives for that value no coefficient reaches
     2^width and the digits do not carry into each other.
     """
-    step = width // 8
-    terms = {}
-    for i, value in enumerate(rows):
-        data = value.to_bytes(-(-value.bit_length() // 8), "little")
-        for d in range(0, len(data), step):
-            terms[(i, d // step)] = int.from_bytes(data[d : d + step], "little")
-    return BivarPoly(terms)
+    return BivarPoly(
+        {
+            (i, j): coeff
+            for i, value in enumerate(rows)
+            for j, coeff in enumerate(packed_digits(width, value))
+        }
+    )
 
 
 @lru_cache(maxsize=None)

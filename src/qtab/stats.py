@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import BivarPoly, packed_qfactorial, packed_width, unpack
+from .polynomial import BivarPoly, packed_digits, packed_qfactorial, packed_width, unpack
 
 __all__ = [
     "t_count",
@@ -86,7 +86,8 @@ def a_poly(n: int) -> BivarPoly:
 
     Each partition contributes its maj polynomial in p times the same
     polynomial in q: row i, the packed coefficient of p^i, gains c_i times
-    the packed polynomial, where c_i is its coefficient of q^i.
+    the packed polynomial, where c_i is its coefficient of q^i, read off
+    the packed value's digits.
     """
     from .tableau import hook_packed, partitions
 
@@ -94,7 +95,7 @@ def a_poly(n: int) -> BivarPoly:
     rows = [0] * (n * (n - 1) // 2 + 1)
     for shape in partitions(n):
         value = hook_packed(shape, width)
-        for i, coeff in enumerate(unpack(width, value).q_coefficients()):
+        for i, coeff in enumerate(packed_digits(width, value)):
             rows[i] += coeff * value
     return unpack(width, *rows)
 

@@ -265,7 +265,7 @@ def test_oracle_commands_keep_exit_code_contract(argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
-        except SystemExit as exc:  # argparse's own usage errors, e.g. "-1,2"
+        except SystemExit as exc:  # grammar errors, e.g. "-1,2"
             code = exc.code
     assert code in (0, 1, 2), argv
     if any(tok[:1] == "-" and tok[1:2].isdigit() for tok in argv):
@@ -535,7 +535,7 @@ def test_limit_commands_keep_exit_code_contract(which, options, dropped, output)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
-        except SystemExit as exc:  # argparse's own usage errors, e.g. no --n
+        except SystemExit as exc:  # grammar errors, e.g. no --n
             code = exc.code
     assert code in (0, 2), argv
     assert "Traceback" not in err.getvalue(), argv
@@ -603,7 +603,7 @@ def test_qpoly_and_probe_keep_exit_code_contract(argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
-        except SystemExit as exc:  # argparse's own usage errors
+        except SystemExit as exc:  # grammar errors
             code = exc.code
     assert code in (0, 2), argv
     assert "Traceback" not in err.getvalue(), argv
@@ -663,7 +663,7 @@ def test_stat_and_rs_keep_exit_code_contract(argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
-        except SystemExit as exc:  # argparse's own usage errors, e.g. "-1"
+        except SystemExit as exc:  # grammar errors, e.g. "-1"
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
@@ -735,3 +735,365 @@ def test_tableau_bare_file_path(tmp_path, capsys):
     assert out_of(capsys) == "D={2} maj=2"
     assert run(["probe", "conjecture", "--tableaux", str(path), "--n", "5"]) == 0
     assert out_of(capsys).startswith("ratio =")
+
+
+# -- the grammar table against the argparse parser it replaced ----------------------
+
+
+def _reference_parser():
+    """The argparse parser qtab built before the grammar table, kept as the reference."""
+    import argparse
+
+    from qtab.cli import _LIMIT_KINDS, _parse_rational
+
+    parser = argparse.ArgumentParser(
+        prog="qtab",
+        description="Exact q-analog statistics for tableau and permutation containment.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_stat = sub.add_parser("stat", help="descent set, maj, imaj of an object")
+    p_stat.add_argument("kind", choices=["perm", "tab"])
+    p_stat.add_argument("object", help="permutation word, or tableau JSON / @file")
+    p_stat.add_argument("--json", action="store_true")
+
+    p_rs = sub.add_parser("rs", help="insertion correspondence and its inverse")
+    p_rs.add_argument("operands", nargs="+")
+    p_rs.add_argument("--inverse", action="store_true")
+    p_rs.add_argument("--json", action="store_true")
+
+    p_qpoly = sub.add_parser("qpoly", help="exact q-polynomials")
+    p_qpoly.add_argument(
+        "which", choices=["factorial", "binomial", "tn", "an", "fshape"]
+    )
+    p_qpoly.add_argument("args", nargs="+")
+    p_qpoly.add_argument(
+        "--method", choices=["enum"], help="enumerate instead of the closed form (tn, an, fshape)"
+    )
+    p_qpoly.add_argument("--json", action="store_true")
+
+    p_jset = sub.add_parser("jset", help="j-set of a permutation")
+    p_jset.add_argument("perm")
+    p_jset.add_argument("--json", action="store_true")
+
+    p_j2set = sub.add_parser("j2set", help="j2-set of a pair, or membership check")
+    p_j2set.add_argument("first", help="sigma, or the word 'check'")
+    p_j2set.add_argument("second", nargs="?", help="tau, or the set to check")
+    p_j2set.add_argument("--json", action="store_true")
+
+    p_j2 = sub.add_parser("j2", help="count j2-sets by largest element")
+    p_j2.add_argument("action", choices=["count"])
+    p_j2.add_argument("--max", type=int, required=True)
+    p_j2.add_argument("--method", choices=["gf", "brute"], default="gf")
+    p_j2.add_argument("--json", action="store_true")
+
+    p_verify = sub.add_parser("verify", help="machine-check the exact identities")
+    p_verify.add_argument(
+        "which",
+        choices=["permcont1", "permcont2", "permtotab", "majgen", "majgen1"],
+    )
+    p_verify.add_argument("--max-size", type=int, required=True)
+    p_verify.add_argument(
+        "--max-total",
+        type=int,
+        default=None,
+        help="cap on the ambient enumeration size (theorem-specific default)",
+    )
+    p_verify.add_argument("--json", action="store_true")
+
+    p_limit = sub.add_parser("limit", help="finite-size values against limit formulas")
+    p_limit.add_argument("which", choices=list(_LIMIT_KINDS))
+    p_limit.add_argument("--q", type=_parse_rational)
+    p_limit.add_argument("--p", type=_parse_rational)
+    p_limit.add_argument("--n", type=int, required=True)
+    p_limit.add_argument("--sigma")
+    p_limit.add_argument("--tau")
+    p_limit.add_argument("--tableau", help="tableau JSON or @file")
+    p_limit.add_argument("--tableau2", help="tableau JSON or @file")
+    p_limit.add_argument("--a", type=int, help="offset for eq8 (default 1)")
+    p_limit.add_argument(
+        "--precision", type=_parse_rational, help="product tail bound for xi (default 1/10^7)"
+    )
+    p_limit.add_argument("--csv", action="store_true")
+    p_limit.add_argument(
+        "--digits", type=int, help="significant digits in text and --csv output (default 12)"
+    )
+    p_limit.add_argument("--json", action="store_true")
+
+    p_probe = sub.add_parser("probe", help="exploratory tuple containment ratio")
+    p_probe.add_argument("what", choices=["conjecture"])
+    p_probe.add_argument("--tableaux", nargs="+", required=True)
+    p_probe.add_argument("--n", type=int, required=True)
+    p_probe.add_argument("--json", action="store_true")
+
+    return parser
+
+
+def _outcome(parse, argv):
+    """What a parser makes of argv: ("ok", namespace dict), ("exit", code) or
+    ("usage", message) for a UsageError its converters raise; and its stdout
+    and stderr."""
+    from qtab.cli import UsageError
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("ok", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except UsageError as exc:
+            result = ("usage", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parsed_as_reference(argv):
+    from qtab.cli import _parse_args
+
+    expected, _, _ = _outcome(_reference_parser().parse_args, argv)
+    got, out, err = _outcome(_parse_args, argv)
+    assert got == expected, argv
+    if got[0] == "exit" and got[1] == 2:
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+# every command, every option, the = form, options before and between
+# operands, repeated options and each nargs
+VALID_ARGV = [
+    ["stat", "perm", "21"],
+    ["stat", "--json", "tab", '{"outer":[1],"rows":[[1]]}'],
+    ["stat", "perm", "--json", "-1"],
+    ["rs", "53214"],
+    ["rs", "--inverse", "@P.json", "@Q.json", "--json"],
+    ["rs", "--json", "1", "2", "3", "--json"],
+    ["qpoly", "factorial", "5"],
+    ["qpoly", "binomial", "4", "2", "--method", "enum", "--json"],
+    ["qpoly", "--method=enum", "tn", "3"],
+    ["qpoly", "an", "--json", "5"],
+    ["qpoly", "fshape", "3,2/1", "--method", "enum", "--method", "enum"],
+    ["jset", "312"],
+    ["jset", "--json", "-1"],
+    ["j2set", "312", "312"],
+    ["j2set", "check"],
+    ["j2set", "--json", "check", "0,1,3"],
+    ["j2", "count", "--max", "5"],
+    ["j2", "--method", "brute", "count", "--max=3", "--max", "4"],
+    ["j2", "count", "--max", "-1", "--method=gf", "--json"],
+    ["verify", "permcont1", "--max-size", "2"],
+    ["verify", "--max-total=7", "majgen", "--max-size", "1", "--json"],
+    ["verify", "permtotab", "--max-size", "3", "--max-size", "-2", "--max-total", "1"],
+    ["limit", "tlim", "--q", "1/2", "--n", "40"],
+    ["limit", "--n=8", "qlim1", "--sigma", "21", "--q", "2/3", "--q", "1/2"],
+    ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "-1", "--q", "3", "--n", "30"],
+    ["limit", "m3-1", "--tableau", "@A.json", "--tableau2=@B.json", "--p", "1/2", "--q=1/2"]
+    + ["--n", "5"],
+    ["limit", "xi", "--q", "1/2", "--n", "5", "--precision=-1/2", "--digits", "3", "--csv"],
+    ["limit", "eq8", "--a", "2", "--n", "20", "--json", "--digits", "-1"],
+    ["probe", "conjecture", "--tableaux", "@A.json", "@B.json", "--n", "5"],
+    ["probe", "--n", "3", "--tableaux=@A.json", "conjecture"],
+    ["probe", "--tableaux", "a", "--n", "2", "--tableaux", "b", "c", "--json", "conjecture"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_grammar_reads_valid_argv_as_the_reference(argv):
+    from qtab.cli import _parse_args
+
+    expected = vars(_reference_parser().parse_args(argv))
+    assert vars(_parse_args(argv)) == expected
+
+
+def test_valid_corpus_covers_every_command_and_option():
+    from qtab.cli import _GRAMMAR
+
+    for command, (_, _, options, _) in _GRAMMAR.items():
+        used = {tok.partition("=")[0] for argv in VALID_ARGV if argv[0] == command for tok in argv}
+        assert {*options, "--json"} <= used, command
+    assert sum(tok.startswith("--") and "=" in tok for argv in VALID_ARGV for tok in argv) >= 5
+
+
+# argv the reference rejects with its own usage error; abbreviations are not
+# here, since the grammar refuses what the reference accepts
+REJECTED_ARGV = [
+    [],
+    ["nosuch"],
+    ["--json", "stat", "perm", "1"],
+    ["stat"],
+    ["stat", "perm"],
+    ["stat", "cat", "21"],
+    ["stat", "perm", "21", "12"],
+    ["stat", "perm", "21", "--json=yes"],
+    ["rs"],
+    ["rs", "21", "--json", "12"],
+    ["rs", "--inverse=1", "a"],
+    ["qpoly", "binomial", "4", "--json", "2"],
+    ["qpoly", "tn", "3", "--method", "hook"],
+    ["qpoly", "tn", "3", "--method"],
+    ["qpoly", "factorial"],
+    ["jset", "-1,2"],
+    ["jset", "--bogus", "21"],
+    ["jset", "-x", "21"],
+    ["j2set", "21", "--json", "12"],
+    ["j2set", "a", "b", "c"],
+    ["j2", "count"],
+    ["j2", "count", "--max", "x"],
+    ["j2", "count", "--max", "-1,2"],
+    ["j2", "count", "--max=", "--json"],
+    ["j2", "count", "--max", "3", "--method", "fast"],
+    ["j2", "sum", "--max", "3"],
+    ["verify", "permcont1"],
+    ["verify", "permcont1", "--max-size", "-1,2"],
+    ["verify", "permcont1", "--max-size", "1.5"],
+    ["verify", "majgen", "--max-size", "1", "--max-total"],
+    ["limit", "tlim", "--q", "1/2"],
+    ["limit", "tlim", "--n", "3", "--threads", "2"],
+    ["limit", "nosuch", "--n", "3"],
+    ["limit", "tlim", "--n", "3", "--q", "-1/2"],
+    ["limit", "tlim", "--n", "3", "--csv=1"],
+    ["probe", "conjecture", "--n", "5"],
+    ["probe", "conjecture", "--tableaux", "--n", "5"],
+    ["probe", "conjecture", "--tableaux=a", "b", "--n", "5"],
+    ["probe", "--tableaux", "a", "conjecture", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_grammar_rejects_what_the_reference_rejects(argv):
+    expected, _, _ = _outcome(_reference_parser().parse_args, argv)
+    assert expected == ("exit", 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _ORACLE_ARGV
+    | _QPOLY_ARGV
+    | _PROBE_ARGV
+    | _STAT_RS_ARGV
+    | st.fixed_dictionaries(_LIMIT_OPTIONS).map(
+        lambda options: ["limit", "m3-1", *(tok for item in options.items() for tok in item)]
+    ),
+    st.booleans(),
+)
+def test_existing_strategies_parse_as_the_reference(argv, as_json):
+    _assert_parsed_as_reference(argv + ["--json"] if as_json else argv)
+
+
+def _grammar_argv():
+    """A command and up to 8 tokens: its own options (alone or with =value),
+    two unknown options, -h, and operands, among them negative numbers,
+    spaced words and dash words."""
+    from qtab.cli import _GRAMMAR
+
+    values = st.sampled_from(
+        ["1", "21", "-1", "-1,2", "1/2", "0.5", "-1/2", "x", "", "a b", "-a b", "-.5", "-1.",
+         "-", "perm", "tab", "count", "gf", "brute", "enum", "hook", "conjecture", "factorial",
+         "binomial", "tlim", "qlim1", "permcont1", "check", "0,1,3"]
+    )
+
+    def tokens(command):
+        names = st.sampled_from([*_GRAMMAR[command][2], "--json", "--bogus", "-x"])
+        option = names | st.tuples(names, values).map("=".join)
+        return st.lists(option | values | st.sampled_from(["-h", "--help"]), max_size=8)
+
+    return st.sampled_from(list(_GRAMMAR)).flatmap(
+        lambda command: tokens(command).map(lambda rest: [command, *rest])
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grammar_argv())
+def test_grammar_parses_random_argv_as_the_reference(argv):
+    # same namespace, the same UsageError, or the same exit code
+    _assert_parsed_as_reference(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["j2", "count", "--ma", "3"],
+        ["limit", "xi", "--q", "1/2", "--n", "5", "--prec", "1/10"],
+        ["probe", "conjecture", "--tableau", "a", "--n", "2"],
+    ],
+)
+def test_abbreviated_options_are_refused(argv, capsys):
+    # the reference (argparse's allow_abbrev) read these as --max, --precision, --tableaux
+    assert _outcome(_reference_parser().parse_args, argv)[0][0] != "exit"
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_double_dash_is_an_unknown_option(capsys):
+    # argparse read "--" as the end of the options; no qtab operand needs it,
+    # since a negative number is an operand anyway
+    with pytest.raises(SystemExit) as exc:
+        run(["stat", "perm", "--", "21"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+# -- help and the command itself ----------------------------------------------------
+
+
+def test_help_names_every_command(capsys):
+    from qtab.cli import _GRAMMAR
+
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            run([flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qtab ") and captured.err == ""
+        listed = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")]
+        assert listed == list(_GRAMMAR)
+
+
+@pytest.mark.parametrize(
+    "command", ["stat", "rs", "qpoly", "jset", "j2set", "j2", "verify", "limit", "probe"]
+)
+def test_command_help_names_every_argument(command, capsys):
+    from qtab.cli import _GRAMMAR
+
+    # -h wins wherever it stands, as long as nothing before it fails
+    for argv in ([command, "-h"], [command, "--json", "--help", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: qtab {command} ") and captured.err == ""
+        named = {line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")}
+        _, operands, options, _ = _GRAMMAR[command]
+        assert named == {name.upper() for name, _, _ in operands} | {*options, "--json"}
+
+
+def test_limit_help_names_every_limit_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["limit", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for option in ("--q", "--p", "--n", "--sigma", "--tau", "--tableau", "--tableau2", "--a",
+                   "--precision", "--csv", "--digits", "--json"):
+        assert f"\n  {option} " in out
+    for kind in ("qlim1", "m2-1", "m3", "m3-1", "tlim", "alim", "xi", "eq8"):
+        assert kind in out
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"]], ids=["no command", "unknown command"])
+def test_missing_or_unknown_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "limit" in captured.err  # the commands are listed

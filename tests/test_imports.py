@@ -100,11 +100,12 @@ def test_import_qtab_loads_no_submodule():
 
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
-# tlim, alim, xi and eq8 need only the series (eq8 adds its ratios); the
-# pattern theorems add the weights and what those read: the j-sets of
-# permutation patterns, or the skew polynomials of tableau shapes, never the
-# oracle modules, the j-set criteria or the handlers of the other commands
-_LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats"}
+# tlim, alim, xi and eq8 need only their handler and the series (eq8 adds
+# its ratios); the pattern theorems add the weights and what those read: the
+# j-sets of permutation patterns, or the skew polynomials of tableau shapes,
+# never the oracle modules, the j-set criteria or the handlers of the other
+# commands
+_LIMIT_KERNEL = {"cli", "limitcmd", "limits", "polynomial", "stats"}
 _PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
 _TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
 _COMMANDS = {"cli", "commands"}
@@ -163,6 +164,9 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     assert {m[5:] for m in loaded if m.startswith("qtab.")} == modules
     # dataclasses alone costs a fresh process more than the limit commands' work
     assert "dataclasses" not in loaded - bare_modules
+    # nor does any command parse its arguments with argparse, which loads
+    # gettext, and locale when a parser is built
+    assert not {"argparse", "gettext", "locale"} & (loaded - bare_modules)
 
 
 # Where no bytecode cache is written, a process compiles every module it
