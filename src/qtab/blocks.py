@@ -15,6 +15,7 @@ import itertools
 from typing import Iterator
 
 from .permutation import Permutation, standardize
+from .values import Value
 
 __all__ = [
     "BinaryWord",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 
-class BinaryWord:
+class BinaryWord(Value):
     """A word of 0s and 1s; ``weight`` counts the 1s.  An immutable value."""
 
     __slots__ = ("bits",)
@@ -36,21 +37,7 @@ class BinaryWord:
     def __init__(self, bits: tuple[int, ...]):
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"{bits} is not a 0/1 word")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    def __repr__(self) -> str:
-        return f"BinaryWord(bits={self.bits!r})"
+        Value.__init__(self, bits)
 
     @classmethod
     def parse(cls, text: str) -> "BinaryWord":
@@ -77,7 +64,7 @@ def binary_words(length: int, weight: int) -> Iterator[BinaryWord]:
         yield BinaryWord(tuple(int(i in ones) for i in range(length)))
 
 
-class ZeroOneMatrix:
+class ZeroOneMatrix(Value):
     """A 0-1 matrix in which every row and column holds at most one 1.  An
     immutable value."""
 
@@ -94,21 +81,7 @@ class ZeroOneMatrix:
                 raise ValueError("row with more than one 1")
         if any(sum(column) > 1 for column in zip(*entries)):
             raise ValueError("column with more than one 1")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"ZeroOneMatrix(entries={self.entries!r})"
+        Value.__init__(self, entries)
 
     @classmethod
     def from_permutation(cls, perm: Permutation) -> "ZeroOneMatrix":
@@ -131,7 +104,7 @@ def matrix_of(perm: Permutation) -> ZeroOneMatrix:
     return ZeroOneMatrix.from_permutation(perm)
 
 
-class PhiImage:
+class PhiImage(Value):
     """Image of a permutation under the 2x2 block decomposition of its matrix.
 
     The matrix of a permutation of [a + m] = [b + n] is cut after column a and
@@ -167,26 +140,7 @@ class PhiImage:
             raise ValueError("block permutation sizes do not match")
         if c1.weight != a - j or r1.weight != b - j or c2.weight != k or r2.weight != k:
             raise ValueError("word weights do not match the block sizes")
-        for name, value in zip(self.__slots__, (p11, p12, p21, p22, c1, r1, c2, r2, a, b)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"PhiImage({shown})"
+        Value.__init__(self, p11, p12, p21, p22, c1, r1, c2, r2, a, b)
 
 
 def phi(perm: Permutation, a: int, b: int) -> PhiImage:

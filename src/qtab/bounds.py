@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .stats import t_count
+from .values import Value
 
 __all__ = ["BoundReport", "check_bound", "Eq8Report", "eq8_check"]
 
@@ -44,36 +45,14 @@ def _log_recip_upper(x: Fraction, tolerance: Fraction) -> Fraction:
             return total + tail
 
 
-class BoundReport:
+class BoundReport(Value):
     """One-sided rational verification of the log-product inequality.  An
     immutable value."""
 
     __slots__ = ("q", "lhs_upper", "rhs_lower")
 
     def __init__(self, q: Fraction, lhs_upper: Fraction, rhs_lower: Fraction):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lhs_upper", lhs_upper)
-        object.__setattr__(self, "rhs_lower", rhs_lower)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.q, self.lhs_upper, self.rhs_lower)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"BoundReport(q={self.q!r}, lhs_upper={self.lhs_upper!r}, "
-            f"rhs_lower={self.rhs_lower!r})"
-        )
+        Value.__init__(self, q, lhs_upper, rhs_lower)
 
     @property
     def margin(self) -> Fraction:
@@ -114,7 +93,7 @@ def check_bound(q: Fraction, slack: Fraction = Fraction(1, 10**6)) -> BoundRepor
 # -- involution number ratios --------------------------------------------------------
 
 
-class Eq8Report:
+class Eq8Report(Value):
     """The two scaled involution-number ratios at a given enumeration size:
     ``ratio_offset`` = n^a t_{n-a} / t_{n+a} and ``ratio_stride`` =
     n^a t_n / t_{n+2a}.  An immutable value."""
@@ -122,30 +101,7 @@ class Eq8Report:
     __slots__ = ("a", "n", "ratio_offset", "ratio_stride")
 
     def __init__(self, a: int, n: int, ratio_offset: Fraction, ratio_stride: Fraction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ratio_offset", ratio_offset)
-        object.__setattr__(self, "ratio_stride", ratio_stride)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.a, self.n, self.ratio_offset, self.ratio_stride)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Eq8Report(a={self.a!r}, n={self.n!r}, ratio_offset={self.ratio_offset!r}, "
-            f"ratio_stride={self.ratio_stride!r})"
-        )
+        Value.__init__(self, a, n, ratio_offset, ratio_stride)
 
 
 def eq8_check(a: int, n: int) -> Eq8Report:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .values import Value
+
 __all__ = [
     "JProfile",
     "j_profile",
@@ -133,7 +135,7 @@ def psi2(values: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-class JProfile:
+class JProfile(Value):
     """The full difference-sequence decomposition of a finite set.
 
     ``psi2_blocks`` is None when the difference sequence does not end in 1
@@ -149,30 +151,7 @@ class JProfile:
         psi_blocks: tuple[tuple[Entry, ...], ...],
         psi2_blocks: tuple[tuple[int, ...], ...] | None,
     ):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "delta_bar", delta_bar)
-        object.__setattr__(self, "psi_blocks", psi_blocks)
-        object.__setattr__(self, "psi2_blocks", psi2_blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.delta, self.delta_bar, self.psi_blocks, self.psi2_blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"JProfile(delta={self.delta!r}, delta_bar={self.delta_bar!r}, "
-            f"psi_blocks={self.psi_blocks!r}, psi2_blocks={self.psi2_blocks!r})"
-        )
+        Value.__init__(self, delta, delta_bar, psi_blocks, psi2_blocks)
 
     def to_json(self) -> dict:
         def entry(e: Entry) -> dict:

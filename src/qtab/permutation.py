@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from .values import Value
+
 __all__ = [
     "Permutation",
     "standardize",
@@ -57,7 +59,7 @@ def standardize(values: Sequence[int]) -> "Permutation":
     return Permutation(word_std(values))
 
 
-class Permutation:
+class Permutation(Value):
     """A permutation of [n] in one-line notation; n = 0 is the empty permutation.
 
     An immutable value: equal words give equal, equally hashed permutations.
@@ -68,21 +70,7 @@ class Permutation:
     def __init__(self, word: tuple[int, ...]):
         if tuple(sorted(word)) != tuple(range(1, len(word) + 1)):
             raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(word={self.word!r})"
+        Value.__init__(self, word)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -94,16 +82,18 @@ class Permutation:
 
         Accepts space- or comma-separated values, or the compact digit form
         for n <= 9 (e.g. ``513697428``).  The empty string is the empty
-        permutation.
+        permutation.  A token that is not an integer, or an empty entry
+        between commas (read as the token ""), raises ValueError.
         """
         text = text.strip()
-        if not text:
-            return cls(())
-        if any(ch in text for ch in " ,"):
-            return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation from {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        try:
+            if any(ch in text for ch in " ,"):
+                word = [int(tok) for chunk in text.split(",") for tok in chunk.split() or [""]]
+            else:
+                word = [int(ch) for ch in text]
+        except ValueError:
+            raise ValueError(f"cannot parse permutation from {text!r}") from None
+        return cls(tuple(word))
 
     @property
     def size(self) -> int:

@@ -35,6 +35,7 @@ from .polynomial import (
     times_q_integer,
     unpack,
 )
+from .values import Value
 
 __all__ = [
     "Partition",
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-class Partition:
+class Partition(Value):
     """A weakly decreasing tuple of positive integers; () is the empty partition.
 
     An immutable value: equal parts give equal, equally hashed partitions.
@@ -66,21 +67,7 @@ class Partition:
             raise ValueError(f"{parts}: parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"{parts} is not weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
+        Value.__init__(self, parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -88,10 +75,17 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
+        """Parse space- or comma-separated parts; the empty string is the empty
+        partition.  A token that is not an integer, or an empty entry between
+        commas (read as the token ""), raises ValueError."""
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
+        try:
+            parts = [int(tok) for chunk in text.split(",") for tok in chunk.split() or [""]]
+        except ValueError:
+            raise ValueError(f"cannot parse partition from {text!r}") from None
+        return cls(tuple(parts))
 
     @property
     def size(self) -> int:
@@ -158,7 +152,7 @@ def partitions_inside(n: int, outer: Partition) -> Iterator[Partition]:
             yield mu
 
 
-class SkewShape:
+class SkewShape(Value):
     """The cells of ``outer`` not in ``inner``.  An immutable value."""
 
     __slots__ = ("outer", "inner")
@@ -166,22 +160,7 @@ class SkewShape:
     def __init__(self, outer: Partition, inner: Partition):
         if not outer.contains(inner):
             raise ValueError(f"inner {inner} does not fit inside outer {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.outer == other.outer and self.inner == other.inner
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
-
-    def __repr__(self) -> str:
-        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
+        Value.__init__(self, outer, inner)
 
     @classmethod
     def straight(cls, outer: Partition) -> "SkewShape":
@@ -210,7 +189,7 @@ class SkewShape:
         return SkewShape(self.outer.conjugate(), self.inner.conjugate())
 
 
-class Tableau:
+class Tableau(Value):
     """A standard filling of a (possibly skew) shape with 1..n.
 
     ``rows[i]`` carries the entries of row i + 1, covering columns
@@ -222,8 +201,7 @@ class Tableau:
 
     def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...]):
         # set before the checks, which read the cells through ``entries``
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+        Value.__init__(self, shape, rows)
         outer, inner = shape.outer, shape.inner
         if len(rows) != outer.length:
             raise ValueError("row count does not match the outer shape")
@@ -240,20 +218,6 @@ class Tableau:
             above = cells.get((r - 1, c))
             if above is not None and above >= v:
                 raise ValueError(f"column {c} is not strictly increasing")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.shape == other.shape and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Tableau(shape={self.shape!r}, rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Tableau":
@@ -353,13 +317,18 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data) -> "Tableau":
+        """The tableau of a JSON object or its text: ``outer`` and the optional
+        ``inner`` list integers, ``rows`` lists of integers with null for inner
+        cells.  Any other value, booleans and floats included, raises a
+        ValueError naming the field; a missing field raises KeyError."""
         if isinstance(data, str):
             data = json.loads(data)
-        outer = Partition(tuple(data["outer"]))
-        inner = Partition(tuple(data.get("inner", ())))
-        rows = tuple(
-            tuple(v for v in row if v is not None) for row in data["rows"]
-        )
+        if type(data) is not dict:
+            raise ValueError("expected a JSON object with fields 'outer' and 'rows'")
+        outer = Partition(_json_list(data["outer"], "outer"))
+        inner = Partition(_json_list(data.get("inner", []), "inner"))
+        rows = _json_list(data["rows"], "rows", list)
+        rows = tuple(_json_list(row, "rows", type(None)) for row in rows)
         return cls(SkewShape(outer, inner), rows)
 
     def pretty(self) -> str:
@@ -371,6 +340,14 @@ class Tableau:
             cells = ["." * width] * inner.part(r) + [str(v).rjust(width) for v in row]
             lines.append(" ".join(cells))
         return "\n".join(lines)
+
+
+def _json_list(values, field: str, *types) -> tuple:
+    """The entries, nulls dropped, of a JSON list that holds only integers (not
+    booleans) and values of the other ``types``; anything else raises ValueError."""
+    if type(values) is not list or not {*map(type, values)} <= {int, *types}:
+        raise ValueError(f"field {field!r} must hold integers in lists, as in the schema")
+    return tuple(v for v in values if v is not None)
 
 
 def _row_words(shape: SkewShape) -> Iterator[tuple[int, ...]]:

@@ -163,6 +163,38 @@ def test_j2set_check_malformed_set_is_a_usage_error(text, capsys):
     assert "invalid literal" not in captured.err
 
 
+_LIMIT_TAIL = ["--q", "1/2", "--n", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # tableau JSON holds integers only: no booleans, floats or other types
+        (["limit", "m3", "--tableau", '{"outer":[true,true],"rows":[[1],[2.0]]}', *_LIMIT_TAIL],
+         "'outer'"),
+        (["stat", "tab", '{"outer":[1],"rows":[[true]]}'], "'rows'"),
+        (["stat", "tab", '{"outer":[1],"rows":[[1.0]]}'], "'rows'"),
+        (["stat", "tab", '{"outer":[1],"rows":"1"}'], "'rows'"),
+        (["stat", "tab", '{"outer":[1],"inner":null,"rows":[[1]]}'], "'inner'"),
+        (["stat", "tab", '{"outer":[2,1],"inner":[true],"rows":[[null,1],[2]]}'], "'inner'"),
+        (["stat", "tab", '{"outer":"x","rows":[[1]]}'], "'outer'"),
+        (["stat", "tab", "null"], "'outer'"),
+        # an empty entry between commas is refused, as j2set check refuses it
+        (["stat", "perm", "2,,1"], "'2,,1'"),
+        (["jset", ","], "','"),
+        (["j2set", "21", "1,2,"], "'1,2,'"),
+        (["qpoly", "fshape", "3,,1"], "'3,,1'"),
+        (["limit", "qlim1", "--sigma", "1,,2", *_LIMIT_TAIL], "'1,,2'"),
+    ],
+)
+def test_malformed_operands_are_usage_errors(argv, named, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_j2_count_gf(capsys):
     assert run(["j2", "count", "--max", "15", "--method", "gf"]) == 0
     assert out_of(capsys) == "1,1,1,2,4,8,15,29,55,105,200,381,725,1381,2629,5005"
@@ -628,7 +660,7 @@ _WORDS = st.one_of(
         lambda n: st.permutations(range(1, n + 1)).map(lambda w: "".join(map(str, w)))
     ),
     st.lists(st.integers(-2, 6), max_size=4).map(lambda xs: ",".join(map(str, xs))),
-    st.sampled_from(["112", "0", "x1", "1 2", "-1"]),
+    st.sampled_from(["112", "0", "x1", "1 2", "-1", "2,,1", "1,"]),
 )
 _TABLEAUX = st.sampled_from(
     [
@@ -641,6 +673,8 @@ _TABLEAUX = st.sampled_from(
         json.dumps({"outer": [1, 2], "rows": [[1], [2, 3]]}),  # not a partition
         json.dumps({"outer": 3, "rows": [[1]]}),
         json.dumps({"outer": [1], "rows": [["a"]]}),
+        json.dumps({"outer": [True], "rows": [[1.0]]}),
+        "null",
         json.dumps({"rows": [[1]]}),
         "[]",
         "7",

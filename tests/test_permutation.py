@@ -35,8 +35,12 @@ def test_parse_forms():
     assert Permutation.parse("513697428") == EXAMPLE
     assert Permutation.parse("5,1,3,6,9,7,4,2,8") == EXAMPLE
     assert Permutation.parse("") == Permutation(())
+    assert Permutation.parse(" 2, 1 ") == Permutation.parse("2 1") == Permutation((2, 1))
     with pytest.raises(ValueError):
         Permutation.parse("1 1 2")
+    for text in ("2,,1", ",", "1,2,"):
+        with pytest.raises(ValueError, match="cannot parse permutation"):
+            Permutation.parse(text)
 
 
 def test_restrictions_worked_example():

@@ -27,6 +27,10 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition.of(2, 0)
     assert Partition.parse("").parts == ()
+    assert Partition.parse(" 3, 1 ") == Partition.parse("3 1") == Partition.of(3, 1)
+    for text in ("3,,1", ",", "3,1,"):
+        with pytest.raises(ValueError, match="cannot parse partition"):
+            Partition.parse(text)
 
 
 def _partitions_recursive(remaining, cap):

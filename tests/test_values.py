@@ -3,11 +3,15 @@
 Each class keeps the semantics it had as a dataclass: equality on the class
 and the field tuple, a hash of the field tuple for the immutable ones (whose
 fields cannot be assigned), no hash for the mutable reports, and the
-``Name(field=value, ...)`` repr.
+``Name(field=value, ...)`` repr.  The immutable ones take all four from
+``qtab.values.Value``, and the last two tests keep it the only copy.
 """
 
+import ast
+import importlib
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,9 @@ from qtab.jcriteria import JProfile
 from qtab.limits import ConvergenceReport
 from qtab.permutation import Permutation
 from qtab.tableau import Partition, SkewShape, Tableau
+from qtab.values import Value
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qtab"
 
 # (build, repr of the built value, field to assign, or None for a mutable report);
 # build() makes a new, equal value on each call
@@ -116,3 +123,24 @@ def test_mutable_reports_compare_their_current_fields():
     assert report == twin
     notes = ConvergenceReport("x", Fraction(0), [])
     assert notes.notes == [] and notes.notes is not ConvergenceReport("x", Fraction(0), []).notes
+
+
+def test_every_value_class_is_built_by_a_row():
+    for path in SRC.glob("*.py"):
+        importlib.import_module("qtab" if path.stem == "__init__" else f"qtab.{path.stem}")
+    built = {type(build()) for build, _, field in VALUES if field is not None}
+    assert set(Value.__subclasses__()) == built
+    for cls in built:
+        assert not {"__setattr__", "__eq__", "__hash__", "__repr__", "_fields"} & set(vars(cls))
+
+
+def test_only_the_value_base_and_bivarpoly_define_setattr_or_hash():
+    owners = {
+        (path.stem, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and {"__setattr__", "__hash__"}
+        & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    }
+    assert owners == {("values", "Value"), ("polynomial", "BivarPoly")}
