@@ -15,6 +15,7 @@ import importlib
 
 # home module -> the names it exports at package level
 _EXPORTS = {
+    "bivar": "BivarPoly q_integer qbinomial qfactorial",
     "blocks": "BinaryWord PhiImage ZeroOneMatrix matrix_of phi phi_inverse shuffle",
     "bounds": "BoundReport Eq8Report check_bound eq8_check",
     "containment": """IdentityReport contains enum_inv_containing enum_pair_containing
@@ -26,7 +27,7 @@ _EXPORTS = {
     "limits": """ConvergenceReport a_ratio contraction m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs
         m3_lhs m3_rhs qlim1_lhs qlim1_rhs t_ratio xi_partial xi_product_with_tail""",
     "permutation": "Permutation involutions permutations standardize",
-    "polynomial": "BivarPoly format_decimal q_integer qbinomial qfactorial",
+    "polynomial": "format_decimal",
     "rsk": "rs rs_inverse rs_involution rs_involution_inverse",
     "stats": """a_poly a_poly_enum a_value q_factorial_value t_count t_poly
         t_poly_enum t_value""",

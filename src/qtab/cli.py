@@ -14,12 +14,13 @@ safety rail.  Identical invocations produce byte-identical output.
 
 This module holds the command-line grammar, one table that both the
 parser and ``-h`` read, and the shared option parsers.  The ``limit``
-handler is in :mod:`qtab.limitcmd` and the handlers of the other commands
-in :mod:`qtab.commands`; ``run`` imports the one the command needs, and
-:mod:`qtab.usage` only for ``-h``.  Each handler imports the ``qtab``
-modules its computation reads when it runs (``qpoly factorial`` loads only
-``polynomial``), and ``json`` only for ``--json`` output, so a process
-compiles and runs only what it uses.  No process loads ``argparse``.
+handler is at the end of :mod:`qtab.limits`, beside the evaluators it
+calls, and the handlers of the other commands are in :mod:`qtab.commands`;
+``run`` imports the one the command needs, and :mod:`qtab.usage` only for
+``-h``.  Each handler imports the ``qtab`` modules its computation reads
+when it runs (``qpoly factorial`` loads only ``polynomial`` and ``bivar``),
+and ``json`` only for ``--json`` output, so a process compiles and runs
+only what it uses.  No process loads ``argparse``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _emit(args, text_lines: list[str], payload) -> None:
 # Evaluators are names in ``limits``, looked up when a report is built, so a
 # wrapper installed on the module later is the one called.  The finite one
 # takes (*patterns, *parameters, n), the limit one (*patterns, *parameters).
-# xi and eq8 build their limits and notes in qtab.limitcmd, which runs limit.
+# xi and eq8 build their limits and notes in the limit handler, limits.cmd_limit.
 _LIMIT_KINDS = {
     "qlim1": (("sigma",), ("q",), "qlim1_lhs", "qlim1_rhs"),
     "m2-1": (("sigma", "tau"), ("p", "q"), "m2_1_lhs", "m2_1_rhs"),
@@ -284,7 +285,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "limit":
-            from .limitcmd import cmd_limit
+            from .limits import cmd_limit
 
             return cmd_limit(args)
         from .commands import HANDLERS

@@ -1,10 +1,10 @@
 """Handlers of every ``qtab`` command but ``limit``.
 
 ``qtab.cli`` parses the command line and imports this module only for
-these commands, and :mod:`qtab.limitcmd` only for ``limit``, so neither
-compiles the other's handlers.  Each handler imports the ``qtab`` modules
-its computation reads when it runs (``qpoly factorial`` loads only
-``polynomial``).
+these commands, and :mod:`qtab.limits`, which holds the ``limit`` handler,
+only for ``limit``, so neither compiles the other's handlers.  Each handler
+imports the ``qtab`` modules its computation reads when it runs (``qpoly
+factorial`` loads only ``polynomial`` and ``bivar``).
 
 The brute-force size cap ``QTAB_MAX_N`` (see :mod:`qtab.cli`) is read here,
 since no ``limit`` kind enumerates.
@@ -108,7 +108,7 @@ def _size_operand(which: str, text: str) -> int:
 
 
 def _cmd_qpoly(args) -> int:
-    from .polynomial import qbinomial, qfactorial
+    from .bivar import qbinomial, qfactorial
 
     which = args.which
     arity = 2 if which == "binomial" else 1

@@ -53,10 +53,11 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .bivar import ZERO, BivarPoly, unpack
 from .jsets import j2_set, j_set
 from .permutation import Permutation, involution_words, involutions, permutations
 from .permutation import word_low, word_std
-from .polynomial import ZERO, BivarPoly, packed_qbinomial, packed_width, unpack
+from .polynomial import packed_qbinomial, packed_width
 from .stats import a_poly, t_count, t_poly
 from .tableau import (
     Partition,
@@ -221,11 +222,10 @@ class IdentityReport:
 
 # -- packed identity checks ------------------------------------------------------
 
-# A side of an identity as (pack, value, degree): pack(width, stride) is its
-# polynomial at q = 2^width, p = 2^(width * stride); value, its value at
-# p = q = 1, and degree, a bound on its q-degree (-1 for the zero polynomial),
-# come from the side's own pieces.
-Side = tuple[Callable[[int, int], int], int, int]
+# A side of an identity as (pack, degree): pack(width, stride) is its
+# polynomial at q = 2^width, p = 2^(width * stride), and degree, a bound on
+# its q-degree (-1 for the zero polynomial), comes from the side's own pieces.
+Side = tuple[Callable[[int, int], int], int]
 
 
 def _pack(terms: Iterable[tuple[tuple[int, int], int]], width: int, stride: int) -> int:
@@ -259,8 +259,8 @@ def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
     return the left side's value at p = q = 1.
 
     Packing is evaluation, a ring homomorphism, so a side packs by summing
-    the products of its packed pieces, and at width 0 every piece, so the
-    side, packs to its value at p = q = 1.
+    the products of its packed pieces.  At width 0 every piece, so the side,
+    packs to its value at p = q = 1, and the values are read that way.
 
     The comparison is exact.  Every piece of either side (a brute-force tally,
     a skew maj polynomial, a weight, a Gaussian binomial, t_k or A_k) has
@@ -276,8 +276,9 @@ def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
     digits of a packed side are its coefficients.  Two sides that pack to one
     integer are one polynomial, and a failure prints the sides unpacked.
     """
-    (pack_lhs, value, degree_lhs), (pack_rhs, value_rhs, degree_rhs) = lhs, rhs
-    width = packed_width(max(value, value_rhs))
+    (pack_lhs, degree_lhs), (pack_rhs, degree_rhs) = lhs, rhs
+    value = pack_lhs(0, 0)
+    width = packed_width(max(value, pack_rhs(0, 0)))
     stride = 1 << max(degree_lhs, degree_rhs, 0).bit_length()
     report.record(
         instance,
@@ -292,22 +293,20 @@ def _tally_side(tally: Mapping[tuple[int, int], int]) -> Side:
     """A tally of counts by (p-degree, q-degree)."""
     return (
         lambda width, stride: _pack(tally.items(), width, stride),
-        sum(tally.values()),
         max([j for _, j in tally], default=-1),
     )
 
 
 def _maj_side(tally: Mapping[int, int]) -> Side:
     """A tally of counts by q-degree."""
-    return lambda width, _: _pack_q(tally.items(), width), sum(tally.values()), max(tally, default=-1)
+    return lambda width, _: _pack_q(tally.items(), width), max(tally, default=-1)
 
 
 def _side_sum(sides: list[Side]) -> Side:
     """The sum of the sides."""
     return (
-        lambda width, stride: sum(pack(width, stride) for pack, _, _ in sides),
-        sum(value for _, value, _ in sides),
-        max((degree for _, _, degree in sides), default=-1),
+        lambda width, stride: sum(pack(width, stride) for pack, _ in sides),
+        max((degree for _, degree in sides), default=-1),
     )
 
 
@@ -315,7 +314,7 @@ def _side_sum(sides: list[Side]) -> Side:
 def _poly_side(poly: BivarPoly) -> Side:
     """A polynomial as a side; a weight shared by many checks is read once."""
     terms = poly.sorted_terms()
-    return lambda width, stride: _pack(terms, width, stride), _pack(terms, 0, 0), poly.degree_q()
+    return lambda width, stride: _pack(terms, width, stride), poly.degree_q()
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +339,7 @@ def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offse
         )
 
     degree = max((d + _cut_term(pair, m, n, k, 0, 0)[1] for _, d, k in cuts), default=-1)
-    return pack, pack(0, 0), degree
+    return pack, degree
 
 
 def _involution_cut_side(weight: Mapping[int, BivarPoly], m: int, n: int) -> Side:
@@ -616,7 +615,6 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
     report = IdentityReport("majgen", {"alpha": str(alpha), "n": n})
     lhs = (
         lambda width, _: sum(_outer_packed(alpha, n, width)),
-        sum(_outer_packed(alpha, n, 0)),
         max((terms[-1][0] for terms in _outer_majs(alpha, n) if terms), default=-1),
     )
     rhs = _involution_cut_side(m3_weight(alpha), alpha.size, n)
@@ -653,7 +651,7 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
             return sum(map(operator.mul, p_side, _outer_packed(beta, n, width)))
 
         degree = max((q[-1][0] for p, q in zip(p_majs, q_majs) if p and q), default=-1)
-        lhs = pack, pack(0, 0), degree
+        lhs = pack, degree
         rhs = _pair_cut_side(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
     inner_counts = _common_inner_counts(alpha, beta)
     count_rhs = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .values import Value
+from .values import Value, parse_ints
 
 __all__ = [
     "JProfile",
@@ -50,15 +50,14 @@ Entry = tuple[int, bool]
 
 
 def parse_int_set(text: str) -> frozenset[int]:
-    """Parse a comma list such as ``0,1,3,6``; a malformed token raises ValueError."""
-    text = text.strip()
-    if not text:
-        return frozenset()
+    """Parse a list such as ``0,1,3,6`` or ``0 1 3 6`` as ``parse_ints`` reads it;
+    a malformed list raises ValueError."""
     try:
-        return frozenset(int(tok) for tok in text.split(","))
+        return frozenset(parse_ints(text))
     except ValueError:
         raise ValueError(
-            f"cannot parse set {text!r}: expected integers separated by commas, like 0,1,3"
+            f"cannot parse set {text.strip()!r}: expected integers separated by commas"
+            " or spaces, like 0,1,3"
         ) from None
 
 

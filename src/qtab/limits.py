@@ -14,8 +14,8 @@ pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
 finite n or in the limit, where W(j) is the weight summed over all patterns
 of the sizes.  The weights and their sums W(j) are the polynomials
 :mod:`qtab.weights` defines and ``qtab verify`` checks; the kernel
-evaluates them at (p, q).  A :class:`ConvergenceReport` renders its rows as
-text, CSV or JSON.
+evaluates them at (p, q).  ``cmd_limit``, the handler of ``qtab limit``,
+prints a :class:`ConvergenceReport` of its rows as text, CSV or JSON.
 
 Every limit is driven by the rate r of the factorial-scaled series, the
 limit of its consecutive ratio: ``t_limit`` for involutions, ``a_limit`` for
@@ -38,17 +38,15 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .polynomial import ZERO, BivarPoly, format_decimal
-from .stats import (
-    a_scaled_value,
-    q_factorial_value,
-    t_count,
-    t_scaled_value,
-)
+from .polynomial import format_decimal
+from .stats import a_scaled_value, q_factorial_value, t_count, t_scaled_value
+from .values import Value
 
 # The pattern theorems import their weights from :mod:`qtab.weights` when they
-# run, so that tlim, alim, xi and eq8 do not load it.
+# run, so that tlim, alim, xi and eq8 do not load it, nor the formal
+# polynomials of :mod:`qtab.bivar` that it builds.
 if TYPE_CHECKING:
+    from .bivar import BivarPoly
     from .permutation import Permutation
     from .tableau import Tableau
 
@@ -169,7 +167,8 @@ def _family(
         term = (r**j if n is None else scaled(k, *params)) / math.prod(
             q_factorial_value(l - j, v) for v, l in zip(params, (b, a))
         )
-        numerator += weight.get(j, ZERO).evaluate(*point) * term
+        if j in weight:
+            numerator += weight[j].evaluate(*point) * term
         denominator += total.evaluate(*point) * term
     return numerator / denominator
 
@@ -296,14 +295,17 @@ def xi_product_with_tail(q: Fraction, precision: Fraction) -> tuple[Fraction, Fr
 # -- convergence reports ---------------------------------------------------------------
 
 
-class ConvergenceReport:
+class ConvergenceReport(Value):
     """Finite-size values against a limit, with exact gaps.
 
     ``notes`` are further exact values as (key, caption, value) triples: text
     output ends with a line ``caption: value`` for each, and JSON output
     carries each value under its key as an exact fraction string.  Reports
-    with equal fields are equal; being mutable, they are not hashable.
+    with equal fields are equal.  No field can be assigned, but ``rows`` and
+    ``notes`` are lists, so a report is not hashable.
     """
+
+    __slots__ = ("label", "limit", "rows", "notes")
 
     def __init__(
         self,
@@ -312,24 +314,7 @@ class ConvergenceReport:
         rows: list[tuple[int, Fraction]],
         notes: list[tuple[str, str, Fraction]] | None = None,
     ):
-        self.label = label
-        self.limit = limit
-        self.rows = rows
-        self.notes = [] if notes is None else notes
-
-    def _fields(self) -> tuple:
-        return (self.label, self.limit, self.rows, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"ConvergenceReport(label={self.label!r}, limit={self.limit!r}, "
-            f"rows={self.rows!r}, notes={self.notes!r})"
-        )
+        Value.__init__(self, label, limit, rows, [] if notes is None else notes)
 
     def gaps(self) -> list[tuple[int, Fraction]]:
         return [(n, abs(value - self.limit)) for n, value in self.rows]
@@ -375,3 +360,81 @@ def default_grid(lo: int, hi: int, points: int = 8) -> list[int]:
     step = max(1, (hi - lo) // (points - 1))
     grid = list(range(lo, hi, step)) + [hi]
     return sorted(set(grid))
+
+
+# -- the handler of ``qtab limit`` ----------------------------------------------------
+
+
+def _limit_report(args) -> ConvergenceReport:
+    """The ConvergenceReport of a limit command, from the evaluators that
+    ``cli._LIMIT_KINDS`` names for its kind.  They are looked up in the module
+    globals on each call, so a wrapper installed on the module is the one called."""
+    from .cli import _LIMIT_KINDS, UsageError, _parse_tableau
+
+    which = args.which
+    # options only some reports read: passing one that this report ignores is an error
+    for name, default, read in (
+        ("precision", Fraction(1, 10**7), which == "xi"),
+        ("a", 1, which == "eq8"),
+        ("digits", 12, args.csv or not args.json),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not read:
+            where = " under --json" if name == "digits" else ""
+            raise UsageError(f"limit {which} does not read --{name}{where}")
+    pattern_options, parameter_options, finite_name, limit_name = _LIMIT_KINDS[which]
+    options = (*pattern_options, *parameter_options)
+    for name in ("sigma", "tau", "tableau", "tableau2", "p", "q"):
+        if name not in options and getattr(args, name) is not None:
+            raise UsageError(f"limit {which} does not read --{name}")
+    for name in options:
+        if getattr(args, name) is None:
+            raise UsageError(f"limit {which} requires --{name}")
+    if "sigma" in pattern_options:
+        from .permutation import Permutation
+    patterns = [
+        _parse_tableau(getattr(args, name))
+        if name.startswith("tableau")
+        else Permutation.parse(getattr(args, name))
+        for name in pattern_options
+    ]
+    parameters = [getattr(args, name) for name in parameter_options]
+    # tableau JSON or file references stay out of the label
+    shown = [name for name in options if not name.startswith("tableau")]
+    label = " ".join([which, *(f"{name}={getattr(args, name)}" for name in shown)])
+    lo = max((pattern.size for pattern in patterns), default=1)
+    finite = lambda n: globals()[finite_name](*patterns, *parameters, n)
+    notes = []
+    if which == "xi":
+        limit, tail = xi_product_with_tail(args.q, args.precision)
+        notes.append(("tail_bound", "product tail bound", tail))
+    elif which == "eq8":
+        from .bounds import eq8_check
+
+        limit, lo = Fraction(1), max(args.a, 1)
+        finite = lambda n: eq8_check(args.a, n).ratio_offset
+    else:
+        limit = globals()[limit_name](*patterns, *parameters)
+    grid = default_grid(lo, args.n, 8) if args.csv else [args.n]
+    report = ConvergenceReport(label, limit, [(n, finite(n)) for n in grid], notes)
+    # after the grid, so an empty --csv grid is reported before a bad --a
+    if which == "eq8":
+        stride = eq8_check(args.a, args.n).ratio_stride
+        report.notes.append(("stride_ratio", f"stride ratio at n={args.n}", stride))
+    return report
+
+
+def cmd_limit(args) -> int:
+    report = _limit_report(args)
+    # rendered in full before printing, so a bad --digits prints nothing
+    if args.csv:
+        text = report.to_csv(args.digits)
+    elif args.json:
+        import json
+
+        text = json.dumps(report.to_json(), sort_keys=True)
+    else:
+        text = report.to_text(args.digits)
+    print(text)
+    return 0

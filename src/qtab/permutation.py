@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .values import Value
+from .values import Value, parse_ints
 
 __all__ = [
     "Permutation",
@@ -80,15 +80,13 @@ class Permutation(Value):
     def parse(cls, text: str) -> "Permutation":
         """Parse one-line notation.
 
-        Accepts space- or comma-separated values, or the compact digit form
-        for n <= 9 (e.g. ``513697428``).  The empty string is the empty
-        permutation.  A token that is not an integer, or an empty entry
-        between commas (read as the token ""), raises ValueError.
+        Accepts values as ``parse_ints`` reads them, or the compact digit form
+        for n <= 9 (e.g. ``513697428``).  Blank text is the empty permutation.
         """
         text = text.strip()
         try:
-            if any(ch in text for ch in " ,"):
-                word = [int(tok) for chunk in text.split(",") for tok in chunk.split() or [""]]
+            if "," in text or len(text.split()) > 1:
+                word = parse_ints(text)
             else:
                 word = [int(ch) for ch in text]
         except ValueError:

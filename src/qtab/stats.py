@@ -20,8 +20,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .polynomial import BivarPoly, packed_digits, packed_qfactorial, packed_width, unpack
+# The polynomial functions import the formal type and the packed kernel when
+# they run, so the series and the scaled evaluators, which limits read, load neither.
+if TYPE_CHECKING:
+    from .bivar import BivarPoly
 
 __all__ = [
     "t_count",
@@ -60,6 +64,7 @@ def t_count(n: int) -> int:
 @lru_cache(maxsize=None)
 def t_poly_enum(n: int) -> BivarPoly:
     """Maj generating polynomial over involutions, by direct enumeration."""
+    from .bivar import BivarPoly
     from .permutation import involutions
 
     return BivarPoly(((0, perm.maj()), 1) for perm in involutions(n))
@@ -68,6 +73,9 @@ def t_poly_enum(n: int) -> BivarPoly:
 @lru_cache(maxsize=None)
 def t_poly(n: int) -> BivarPoly:
     """Maj generating polynomial over involutions: the series at the packing point."""
+    from .bivar import unpack
+    from .polynomial import packed_width
+
     width = packed_width(t_count(n))
     return unpack(width, _series(n, Fraction(1 << width)).numerator)
 
@@ -75,6 +83,7 @@ def t_poly(n: int) -> BivarPoly:
 @lru_cache(maxsize=None)
 def a_poly_enum(n: int) -> BivarPoly:
     """Joint (imaj, maj) generating polynomial over all permutations."""
+    from .bivar import BivarPoly
     from .permutation import permutations
 
     return BivarPoly(((perm.imaj(), perm.maj()), 1) for perm in permutations(n))
@@ -89,6 +98,8 @@ def a_poly(n: int) -> BivarPoly:
     the packed polynomial, where c_i is its coefficient of q^i, read off
     the packed value's digits.
     """
+    from .bivar import unpack
+    from .polynomial import packed_digits, packed_qfactorial, packed_width
     from .tableau import hook_packed, partitions
 
     width = packed_width(packed_qfactorial(n, 0))

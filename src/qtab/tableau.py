@@ -24,18 +24,21 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .polynomial import (
-    BivarPoly,
     divide_packed,
     packed_qbinomial,
     packed_qfactorial,
     packed_width,
     times_q_integer,
-    unpack,
 )
-from .values import Value
+from .values import Value, parse_ints
+
+# the polynomial functions import the formal type when they run, so the
+# commands that only count or read tableaux do not load it
+if TYPE_CHECKING:
+    from .bivar import BivarPoly
 
 __all__ = [
     "Partition",
@@ -75,16 +78,12 @@ class Partition(Value):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse space- or comma-separated parts; the empty string is the empty
-        partition.  A token that is not an integer, or an empty entry between
-        commas (read as the token ""), raises ValueError."""
-        text = text.strip()
-        if not text:
-            return cls(())
+        """Parse parts as ``parse_ints`` reads them; blank text is the empty
+        partition."""
         try:
-            parts = [int(tok) for chunk in text.split(",") for tok in chunk.split() or [""]]
+            parts = parse_ints(text)
         except ValueError:
-            raise ValueError(f"cannot parse partition from {text!r}") from None
+            raise ValueError(f"cannot parse partition from {text.strip()!r}") from None
         return cls(tuple(parts))
 
     @property
@@ -318,18 +317,28 @@ class Tableau(Value):
     @classmethod
     def from_json(cls, data) -> "Tableau":
         """The tableau of a JSON object or its text: ``outer`` and the optional
-        ``inner`` list integers, ``rows`` lists of integers with null for inner
-        cells.  Any other value, booleans and floats included, raises a
-        ValueError naming the field; a missing field raises KeyError."""
+        ``inner`` list integers, ``rows`` lists of integers, each row either
+        bare or led by one null per inner cell.  Any other value, booleans and
+        floats included, or a null out of place raises a ValueError naming the
+        field; a missing field raises KeyError."""
         if isinstance(data, str):
             data = json.loads(data)
         if type(data) is not dict:
             raise ValueError("expected a JSON object with fields 'outer' and 'rows'")
         outer = Partition(_json_list(data["outer"], "outer"))
         inner = Partition(_json_list(data.get("inner", []), "inner"))
-        rows = _json_list(data["rows"], "rows", list)
-        rows = tuple(_json_list(row, "rows", type(None)) for row in rows)
-        return cls(SkewShape(outer, inner), rows)
+        rows = []
+        for r, row in enumerate(_json_list(data["rows"], "rows", list), start=1):
+            row, k = _json_list(row, "rows", type(None)), inner.part(r)
+            if None in row:
+                if row[:k] != (None,) * k or None in row[k:]:
+                    raise ValueError(
+                        f"field 'rows': row {r} holds nulls other than one leading null"
+                        f" per inner cell ({k})"
+                    )
+                row = row[k:]
+            rows.append(row)
+        return cls(SkewShape(outer, inner), tuple(rows))
 
     def pretty(self) -> str:
         """Text diagram with dots marking inner cells."""
@@ -343,11 +352,11 @@ class Tableau(Value):
 
 
 def _json_list(values, field: str, *types) -> tuple:
-    """The entries, nulls dropped, of a JSON list that holds only integers (not
-    booleans) and values of the other ``types``; anything else raises ValueError."""
+    """The entries of a JSON list that holds only integers (not booleans) and
+    values of the other ``types``; anything else raises ValueError."""
     if type(values) is not list or not {*map(type, values)} <= {int, *types}:
         raise ValueError(f"field {field!r} must hold integers in lists, as in the schema")
-    return tuple(v for v in values if v is not None)
+    return tuple(values)
 
 
 def _row_words(shape: SkewShape) -> Iterator[tuple[int, ...]]:
@@ -387,6 +396,8 @@ def f_poly_enum(shape: SkewShape) -> BivarPoly:
     """Maj generating polynomial by enumerating every standard filling (the oracle),
     tallied from row words with no tableau built: i is a descent when entry i + 1
     sits in a lower row than entry i."""
+    from .bivar import BivarPoly
+
     majs = Counter(sum(i for i in range(1, len(w)) if w[i - 1] < w[i]) for w in _row_words(shape))
     return BivarPoly({(0, maj): c for maj, c in majs.items()})
 
@@ -425,6 +436,8 @@ def f_poly(shape: SkewShape) -> BivarPoly:
     """Maj generating polynomial of the shape: hook product or Jacobi-Trudi."""
     if shape.is_straight:
         return f_poly_hook(shape.outer)
+    from .bivar import unpack
+
     width = packed_width(skew_syt_count(shape))
     return unpack(width, _jacobi_trudi(shape, width))
 
@@ -444,6 +457,8 @@ def hook_packed(shape: Partition, width: int) -> int:
 
 def f_poly_hook(shape: Partition) -> BivarPoly:
     """Maj generating polynomial of a straight shape via the hook-length product."""
+    from .bivar import unpack
+
     width = packed_width(syt_count(shape))
     return unpack(width, hook_packed(shape, width))
 

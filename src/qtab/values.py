@@ -4,12 +4,13 @@ A ``Value`` subclass names its fields in ``__slots__``; its ``__init__``
 makes its checks and ends in ``Value.__init__(self, *fields)``.  Two values
 are equal when they are of one class with equal fields, a value hashes as the
 tuple of its fields, prints as ``Name(field=value, ...)``, and no field can be
-assigned once it is built.
+assigned once it is built.  ``parse_ints`` reads the integer lists of the
+command line.
 """
 
 from operator import attrgetter
 
-__all__ = ["Value"]
+__all__ = ["Value", "parse_ints"]
 
 
 class Value:
@@ -41,3 +42,12 @@ class Value:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({shown})"
+
+
+def parse_ints(text: str) -> list[int]:
+    """The integers of a list whose entries commas, spaces or both separate;
+    blank text is the empty list.  A token that is not an integer, or an empty
+    entry between commas (read as the token ""), raises ValueError."""
+    if not text.strip():
+        return []
+    return [int(tok) for chunk in text.split(",") for tok in chunk.split() or [""]]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .polynomial import ZERO, BivarPoly, qfactorial
+from .bivar import ZERO, BivarPoly, qfactorial
 from .stats import t_count
 
 if TYPE_CHECKING:

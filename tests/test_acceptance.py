@@ -63,10 +63,11 @@ from qtab import (
     xi_partial,
     xi_product_with_tail,
 )
+from qtab.bivar import BivarPoly
 from qtab.blocks import binary_words
 from qtab.jcriteria import delta, delta_bar, format_entries, psi, psi2
 from qtab.jsets import j2_sets_of, j_sets_of
-from qtab.polynomial import BivarPoly, format_decimal
+from qtab.polynomial import format_decimal
 
 HALF = Fraction(1, 2)
 

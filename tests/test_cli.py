@@ -149,7 +149,12 @@ def test_jset_and_j2set(capsys):
 
 def test_j2set_check(capsys):
     assert run(["j2set", "check", "0,1,3"]) == 0
-    assert "j2-set: yes" in out_of(capsys)
+    text = out_of(capsys)
+    assert "j2-set: yes" in text
+    # a set is read as every integer list is: commas, spaces or both
+    for spaced in ("0 1 3", "0, 1 3"):
+        assert run(["j2set", "check", spaced]) == 0
+        assert out_of(capsys) == text
     assert run(["j2set", "check", "0,2"]) == 0
     assert "j2-set: no" in out_of(capsys)
 
@@ -185,6 +190,9 @@ _LIMIT_TAIL = ["--q", "1/2", "--n", "4"]
         (["j2set", "21", "1,2,"], "'1,2,'"),
         (["qpoly", "fshape", "3,,1"], "'3,,1'"),
         (["limit", "qlim1", "--sigma", "1,,2", *_LIMIT_TAIL], "'1,,2'"),
+        # a null stands only for an inner cell, at the head of its row
+        (["stat", "tab", '{"outer":[2],"rows":[[1,null,2,null]]}'], "'rows'"),
+        (["stat", "tab", '{"outer":[2,1],"inner":[1],"rows":[[1,null],[2]]}'], "'rows'"),
     ],
 )
 def test_malformed_operands_are_usage_errors(argv, named, capsys):
@@ -221,7 +229,7 @@ def test_verify_exit_code_and_json(capsys):
 def test_verify_failure_exits_one(monkeypatch, capsys):
     # a broken right-hand side must surface as FAIL lines and exit 1
     from qtab import containment
-    from qtab.polynomial import ZERO
+    from qtab.bivar import ZERO
 
     zero_side = containment._poly_side(ZERO)
     monkeypatch.setattr(containment, "_involution_cut_side", lambda *args: zero_side)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qtab import containment
+from qtab.bivar import ZERO, BivarPoly, qbinomial, qfactorial
 from qtab.containment import (
     conjecture_probe,
     contains,
@@ -47,7 +48,7 @@ from qtab.permutation import (
     word_std,
 )
 from qtab.jsets import j2_set, j_set
-from qtab.polynomial import ZERO, BivarPoly, packed_width, qbinomial, qfactorial
+from qtab.polynomial import packed_width
 from qtab.stats import a_poly, t_count, t_poly
 from qtab.tableau import (
     Partition,
@@ -560,8 +561,8 @@ def _majgen1_lhs(alpha, beta, m, n):
 
 def _unpacked(side):
     """A side's polynomial, read off the digits of a packing injective on it alone."""
-    pack, value, degree = side
-    width, stride = packed_width(value), max(degree, 0) + 1
+    pack, degree = side
+    width, stride = packed_width(pack(0, 0)), max(degree, 0) + 1
     return containment._unpack(pack(width, stride), width, stride)
 
 

@@ -100,29 +100,31 @@ def test_import_qtab_loads_no_submodule():
 
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
-# tlim, alim, xi and eq8 need only their handler and the series (eq8 adds
-# its ratios); the pattern theorems add the weights and what those read: the
-# j-sets of permutation patterns, or the skew polynomials of tableau shapes,
-# never the oracle modules, the j-set criteria or the handlers of the other
-# commands.  Every command that builds a value class (a permutation, shape,
-# tableau, j-profile or report) loads their base, `values`.
-_LIMIT_KERNEL = {"cli", "limitcmd", "limits", "polynomial", "stats"}
-_PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets", "values"}
-_TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau", "values"}
+# tlim, alim, xi and eq8 need only `limits`, which holds their handler, and
+# the series (eq8 adds its ratios), never the formal polynomials of `bivar`;
+# the pattern theorems add the weights, those polynomials and what the weights
+# read: the j-sets of permutation patterns, or the skew polynomials of tableau
+# shapes, never the oracle modules, the j-set criteria or the handlers of the
+# other commands.  Every command that builds a value class (a permutation,
+# shape, tableau, j-profile or report) loads their base, `values`.
+_LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats", "values"}
+_PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "permutation", "jsets"}
+_TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "tableau"}
 _COMMANDS = {"cli", "commands"}
 _VERIFY = _COMMANDS | {
-    "containment", "jsets", "permutation", "polynomial", "stats", "tableau", "values", "weights"
+    "bivar", "containment", "jsets", "permutation", "polynomial", "stats", "tableau", "values",
+    "weights",
 }
 
 
 COMMAND_MODULES = [
     (["stat", "perm", "21"], _COMMANDS | {"permutation", "values"}),
     (["stat", "tab", _TAB_1], _COMMANDS | {"polynomial", "tableau", "values"}),
-    (["qpoly", "factorial", "5"], _COMMANDS | {"polynomial"}),
-    (["qpoly", "binomial", "6", "2"], _COMMANDS | {"polynomial"}),
-    (["qpoly", "fshape", "3,2/1"], _COMMANDS | {"polynomial", "tableau", "values"}),
-    (["qpoly", "tn", "6"], _COMMANDS | {"polynomial", "stats"}),
-    (["qpoly", "an", "5"], _COMMANDS | {"polynomial", "stats", "tableau", "values"}),
+    (["qpoly", "factorial", "5"], _COMMANDS | {"bivar", "polynomial"}),
+    (["qpoly", "binomial", "6", "2"], _COMMANDS | {"bivar", "polynomial"}),
+    (["qpoly", "fshape", "3,2/1"], _COMMANDS | {"bivar", "polynomial", "tableau", "values"}),
+    (["qpoly", "tn", "6"], _COMMANDS | {"bivar", "polynomial", "stats"}),
+    (["qpoly", "an", "5"], _COMMANDS | {"bivar", "polynomial", "stats", "tableau", "values"}),
     (
         ["probe", "conjecture", "--tableaux", _TAB_1, "--n", "4"],
         _COMMANDS | {"polynomial", "tableau", "values"},
@@ -139,7 +141,7 @@ COMMAND_MODULES = [
     (["limit", "tlim", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "alim", "--p", "1/2", "--q", "2/3", "--n", "4"], _LIMIT_KERNEL),
     (["limit", "xi", "--q", "1/2", "--n", "4"], _LIMIT_KERNEL),
-    (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL | {"bounds", "values"}),
+    (["limit", "eq8", "--n", "4"], _LIMIT_KERNEL | {"bounds"}),
     (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "4"], _PERMUTATION_LIMIT),
     (
         ["limit", "m2-1", "--sigma", "21", "--tau", "12", "--p", "1/2", "--q", "2/3", "--n", "4"],
@@ -173,10 +175,32 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     assert not {"argparse", "gettext", "locale"} & (loaded - bare_modules)
 
 
+def test_no_two_modules_load_for_the_same_commands():
+    # two modules that every command loads together or not at all are one
+    # module split in two; modules no command of the table loads (`usage`,
+    # read for -h, and `blocks`) are not compared
+    commands_of = {}
+    for i, (_, modules) in enumerate(COMMAND_MODULES):
+        for module in modules:
+            commands_of.setdefault(module, set()).add(i)
+    twins = [
+        (a, b)
+        for a in sorted(commands_of)
+        for b in sorted(commands_of)
+        if a < b and commands_of[a] == commands_of[b]
+    ]
+    assert twins == []
+
+
+def test_importing_limits_loads_no_polynomial_type_or_command_code():
+    assert loaded_after("import qtab.limits") == {"limits", "stats", "polynomial", "values"}
+
+
 # Where no bytecode cache is written, a process compiles every module it
-# imports.  These ceilings, about 10% above the AST node counts of the qtab
-# modules each limit kind loads (the package included), fail a change that
-# puts code no limit kind runs back on their path.
+# imports.  These ceilings are above the AST node counts of the qtab modules
+# each limit kind loads (the package included), which are 10,423 for
+# qlim1|m2-1, 11,973 for m3|m3-1, 6,283 for tlim|alim|xi and 6,875 for eq8;
+# they fail a change that puts code no limit kind runs back on their path.
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_700,
     "m2-1": 10_700,
@@ -213,7 +237,7 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,906 and 5,969 nodes.  These ceilings, about 6% and 8% above, fail a change
+# 4,944 and 5,910 nodes.  These ceilings, about 5% and 9% above, fail a change
 # that puts the verify report loops (about 520 nodes) back in `commands`.
 _HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_450}
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from qtab.bivar import BivarPoly, qbinomial
 from qtab.blocks import (
     BinaryWord,
     ZeroOneMatrix,
@@ -25,7 +26,6 @@ from qtab.permutation import (
     word_maj,
     word_std,
 )
-from qtab.polynomial import BivarPoly, qbinomial
 from qtab.stats import t_count
 
 EXAMPLE = Permutation.parse("5 1 3 6 9 7 4 2 8")
@@ -93,7 +93,7 @@ def test_restrictions_compose(n):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_maj_generating_function_is_qfactorial(n):
-    from qtab.polynomial import qfactorial
+    from qtab.bivar import qfactorial
 
     total = BivarPoly()
     for perm in permutations(n):

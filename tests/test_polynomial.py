@@ -4,21 +4,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qtab.polynomial import (
-    ONE,
-    P,
-    Q,
-    ZERO,
-    BivarPoly,
-    divide_packed,
-    format_decimal,
-    packed_width,
-    q_integer,
-    qbinomial,
-    qfactorial,
-    times_q_integer,
-    unpack,
-)
+from qtab.bivar import ONE, P, Q, ZERO, BivarPoly, q_integer, qbinomial, qfactorial, unpack
+from qtab.polynomial import divide_packed, format_decimal, packed_width, times_q_integer
 
 
 def poly_strategy():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from qtab.bivar import ONE, BivarPoly, qfactorial, unpack
 from qtab.limits import xi_partial
 from qtab.permutation import involutions
-from qtab.polynomial import ONE, BivarPoly, packed_width, qfactorial, unpack
+from qtab.polynomial import packed_width
 from qtab.stats import (
     a_poly,
     a_poly_enum,
@@ -111,7 +112,7 @@ def test_t_count_matches_enumeration(n):
 
 
 def test_q_values_against_polynomials():
-    from qtab.polynomial import q_integer
+    from qtab.bivar import q_integer
 
     q = Fraction(2, 7)
     for h in range(6):

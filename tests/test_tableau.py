@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtab.polynomial import ONE, BivarPoly
+from qtab.bivar import ONE, BivarPoly
 from qtab.stats import t_count
 from qtab.tableau import (
     Partition,
