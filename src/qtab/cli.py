@@ -13,14 +13,16 @@ environment variable ``QTAB_MAX_N`` caps brute-force enumeration sizes as a
 safety rail.  Identical invocations produce byte-identical output.
 
 This module holds the command-line grammar, one table that both the
-parser and ``-h`` read, and the shared option parsers.  The ``limit``
-handler is at the end of :mod:`qtab.limits`, beside the evaluators it
-calls, and the handlers of the other commands are in :mod:`qtab.commands`;
-``run`` imports the one the command needs, and :mod:`qtab.usage` only for
-``-h``.  Each handler imports the ``qtab`` modules its computation reads
-when it runs (``qpoly factorial`` loads only ``polynomial`` and ``bivar``),
-and ``json`` only for ``--json`` output, so a process compiles and runs
-only what it uses.  No process loads ``argparse``.
+parser and ``-h`` read, the shared option parsers and the ``QTAB_MAX_N``
+check (``_check_enum_size``).  The ``limit`` handler is at the end of
+:mod:`qtab.limits` and the ``verify`` handler at the end of
+:mod:`qtab.containment`, each beside the code it calls, and the handlers of
+the other commands are in :mod:`qtab.commands`; ``run`` imports the one the
+command needs, and :mod:`qtab.usage` only for ``-h``.  Each handler imports
+the ``qtab`` modules its computation reads when it runs (``qpoly factorial``
+loads only ``polynomial`` and ``bivar``), and ``json`` only for ``--json``
+output, so a process compiles and runs only what it uses.  No process loads
+``argparse``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
+
+# only the commands that read a rational option load `fractions`, and with
+# it `decimal`, whose import is a large share of a short command's start-up
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["main", "run"]
 
@@ -39,6 +46,8 @@ class UsageError(Exception):
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     text = text.strip()
     if "." in text:
         raise UsageError(f"{text!r}: decimals are not accepted; write a fraction like 1/2")
@@ -62,6 +71,19 @@ def _parse_tableau(text: str):
         return Tableau.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse tableau: {exc}") from exc
+
+
+def _check_enum_size(n: int, what: str) -> None:
+    """Refuse a brute-force size n over the cap QTAB_MAX_N, where it is set."""
+    raw = os.environ.get("QTAB_MAX_N", "")
+    if not raw.strip():
+        return
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise UsageError(f"QTAB_MAX_N={raw!r} is not an integer") from exc
+    if n > cap:
+        raise UsageError(f"{what} size {n} exceeds QTAB_MAX_N={cap}")
 
 
 def _emit(args, text_lines: list[str], payload) -> None:
@@ -288,6 +310,10 @@ def run(argv: list[str] | None = None) -> int:
             from .limits import cmd_limit
 
             return cmd_limit(args)
+        if args.command == "verify":
+            from .containment import cmd_verify
+
+            return cmd_verify(args)
         from .commands import HANDLERS
 
         return HANDLERS[args.command](args)

@@ -1,36 +1,16 @@
-"""Handlers of every ``qtab`` command but ``limit``.
+"""Handlers of every ``qtab`` command but ``limit`` and ``verify``.
 
 ``qtab.cli`` parses the command line and imports this module only for
-these commands, and :mod:`qtab.limits`, which holds the ``limit`` handler,
-only for ``limit``, so neither compiles the other's handlers.  Each handler
-imports the ``qtab`` modules its computation reads when it runs (``qpoly
-factorial`` loads only ``polynomial`` and ``bivar``).
-
-The brute-force size cap ``QTAB_MAX_N`` (see :mod:`qtab.cli`) is read here,
-since no ``limit`` kind enumerates.
+these commands, :mod:`qtab.limits`, which holds the ``limit`` handler, only
+for ``limit``, and :mod:`qtab.containment`, which holds the ``verify``
+handler, only for ``verify``, so none compiles another's handlers.  Each
+handler imports the ``qtab`` modules its computation reads when it runs
+(``qpoly factorial`` loads only ``polynomial`` and ``bivar``).
 """
 
 from __future__ import annotations
 
-import os
-
-from .cli import UsageError, _emit, _parse_tableau
-
-
-def _enum_cap() -> int | None:
-    raw = os.environ.get("QTAB_MAX_N")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"QTAB_MAX_N={raw!r} is not an integer") from exc
-
-
-def _check_enum_size(n: int, what: str) -> None:
-    cap = _enum_cap()
-    if cap is not None and n > cap:
-        raise UsageError(f"{what} size {n} exceeds QTAB_MAX_N={cap}")
+from .cli import UsageError, _check_enum_size, _emit, _parse_tableau
 
 
 def _format_set(values) -> str:
@@ -217,52 +197,6 @@ def _cmd_j2(args) -> int:
     return 0
 
 
-# -- verify ------------------------------------------------------------------------
-
-
-# the --max-total default of each kind, and what the size under QTAB_MAX_N counts
-_VERIFY_CAPS = {
-    "permcont1": (8, "involution enumeration"),
-    "permcont2": (6, "permutation enumeration"),
-    "majgen": (5, "tableau enumeration"),
-    "majgen1": (5, "tableau enumeration"),
-}
-
-
-def _verify_reports(args) -> list:
-    which, k = args.which, args.max_size
-    for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must be nonnegative, got {value}")
-    if which == "permtotab":
-        if args.max_total is not None:
-            raise UsageError("verify permtotab does not read --max-total")
-        cap = None
-        _check_enum_size(k, "permutation enumeration")
-    else:
-        default, what = _VERIFY_CAPS[which]
-        cap = args.max_total if args.max_total is not None else default
-        _check_enum_size(cap, what)
-    from .containment import sweep_reports
-
-    return sweep_reports(which, k, cap)
-
-
-def _cmd_verify(args) -> int:
-    reports = _verify_reports(args)
-    failures = sum(len(r.failures) for r in reports)
-    checked = sum(r.checked for r in reports)
-    if args.json:
-        import json
-
-        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
-    else:
-        for report in reports:
-            print(report)
-        print(f"total: reports={len(reports)} checked={checked} failures={failures}")
-    return 0 if failures == 0 else 1
-
-
 # -- probe --------------------------------------------------------------------------
 
 
@@ -288,6 +222,5 @@ HANDLERS = {
     "jset": _cmd_jset,
     "j2set": _cmd_j2set,
     "j2": _cmd_j2,
-    "verify": _cmd_verify,
     "probe": _cmd_probe,
 }

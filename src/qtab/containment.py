@@ -40,7 +40,10 @@ buckets; ``verify_permcont1``/``verify_permcont2`` are the one-instance case.
 Likewise ``permtotab_reports``/``permtotab_pair_reports`` check every cut of
 one tableau (pair) from one j-set (j2-set) per permutation (pair), and
 ``verify_permtotab``/``verify_permtotab_pair`` are the one-cut case.
-``sweep_reports`` runs the report loops of ``qtab verify``.
+``sweep_reports`` runs the report loops of ``qtab verify``, and
+``cmd_verify``, its handler, at the end of the module, checks the arguments
+and the ``QTAB_MAX_N`` cap and prints the reports.  ``qtab.cli`` imports it
+only for ``verify``, and the handler imports ``qtab.cli`` only when it runs.
 """
 
 from __future__ import annotations
@@ -51,25 +54,11 @@ import math
 import operator
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .bivar import ZERO, BivarPoly, unpack
-from .jsets import j2_set, j_set
-from .permutation import Permutation, involution_words, involutions, permutations
-from .permutation import word_low, word_std
 from .polynomial import packed_qbinomial, packed_width
 from .stats import a_poly, t_count, t_poly
-from .tableau import (
-    Partition,
-    SkewShape,
-    Tableau,
-    conjecture_probe,
-    enumerate_syt,
-    f_poly_enum,
-    partitions,
-    partitions_inside,
-    skew_syt_count,
-)
 from .weights import (
     involution_weight_sum,
     m2_1_weight,
@@ -78,6 +67,13 @@ from .weights import (
     pair_weight_sum,
     qlim1_weight,
 )
+
+# The permutation, tableau, j-set and insertion code is imported by the
+# functions that read it, so a verify kind loads only what its identity runs:
+# permcont1 no tableau code, majgen and majgen1 no permutation or j-set code.
+if TYPE_CHECKING:
+    from .permutation import Permutation
+    from .tableau import Partition, Tableau
 
 __all__ = [
     "contains",
@@ -113,6 +109,15 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    # the probe is re-exported from :mod:`qtab.tableau`, loaded on first use
+    if name == "conjecture_probe":
+        from .tableau import conjecture_probe
+
+        return conjecture_probe
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def contains(perm: Permutation, pattern: Permutation) -> bool:
     """Whether the low restriction at the pattern's size equals the pattern."""
     if pattern.size > perm.size:
@@ -132,11 +137,15 @@ def pair_contains(p_tab: Tableau, q_tab: Tableau, a_tab: Tableau, b_tab: Tableau
 
 def enum_inv_containing(pattern: Permutation, n: int) -> list[Permutation]:
     """Involutions of [n] whose low restriction equals the pattern."""
+    from .permutation import involutions
+
     return [pi for pi in involutions(n) if contains(pi, pattern)]
 
 
 def enum_perm_containing(sigma: Permutation, tau: Permutation, n: int) -> list[Permutation]:
     """Permutations of [n] with low restriction sigma and standardized prefix tau."""
+    from .permutation import permutations
+
     a, b = sigma.size, tau.size
     if a > n or b > n:
         return []
@@ -149,6 +158,8 @@ def enum_perm_containing(sigma: Permutation, tau: Permutation, n: int) -> list[P
 
 def enum_tab_containing(pattern: Tableau, n: int) -> list[Tableau]:
     """Standard Young tableaux of size n containing the pattern."""
+    from .tableau import SkewShape, enumerate_syt, partitions
+
     out = []
     for shape in partitions(n):
         for tab in enumerate_syt(SkewShape.straight(shape)):
@@ -159,6 +170,8 @@ def enum_tab_containing(pattern: Tableau, n: int) -> list[Tableau]:
 
 def enum_pair_containing(a_tab: Tableau, b_tab: Tableau, n: int) -> list[tuple[Tableau, Tableau]]:
     """Same-shape tableau pairs of size n containing the given pair."""
+    from .tableau import SkewShape, enumerate_syt, partitions
+
     out = []
     for shape in partitions(n):
         tabs = list(enumerate_syt(SkewShape.straight(shape)))
@@ -312,9 +325,15 @@ def _side_sum(sides: list[Side]) -> Side:
 
 @lru_cache(maxsize=None)
 def _poly_side(poly: BivarPoly) -> Side:
-    """A polynomial as a side; a weight shared by many checks is read once."""
+    """A polynomial as a side, read once and packed once per (width, stride).
+
+    A permtotab weight is the right side of the check of every tableau (pair)
+    of its shape (pair) at its cut.  Checks that pass agree on the width and
+    stride, which then come from this side alone, so it packs once for all of
+    them."""
     terms = poly.sorted_terms()
-    return lambda width, stride: _pack(terms, width, stride), poly.degree_q()
+    pack = lru_cache(maxsize=None)(lambda width, stride: _pack(terms, width, stride))
+    return pack, poly.degree_q()
 
 
 @lru_cache(maxsize=None)
@@ -376,6 +395,8 @@ def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
     In an involution the values 1..m sit at the positions w[:m], so the low
     restriction at m depends only on that raw prefix and is computed once per
     prefix, as in ``permcont2_buckets``."""
+    from .permutation import involution_words, word_low
+
     if any(m > total for m in sizes):
         raise ValueError("ambient size smaller than a pattern")
     counts: dict[int, dict] = {m: {} for m in sizes}
@@ -394,6 +415,8 @@ def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
 def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
     """Both involution identities at pattern size m, free size n, on swept buckets;
     the q = 1 rows double-check the plain count over binomials and involutions."""
+    from .permutation import permutations
+
     report = IdentityReport("permcont1", {"m": m, "n": n})
     overall = _side_sum([_maj_side(tally) for tally in by_low.values()])
     _check(report, "all involutions", overall, _involution_cut_side(involution_weight_sum(m), m, n))
@@ -422,38 +445,58 @@ def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tupl
 
     The standardized prefix at b depends only on the raw prefix w[:b], and the
     low restriction at a only on the positions inv[:a] of the values 1..a, so
-    each is computed once per raw key and looked up after."""
+    each is computed once per raw key and looked up after.  A permutation's
+    low side, its (low restriction, imaj) at every a, and its prefix side, its
+    (standardized prefix, maj) at every b, are each interned to a small
+    integer.  The sweep counts each pair of the two once, and the counts are
+    spread into the buckets of every (a, b) after it: at total 7 and sizes up
+    to 3, 5,040 permutations make 2,708 distinct pairs."""
+    from .permutation import word_low, word_std
+
     if any(total < max(pair) for pair in pairs):
         raise ValueError("ambient size smaller than a pattern")
     counts: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-    sizes_a, sizes_b = {a for a, _ in counts}, {b for _, b in counts}
+    sizes_a, sizes_b = sorted({a for a, _ in counts}), sorted({b for _, b in counts})
     low_by_positions: dict[tuple[int, ...], tuple[int, ...]] = {}
     std_by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
+    low_ids: dict[tuple, int] = {}
+    head_ids: dict[tuple, int] = {}
+    joint: dict[tuple[int, int], int] = {}
     inv = [0] * total
     for w in itertools.permutations(range(1, total + 1)):
         for i, v in enumerate(w, start=1):
             inv[v - 1] = i
         imajs, majs = _suffix_majs(inv), _suffix_majs(w)
-        lows, heads = {}, {}
+        lows, heads = [], []
         for a in sizes_a:
             key = tuple(inv[:a])
             if (low := low_by_positions.get(key)) is None:
                 low = low_by_positions[key] = word_low(w, a)
-            lows[a] = low
+            lows.append((low, imajs[a]))
         for b in sizes_b:
             key = w[:b]
             if (head := std_by_prefix.get(key)) is None:
                 head = std_by_prefix[key] = word_std(key)
-            heads[b] = head
-        for (a, b), bucket in counts.items():
-            tally, stat = bucket.setdefault((lows[a], heads[b]), {}), (imajs[a], majs[b])
-            tally[stat] = tally.get(stat, 0) + 1
+            heads.append((head, majs[b]))
+        low_id = low_ids.setdefault(tuple(lows), len(low_ids))
+        head_id = head_ids.setdefault(tuple(heads), len(head_ids))
+        joint[low_id, head_id] = joint.get((low_id, head_id), 0) + 1
+    low_sides, head_sides = list(low_ids), list(head_ids)
+    slots = [(bucket, sizes_a.index(a), sizes_b.index(b)) for (a, b), bucket in counts.items()]
+    for (low_id, head_id), count in joint.items():
+        low_side, head_side = low_sides[low_id], head_sides[head_id]
+        for bucket, i, j in slots:
+            (low, imaj), (head, maj) = low_side[i], head_side[j]
+            tally = bucket.setdefault((low, head), {})
+            tally[imaj, maj] = tally.get((imaj, maj), 0) + count
     return counts
 
 
 def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport:
     """Both pair identities for patterns of sizes a and b in [total], on swept buckets,
     against Gaussian binomials, the two-variable maj polynomial and the j2-sets."""
+    from .permutation import permutations
+
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
     m, n = total - a, total - b
     overall = _side_sum([_tally_side(tally) for tally in by_key.values()])
@@ -482,7 +525,8 @@ def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
 @lru_cache(maxsize=None)
 def _perms_by_tableau(n: int) -> tuple[dict[Tableau, list[Permutation]], ...]:
     """Permutations of [n] grouped by insertion tableau and by recording tableau."""
-    from .rsk import rs  # only permtotab reads the tableaux, so only it loads rsk
+    from .permutation import permutations
+    from .rsk import rs
 
     by_insertion: dict[Tableau, list[Permutation]] = {}
     by_recording: dict[Tableau, list[Permutation]] = {}
@@ -511,6 +555,8 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
     side: sum of the skew maj polynomials of the tableau's shape over all
     inner shapes of size j.  One j-set per permutation serves every cut.
     """
+    from .jsets import j_set
+
     alpha = a_tab.shape.outer
     by_cut = {j: Counter() for j in cuts}
     for sigma in perms_with_insertion_tableau(a_tab):
@@ -544,6 +590,8 @@ def permtotab_pair_reports(
     inner shapes mu of size j of the skew polynomial of B's shape in p times
     that of A's shape in q.  One j2-set per pair serves every cut.
     """
+    from .jsets import j2_set
+
     alpha = a_tab.shape.outer
     beta = b_tab.shape.outer
     by_cut = {j: Counter() for j in cuts}
@@ -572,6 +620,8 @@ def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityRep
 
 @lru_cache(maxsize=None)
 def _partition_list(n: int) -> tuple[Partition, ...]:
+    from .tableau import partitions
+
     return tuple(partitions(n))
 
 
@@ -579,10 +629,10 @@ def _partition_list(n: int) -> tuple[Partition, ...]:
 def _outer_majs(base: Partition, added: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The (maj, count) terms of f_{lam/base} for each lam in ``_partition_list(|base| +
     added)``, in that order; none where lam does not contain base."""
+    from .tableau import SkewShape, maj_tally
+
     return tuple(
-        tuple((maj, c) for (_, maj), c in f_poly_enum(SkewShape(lam, base)).sorted_terms())
-        if lam.contains(base)
-        else ()
+        tuple(maj_tally(SkewShape(lam, base))) if lam.contains(base) else ()
         for lam in _partition_list(base.size + added)
     )
 
@@ -594,8 +644,21 @@ def _outer_packed(base: Partition, added: int, width: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _inner_counts(alpha: Partition) -> dict[int, int]:
+    """By size, the sum of f^{alpha/mu} over the shapes mu inside alpha."""
+    from .tableau import SkewShape, partitions_inside, skew_syt_count
+
+    return {
+        size: sum(skew_syt_count(SkewShape(alpha, mu)) for mu in partitions_inside(size, alpha))
+        for size in range(alpha.size + 1)
+    }
+
+
+@lru_cache(maxsize=None)
 def _common_inner_counts(alpha: Partition, beta: Partition) -> dict[int, int]:
     """By size, the sum of f^{beta/mu} f^{alpha/mu} over the shapes mu inside both."""
+    from .tableau import SkewShape, partitions_inside, skew_syt_count
+
     counts: dict[int, int] = {}
     for size in range(min(alpha.size, beta.size) + 1):
         for mu in partitions_inside(size, alpha):
@@ -618,14 +681,11 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
         max((terms[-1][0] for terms in _outer_majs(alpha, n) if terms), default=-1),
     )
     rhs = _involution_cut_side(m3_weight(alpha), alpha.size, n)
+    inner_counts = _inner_counts(alpha)
     count_rhs = 0
     for k in range(n + 1):
-        if n - k > alpha.size:
-            continue
-        inner_count = 0
-        for mu in partitions_inside(alpha.size - (n - k), alpha):
-            inner_count += skew_syt_count(SkewShape(alpha, mu))
-        count_rhs += math.comb(n, k) * t_count(k) * inner_count
+        if n - k <= alpha.size:
+            count_rhs += math.comb(n, k) * t_count(k) * inner_counts[alpha.size - (n - k)]
     value = _check(report, f"alpha={alpha} n={n}", lhs, rhs)
     report.record(f"alpha={alpha} n={n} q=1 count", value, count_rhs)
     return report
@@ -692,6 +752,8 @@ def sweep_reports(which: str, max_size: int, cap: int | None = None) -> list[Ide
             reports += [permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
         return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
     if which == "permtotab":
+        from .tableau import SkewShape, enumerate_syt, partitions
+
         tabs = [
             tab
             for size in range(1, k + 1)
@@ -705,7 +767,7 @@ def sweep_reports(which: str, max_size: int, cap: int | None = None) -> list[Ide
                 cuts = range(min(a_tab.size, b_tab.size) + 1)
                 reports += permtotab_pair_reports(a_tab, b_tab, cuts)
         return reports
-    shapes = [shape for size in range(k + 1) for shape in partitions(size)]
+    shapes = [shape for size in range(k + 1) for shape in _partition_list(size)]
     if which == "majgen":
         return [verify_majgen(alpha, n) for alpha in shapes for n in range(cap + 1)]
     if which == "majgen1":
@@ -717,3 +779,46 @@ def sweep_reports(which: str, max_size: int, cap: int | None = None) -> list[Ide
             if 0 <= (n := m + alpha.size - beta.size) <= cap
         ]
     raise ValueError(f"no verify sweep named {which!r}")
+
+
+# -- the handler of ``qtab verify`` -------------------------------------------------
+
+# the --max-total default of each kind, and what the size under QTAB_MAX_N counts
+_VERIFY_CAPS = {
+    "permcont1": (8, "involution enumeration"),
+    "permcont2": (6, "permutation enumeration"),
+    "majgen": (5, "tableau enumeration"),
+    "majgen1": (5, "tableau enumeration"),
+}
+
+
+def _verify_reports(args) -> list[IdentityReport]:
+    from .cli import UsageError, _check_enum_size
+
+    which, k = args.which, args.max_size
+    for flag, value in (("--max-size", k), ("--max-total", args.max_total)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
+    if which == "permtotab":
+        if args.max_total is not None:
+            raise UsageError("verify permtotab does not read --max-total")
+        cap = None
+        _check_enum_size(k, "permutation enumeration")
+    else:
+        default, what = _VERIFY_CAPS[which]
+        cap = args.max_total if args.max_total is not None else default
+        _check_enum_size(cap, what)
+    return sweep_reports(which, k, cap)
+
+
+def cmd_verify(args) -> int:
+    reports = _verify_reports(args)
+    failures = sum(len(r.failures) for r in reports)
+    checked = sum(r.checked for r in reports)
+    if args.json:
+        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
+    else:
+        for report in reports:
+            print(report)
+        print(f"total: reports={len(reports)} checked={checked} failures={failures}")
+    return 0 if failures == 0 else 1

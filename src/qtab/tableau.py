@@ -11,9 +11,10 @@ skew) shape.  Straight shapes take the hook-length product q^b [n]! / prod [h]
 specialization (Stanley, EC2 7.16 and Prop. 7.19.11), a signed sum of
 q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
 at width 0 the same formulas give ``syt_count`` and ``skew_syt_count``.
-``f_poly_enum`` enumerates every filling; it is the oracle the test suite
-pins both paths to on an exhaustive band, and the left-hand side of the
-``majgen`` identities.  ``conjecture_probe``, the exploratory tuple
+``maj_tally`` enumerates every filling and tallies it by maj; it is the
+oracle the test suite pins both paths to on an exhaustive band (as
+``f_poly_enum``, its polynomial), and the left-hand side of the ``majgen``
+identities.  ``conjecture_probe``, the exploratory tuple
 containment ratio, is a sum of products of these skew counts.
 """
 
@@ -50,6 +51,7 @@ __all__ = [
     "f_poly",
     "f_poly_enum",
     "f_poly_hook",
+    "maj_tally",
     "hook_packed",
     "syt_count",
     "skew_syt_count",
@@ -391,15 +393,22 @@ def enumerate_syt(shape: SkewShape) -> Iterator[Tableau]:
         yield Tableau(shape, tuple(tuple(v for v, s in enumerate(w, 1) if s == r) for r in rows))
 
 
+def maj_tally(shape: SkewShape) -> list[tuple[int, int]]:
+    """The (maj, count) pairs of the standard fillings of a shape, by maj, from
+    enumerating every filling (the oracle), tallied from row words with no
+    tableau built: i is a descent when entry i + 1 sits in a lower row than
+    entry i."""
+    majs = Counter(sum(i for i in range(1, len(w)) if w[i - 1] < w[i]) for w in _row_words(shape))
+    return sorted(majs.items())
+
+
 @lru_cache(maxsize=None)
 def f_poly_enum(shape: SkewShape) -> BivarPoly:
-    """Maj generating polynomial by enumerating every standard filling (the oracle),
-    tallied from row words with no tableau built: i is a descent when entry i + 1
-    sits in a lower row than entry i."""
+    """Maj generating polynomial by enumerating every standard filling: the
+    polynomial of ``maj_tally``."""
     from .bivar import BivarPoly
 
-    majs = Counter(sum(i for i in range(1, len(w)) if w[i - 1] < w[i]) for w in _row_words(shape))
-    return BivarPoly({(0, maj): c for maj, c in majs.items()})
+    return BivarPoly({(0, maj): c for maj, c in maj_tally(shape)})
 
 
 def _jacobi_trudi(shape: SkewShape, width: int) -> int:

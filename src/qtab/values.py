@@ -22,10 +22,13 @@ class Value:
         # field it returns the bare value, which __hash__ wraps in a tuple
         cls._read = attrgetter(*cls.__slots__)
         cls._single = len(cls.__slots__) == 1
+        # each slot descriptor's own setter, which skips the refusing
+        # __setattr__ without the lookup object.__setattr__ makes per field
+        cls._write = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for write, value in zip(self._write, values):
+            write(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -185,14 +185,18 @@ def test_involution_low_restriction_is_a_function_of_the_raw_prefix_through_9():
 
 def test_permcont2_buckets_equal_per_word_statistics():
     for total in range(7):
-        pairs = [(a, b) for a in range(min(3, total) + 1) for b in range(min(3, total) + 1)]
-        swept = permcont2_buckets(total, pairs)
-        for a, b in pairs:
-            expected = {}
-            for w in itertools.permutations(range(1, total + 1)):
-                stat = (word_imaj(word_high(w, a)), word_maj(w[b:]))
-                _tally(expected, (word_low(w, a), word_std(w[:b])), stat)
-            assert swept[a, b] == expected, (a, b, total)
+        square = [(a, b) for a in range(min(3, total) + 1) for b in range(min(3, total) + 1)]
+        # sizes neither contiguous nor all paired with each other
+        sparse = [(3, 0), (1, 2), (3, 2), (0, 3)] if total >= 3 else []
+        for pairs in (square, sparse):
+            swept = permcont2_buckets(total, pairs)
+            assert list(swept) == pairs
+            for a, b in pairs:
+                expected = {}
+                for w in itertools.permutations(range(1, total + 1)):
+                    stat = (word_imaj(word_high(w, a)), word_maj(w[b:]))
+                    _tally(expected, (word_low(w, a), word_std(w[:b])), stat)
+                assert swept[a, b] == expected, (a, b, total)
 
 
 def test_shared_sweeps_give_the_one_instance_reports():
@@ -295,10 +299,14 @@ def _tableaux(max_size):
 
 
 def test_permtotab_reports_take_one_set_per_permutation(monkeypatch):
+    # the reports import the j-set functions when they run, so the counters
+    # go on their home module
+    from qtab import jsets
+
     calls = {"j_set": 0, "j2_set": 0}
 
     def counted(name):
-        inner = getattr(containment, name)
+        inner = getattr(jsets, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -315,7 +323,7 @@ def test_permtotab_reports_take_one_set_per_permutation(monkeypatch):
         for j in range(min(a_tab.size, b_tab.size) + 2)
     ]
     for name in calls:
-        monkeypatch.setattr(containment, name, counted(name))
+        monkeypatch.setattr(jsets, name, counted(name))
     grouped = [
         report for tab in tabs for report in permtotab_reports(tab, range(-1, tab.size + 2))
     ]

@@ -111,10 +111,15 @@ _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats", "values"}
 _PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "permutation", "jsets"}
 _TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "tableau"}
 _COMMANDS = {"cli", "commands"}
-_VERIFY = _COMMANDS | {
-    "bivar", "containment", "jsets", "permutation", "polynomial", "stats", "tableau", "values",
-    "weights",
-}
+# verify loads `containment`, which holds its handler, and no `commands`; each
+# kind adds only what its identity reads: the involution sweep no tableau
+# code, the pair sweeps the tableaux of the A_k hook sum, and the skew maj
+# sweeps no permutation or j-set code
+_VERIFY_KERNEL = {"cli", "containment", "bivar", "polynomial", "stats", "values", "weights"}
+_PERMCONT1 = _VERIFY_KERNEL | {"permutation", "jsets"}
+_PERMCONT2 = _PERMCONT1 | {"tableau"}
+_PERMTOTAB = _PERMCONT2 | {"rsk"}
+_MAJGEN = _VERIFY_KERNEL | {"tableau"}
 
 
 COMMAND_MODULES = [
@@ -153,11 +158,11 @@ COMMAND_MODULES = [
          "--n", "4"],
         _TABLEAU_LIMIT,
     ),
-    (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _VERIFY),
-    (["verify", "majgen1", "--max-size", "1", "--max-total", "2"], _VERIFY),
-    (["verify", "permcont1", "--max-size", "1", "--max-total", "2"], _VERIFY),
-    (["verify", "permcont2", "--max-size", "1", "--max-total", "2"], _VERIFY),
-    (["verify", "permtotab", "--max-size", "2"], _VERIFY | {"rsk"}),
+    (["verify", "majgen", "--max-size", "1", "--max-total", "2"], _MAJGEN),
+    (["verify", "majgen1", "--max-size", "1", "--max-total", "2"], _MAJGEN),
+    (["verify", "permcont1", "--max-size", "1", "--max-total", "2"], _PERMCONT1),
+    (["verify", "permcont2", "--max-size", "1", "--max-total", "2"], _PERMCONT2),
+    (["verify", "permtotab", "--max-size", "2"], _PERMTOTAB),
 ]
 
 
@@ -173,6 +178,10 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     # nor does any command parse its arguments with argparse, which loads
     # gettext, and locale when a parser is built
     assert not {"argparse", "gettext", "locale"} & (loaded - bare_modules)
+    # and a command that neither reads a rational nor loads a module computing
+    # with them does not load `fractions`, which imports `decimal`
+    if not modules & {"polynomial", "bivar", "stats", "tableau", "limits"}:
+        assert not {"fractions", "decimal"} & (loaded - bare_modules)
 
 
 def test_no_two_modules_load_for_the_same_commands():
@@ -196,10 +205,18 @@ def test_importing_limits_loads_no_polynomial_type_or_command_code():
     assert loaded_after("import qtab.limits") == {"limits", "stats", "polynomial", "values"}
 
 
+def test_importing_containment_loads_no_family_or_command_code():
+    kernel = {"containment", "weights", "bivar", "stats", "polynomial"}
+    assert loaded_after("import qtab.containment") == kernel
+    # the re-exported probe loads the tableau code on first use
+    probe = "from qtab.containment import conjecture_probe"
+    assert loaded_after(probe) == kernel | {"tableau", "values"}
+
+
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 10,423 for
-# qlim1|m2-1, 11,973 for m3|m3-1, 6,283 for tlim|alim|xi and 6,875 for eq8;
+# each limit kind loads (the package included), which are 10,546 for
+# qlim1|m2-1, 12,127 for m3|m3-1, 6,406 for tlim|alim|xi and 6,998 for eq8;
 # they fail a change that puts code no limit kind runs back on their path.
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_700,
@@ -237,14 +254,43 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,944 and 5,910 nodes.  These ceilings, about 5% and 9% above, fail a change
-# that puts the verify report loops (about 520 nodes) back in `commands`.
+# 4,672 and 5,617 nodes.  These ceilings, about 11% and 15% above, fail a
+# change that puts the verify handler and report loops (about 800 nodes) back
+# in `commands`.
 _HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_450}
 
 
 @pytest.mark.parametrize("argv", list(_HANDLER_COMPILE_CEILING), ids=" ".join)
 def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
+
+
+# Each verify kind compiles 13,867 (permcont1), 17,333 (permcont2), 17,795
+# (permtotab) or 15,448 (majgen, majgen1) nodes.  These ceilings, about 5%
+# above, fail a change that puts another kind's code, such as a top-level
+# import of every family in `containment`, or the other commands' handlers
+# back on a kind's path.
+_VERIFY_COMPILE_CEILING = {
+    "permcont1": 14_550,
+    "permcont2": 18_200,
+    "permtotab": 18_700,
+    "majgen": 16_200,
+    "majgen1": 16_200,
+}
+_VERIFY_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "verify"]
+
+
+@pytest.mark.parametrize("argv", _VERIFY_ROWS, ids=[argv[1] for argv in _VERIFY_ROWS])
+def test_verify_compiles_at_most_its_ceiling(argv):
+    _assert_compiles_at_most(argv, _VERIFY_COMPILE_CEILING[argv[1]])
+
+
+def test_every_verify_kind_has_its_module_set_pinned():
+    from qtab import cli
+
+    (_, kinds, _), = cli._GRAMMAR["verify"][1]
+    pinned = {argv[1] for argv in _VERIFY_ROWS}
+    assert pinned == set(kinds) == set(_VERIFY_COMPILE_CEILING)
 
 
 def test_every_limit_kind_has_its_module_set_pinned():

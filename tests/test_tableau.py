@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from qtab.tableau import (
     f_poly,
     f_poly_enum,
     f_poly_hook,
+    maj_tally,
     partitions,
     partitions_inside,
     skew_syt_count,
@@ -219,6 +221,7 @@ def test_skew_polynomial_and_count_equal_enumeration(n):
                 tabs = list(enumerate_syt(shape))
                 assert tabs == list(_enumerate_syt_recursive(shape)), shape
                 assert f_poly_enum(shape) == BivarPoly(((0, t.maj()), 1) for t in tabs), shape
+                assert maj_tally(shape) == sorted(Counter(t.maj() for t in tabs).items()), shape
                 assert f_poly(shape) == f_poly_enum(shape), shape
                 assert skew_syt_count(shape) == len(tabs), shape
 
