@@ -96,15 +96,9 @@ def _cmd_qpoly(args) -> int:
         raise UsageError(f"qpoly {which} needs {arity} operand(s), got {len(args.args)}")
     if args.method and which in ("factorial", "binomial"):
         raise UsageError(f"qpoly {which} does not read --method")
-    if which == "factorial":
-        poly = qfactorial(_size_operand(which, args.args[0]))
-        _emit(args, [str(poly)], _poly_payload(poly))
-    elif which == "binomial":
-        n, k = (_size_operand(which, x) for x in args.args)
-        try:
-            poly = qbinomial(n, k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    if which in ("factorial", "binomial"):
+        sizes = [_size_operand(which, x) for x in args.args]
+        poly = qfactorial(*sizes) if which == "factorial" else qbinomial(*sizes)
         _emit(args, [str(poly)], _poly_payload(poly))
     elif which in ("tn", "an"):
         from . import stats

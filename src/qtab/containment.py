@@ -28,10 +28,11 @@ The reports check the two polynomial sums over the cuts, of the involution
 and of the pair cut terms, and :mod:`qtab.limits` evaluates the same ones at
 rational points without loading this module.
 
-A check packs each side into one integer, the side at q = 2^w and
-p = 2^(w * D) for a width w and stride D that make packing injective on
-both sides (see ``_check``), and compares the integers; polynomials are
-unpacked only to print a failure.
+A permtotab check compares a tally with one weight as polynomials.  The
+other checks, whose right side is a sum of products, pack each side into one
+integer, the side at q = 2^w and p = 2^(w * D) for a width w and stride D
+that make packing injective on both sides (see ``_check``), and compare the
+integers; polynomials are unpacked only to print a failure.
 
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
@@ -324,19 +325,6 @@ def _side_sum(sides: list[Side]) -> Side:
 
 
 @lru_cache(maxsize=None)
-def _poly_side(poly: BivarPoly) -> Side:
-    """A polynomial as a side, read once and packed once per (width, stride).
-
-    A permtotab weight is the right side of the check of every tableau (pair)
-    of its shape (pair) at its cut.  Checks that pass agree on the width and
-    stride, which then come from this side alone, so it packs once for all of
-    them."""
-    terms = poly.sorted_terms()
-    pack = lru_cache(maxsize=None)(lambda width, stride: _pack(terms, width, stride))
-    return pack, poly.degree_q()
-
-
-@lru_cache(maxsize=None)
 def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> tuple[int, int]:
     """The cut term at q = 2^width, p = 2^(width * stride), and its q-degree:
     [m choose k]_p [n choose k]_q A_k(p, q) for pairs, else [n choose k]_q t_k(q)."""
@@ -445,50 +433,41 @@ def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tupl
 
     The standardized prefix at b depends only on the raw prefix w[:b], and the
     low restriction at a only on the positions inv[:a] of the values 1..a, so
-    each is computed once per raw key and looked up after.  A permutation's
-    low side, its (low restriction, imaj) at every a, and its prefix side, its
-    (standardized prefix, maj) at every b, are each interned to a small
-    integer.  The sweep counts each pair of the two once, and the counts are
-    spread into the buckets of every (a, b) after it: at total 7 and sizes up
-    to 3, 5,040 permutations make 2,708 distinct pairs."""
+    each is computed once per raw key and looked up after.  The sweep keeps a
+    column per size, one entry per permutation: the interned id of (low
+    restriction, imaj) at each a, and of (standardized prefix, maj) at each
+    b.  The bucket of (a, b) counts the id pairs of the columns of a and b
+    together."""
     from .permutation import word_low, word_std
 
     if any(total < max(pair) for pair in pairs):
         raise ValueError("ambient size smaller than a pattern")
     counts: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-    sizes_a, sizes_b = sorted({a for a, _ in counts}), sorted({b for _, b in counts})
+    lows: dict[int, list[int]] = {a: [] for a, _ in counts}
+    heads: dict[int, list[int]] = {b: [] for _, b in counts}
     low_by_positions: dict[tuple[int, ...], tuple[int, ...]] = {}
     std_by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
-    low_ids: dict[tuple, int] = {}
-    head_ids: dict[tuple, int] = {}
-    joint: dict[tuple[int, int], int] = {}
+    ids: dict[tuple[tuple[int, ...], int], int] = {}
     inv = [0] * total
     for w in itertools.permutations(range(1, total + 1)):
         for i, v in enumerate(w, start=1):
             inv[v - 1] = i
         imajs, majs = _suffix_majs(inv), _suffix_majs(w)
-        lows, heads = [], []
-        for a in sizes_a:
+        for a, column in lows.items():
             key = tuple(inv[:a])
             if (low := low_by_positions.get(key)) is None:
                 low = low_by_positions[key] = word_low(w, a)
-            lows.append((low, imajs[a]))
-        for b in sizes_b:
+            column.append(ids.setdefault((low, imajs[a]), len(ids)))
+        for b, column in heads.items():
             key = w[:b]
             if (head := std_by_prefix.get(key)) is None:
                 head = std_by_prefix[key] = word_std(key)
-            heads.append((head, majs[b]))
-        low_id = low_ids.setdefault(tuple(lows), len(low_ids))
-        head_id = head_ids.setdefault(tuple(heads), len(head_ids))
-        joint[low_id, head_id] = joint.get((low_id, head_id), 0) + 1
-    low_sides, head_sides = list(low_ids), list(head_ids)
-    slots = [(bucket, sizes_a.index(a), sizes_b.index(b)) for (a, b), bucket in counts.items()]
-    for (low_id, head_id), count in joint.items():
-        low_side, head_side = low_sides[low_id], head_sides[head_id]
-        for bucket, i, j in slots:
-            (low, imaj), (head, maj) = low_side[i], head_side[j]
-            tally = bucket.setdefault((low, head), {})
-            tally[imaj, maj] = tally.get((imaj, maj), 0) + count
+            column.append(ids.setdefault((head, majs[b]), len(ids)))
+    keys = list(ids)
+    for (a, b), bucket in counts.items():
+        for (low_id, head_id), count in Counter(zip(lows[a], heads[b])).items():
+            (low, imaj), (head, maj) = keys[low_id], keys[head_id]
+            bucket.setdefault((low, head), {})[imaj, maj] = count
     return counts
 
 
@@ -568,8 +547,8 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
     reports = []
     for j, tally in by_cut.items():
         report = IdentityReport("permtotab", {"tableau": rows, "j": j})
-        rhs = _poly_side(weight.get(j, ZERO))
-        _check(report, f"shape={alpha} j={j}", _maj_side(tally), rhs)
+        lhs = BivarPoly({(0, maj): count for maj, count in tally.items()})
+        report.record(f"shape={alpha} j={j}", lhs, weight.get(j, ZERO))
         reports.append(report)
     return reports
 
@@ -607,8 +586,7 @@ def permtotab_pair_reports(
     reports = []
     for j, tally in by_cut.items():
         report = IdentityReport("permtotab-pair", {**params, "j": j})
-        rhs = _poly_side(weight.get(j, ZERO))
-        _check(report, f"shapes={alpha};{beta} j={j}", _tally_side(tally), rhs)
+        report.record(f"shapes={alpha};{beta} j={j}", BivarPoly(tally), weight.get(j, ZERO))
         reports.append(report)
     return reports
 
@@ -700,7 +678,7 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     report = IdentityReport(
         "majgen1", {"alpha": str(alpha), "beta": str(beta), "m": m, "n": n}
     )
-    lhs = rhs = _poly_side(ZERO)
+    lhs = rhs = ((lambda width, stride: 0), -1)
     if m + alpha.size == n + beta.size:
         # sum of f_{lam/alpha}(p) f_{lam/beta}(q) over the shapes lam of size
         # |alpha| + m = |beta| + n, which are outer to both

@@ -12,10 +12,12 @@ which runs on the parameter tuple as the series of :mod:`qtab.stats` does:
 (q,) for the involution theorems (qlim1, m3) and (p, q) for the permutation
 pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
 finite n or in the limit, where W(j) is the weight summed over all patterns
-of the sizes.  The weights and their sums W(j) are the polynomials
-:mod:`qtab.weights` defines and ``qtab verify`` checks; the kernel
-evaluates them at (p, q).  ``cmd_limit``, the handler of ``qtab limit``,
-prints a :class:`ConvergenceReport` of its rows as text, CSV or JSON.
+of the sizes.  The weights are the polynomials :mod:`qtab.weights` defines
+and ``qtab verify`` checks; the kernel evaluates them at (p, q).  Their sums
+W(j) carry exactly the q-factorials that T(j) divides by, so each W(j) T(j)
+is an integer times the series term and no W(j) is evaluated.
+``cmd_limit``, the handler of ``qtab limit``, prints a
+:class:`ConvergenceReport` of its rows as text, CSV or JSON.
 
 Every limit is driven by the rate r of the factorial-scaled series, the
 limit of its consecutive ratio: ``t_limit`` for involutions, ``a_limit`` for
@@ -147,29 +149,29 @@ def _family(
     T(j) = 0 when k < 0; this is prod_v [n - a - b + l_v choose k]_v x_k up
     to a factor common to every cut.  In the limit, g(j) = r^j, where r is the
     scaled series' rate (``t_limit`` or ``a_limit``), so with p and q on
-    opposite sides of 1 only the cut j = 0 remains.
+    opposite sides of 1 only the cut j = 0 remains.  The q-factorials of W(j)
+    are those T(j) divides by, so the denominator sums N(j) g(j), with
+    N(j) = t_j C(a, j) or j! C(a, j) C(b, j).
     """
-    from .weights import involution_weight_sum, pair_weight_sum
-
     params = tuple(Fraction(v) for v in params)
     if len(params) == 1:
-        sums, scaled, rate, point = involution_weight_sum(a), t_scaled_value, t_limit, (1, *params)
+        scaled, rate, point = t_scaled_value, t_limit, (1, *params)
     else:
-        sums, scaled, rate, point = pair_weight_sum(a, b), a_scaled_value, a_limit, params
+        scaled, rate, point = a_scaled_value, a_limit, params
     if n is None:
         r = rate(*params)
     elif n < max(a, b):
         raise ValueError("n must be at least each pattern size")
     numerator = denominator = Fraction(0)
-    for j, total in sums.items():
+    for j in range(min(a, b) + 1):
         if n is not None and (k := n - a - b + j) < 0:
             continue
-        term = (r**j if n is None else scaled(k, *params)) / math.prod(
-            q_factorial_value(l - j, v) for v, l in zip(params, (b, a))
-        )
+        series = r**j if n is None else scaled(k, *params)
         if j in weight:
-            numerator += weight[j].evaluate(*point) * term
-        denominator += total.evaluate(*point) * term
+            factorials = math.prod(q_factorial_value(l - j, v) for v, l in zip(params, (b, a)))
+            numerator += weight[j].evaluate(*point) * series / factorials
+        pairs = t_count(j) if len(params) == 1 else math.factorial(j) * math.comb(b, j)
+        denominator += math.comb(a, j) * pairs * series
     return numerator / denominator
 
 
@@ -331,7 +333,8 @@ class ConvergenceReport(Value):
         lines = [self.label]
         for n, value, limit, gap in self._decimal_rows(significant_digits):
             lines.append(f"n={n} value={value} limit={limit} gap={gap}")
-        lines += [f"{caption}: {format_decimal(value)}" for _, caption, value in self.notes]
+        for _, caption, value in self.notes:
+            lines.append(f"{caption}: {format_decimal(value, significant_digits)}")
         return "\n".join(lines)
 
     def to_csv(self, significant_digits: int = 12) -> str:

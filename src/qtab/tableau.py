@@ -7,10 +7,11 @@ only if both shapes and all entries agree.
 
 ``f_poly`` is the sum of q^maj over the standard fillings of a (possibly
 skew) shape.  Straight shapes take the hook-length product q^b [n]! / prod [h]
-(``f_poly_hook``).  Skew shapes take Jacobi-Trudi with the principal
+(``hook_packed``).  Skew shapes take Jacobi-Trudi with the principal
 specialization (Stanley, EC2 7.16 and Prop. 7.19.11), a signed sum of
 q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
-at width 0 the same formulas give ``syt_count`` and ``skew_syt_count``.
+one choice between them (``_packed``) serves ``f_poly`` and, at width 0,
+``skew_syt_count``.
 ``maj_tally`` enumerates every filling and tallies it by maj; it is the
 oracle the test suite pins both paths to on an exhaustive band (as
 ``f_poly_enum``, its polynomial), and the left-hand side of the ``majgen``
@@ -440,15 +441,21 @@ def _jacobi_trudi(shape: SkewShape, width: int) -> int:
     return minor((1 << length) - 1, length - 1, shape.size)
 
 
+def _packed(shape: SkewShape, width: int) -> int:
+    """f_poly of the shape at q = 2^width: the hook product for a straight
+    shape, else Jacobi-Trudi."""
+    if shape.is_straight:
+        return hook_packed(shape.outer, width)
+    return _jacobi_trudi(shape, width)
+
+
 @lru_cache(maxsize=None)
 def f_poly(shape: SkewShape) -> BivarPoly:
     """Maj generating polynomial of the shape: hook product or Jacobi-Trudi."""
-    if shape.is_straight:
-        return f_poly_hook(shape.outer)
     from .bivar import unpack
 
     width = packed_width(skew_syt_count(shape))
-    return unpack(width, _jacobi_trudi(shape, width))
+    return unpack(width, _packed(shape, width))
 
 
 def hook_packed(shape: Partition, width: int) -> int:
@@ -466,10 +473,7 @@ def hook_packed(shape: Partition, width: int) -> int:
 
 def f_poly_hook(shape: Partition) -> BivarPoly:
     """Maj generating polynomial of a straight shape via the hook-length product."""
-    from .bivar import unpack
-
-    width = packed_width(syt_count(shape))
-    return unpack(width, hook_packed(shape, width))
+    return f_poly(SkewShape.straight(shape))
 
 
 def syt_count(shape: Partition) -> int:
@@ -483,9 +487,7 @@ def skew_syt_count(shape: SkewShape) -> int:
 
     Skew shapes take the Jacobi-Trudi determinant at q = 1 (Aitken's count).
     """
-    if shape.is_straight:
-        return syt_count(shape.outer)
-    return _jacobi_trudi(shape, 0)
+    return _packed(shape, 0)
 
 
 def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:

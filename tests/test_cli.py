@@ -193,6 +193,16 @@ _LIMIT_TAIL = ["--q", "1/2", "--n", "4"]
         # a null stands only for an inner cell, at the head of its row
         (["stat", "tab", '{"outer":[2],"rows":[[1,null,2,null]]}'], "'rows'"),
         (["stat", "tab", '{"outer":[2,1],"inner":[1],"rows":[[1,null],[2]]}'], "'rows'"),
+        # rows that do not fill the shape, or entries that are not 1..n
+        (["stat", "tab", '{"outer":[2],"rows":[[1]]}'], "wrong length"),
+        (["stat", "tab", '{"outer":[2],"rows":[[1,2],[3]]}'], "row count"),
+        (["stat", "tab", '{"outer":[2],"rows":[[1,3]]}'], "not a permutation"),
+        # a missing operand
+        (["j2set", "check"], "needs a set operand"),
+        (["j2set", "21"], "needs two permutation operands"),
+        # a parameter outside the theorem's range
+        (["limit", "xi", "--q", "3/2", "--n", "4"], "strictly between 0 and 1"),
+        (["limit", "qlim1", "--sigma", "21", "--q", "1/2", "--n", "1"], "at least each pattern"),
     ],
 )
 def test_malformed_operands_are_usage_errors(argv, named, capsys):
@@ -229,9 +239,8 @@ def test_verify_exit_code_and_json(capsys):
 def test_verify_failure_exits_one(monkeypatch, capsys):
     # a broken right-hand side must surface as FAIL lines and exit 1
     from qtab import containment
-    from qtab.bivar import ZERO
 
-    zero_side = containment._poly_side(ZERO)
+    zero_side = ((lambda width, stride: 0), -1)  # the zero polynomial as a packed side
     monkeypatch.setattr(containment, "_involution_cut_side", lambda *args: zero_side)
     argv = ["verify", "permcont1", "--max-size", "1", "--max-total", "2"]
     assert run(argv) == 1
@@ -245,6 +254,37 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     for failure in failures:
         assert sorted(failure) == ["instance", "lhs", "rhs"]
         assert all(isinstance(text, str) for text in failure.values())
+
+
+def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
+    # a weight off by one fails every check it is the right side of, and the
+    # failure prints the tally and the planted weight as polynomials
+    from qtab import containment
+    from qtab.tableau import Tableau
+
+    m3_weight, m3_1_weight = containment.m3_weight, containment.m3_1_weight
+    plus_one = lambda weight: {j: w + 1 for j, w in weight.items()}
+    monkeypatch.setattr(containment, "m3_weight", lambda *shapes: plus_one(m3_weight(*shapes)))
+    monkeypatch.setattr(containment, "m3_1_weight", lambda *shapes: plus_one(m3_1_weight(*shapes)))
+    argv = ["verify", "permtotab", "--max-size", "2"]
+    assert run(argv) == 1
+    *lines, total = out_of(capsys).splitlines()
+    assert all(line.endswith(" FAIL") for line in lines)
+    count = len(lines)
+    assert total == f"total: reports={count} checked={count} failures={count}"
+    assert run([*argv, "--json"]) == 1
+    reports = json.loads(out_of(capsys))
+    assert len(reports) == count
+    for report in reports:
+        params = report["range"]
+        if report["theorem"] == "permtotab":
+            weight = m3_weight(Tableau.from_rows(params["tableau"]).shape.outer)
+        else:
+            a_tab, b_tab = (Tableau.from_rows(params[key]) for key in ("tableau_a", "tableau_b"))
+            weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
+        [failure] = report["failures"]
+        right = weight[params["j"]]
+        assert (failure["lhs"], failure["rhs"]) == (str(right), str(right + 1))
 
 
 @pytest.mark.parametrize(
@@ -434,6 +474,31 @@ def test_limit_digits_round_values_past_their_integer_digits(capsys):
     assert "n=3 value=6 limit=20 gap=10" in out_of(capsys).splitlines()
     assert run([*argv, "--csv"]) == 0
     assert out_of(capsys).splitlines()[1] == "1,2,20,10"
+
+
+@pytest.mark.parametrize(
+    "argv, digits, note, default",
+    [
+        (
+            ["limit", "xi", "--q", "1/2", "--n", "6"],
+            "5",
+            "product tail bound: 0.0000000051752",
+            "product tail bound: 0.00000000517524486779",
+        ),
+        (
+            ["limit", "eq8", "--n", "8"],
+            "4",
+            "stride ratio at n=8: 0.6436",
+            "stride ratio at n=8: 0.643639427127",
+        ),
+    ],
+    ids=["xi", "eq8"],
+)
+def test_limit_notes_honour_digits(argv, digits, note, default, capsys):
+    assert run([*argv, "--digits", digits]) == 0
+    assert out_of(capsys).splitlines()[-1] == note
+    assert run(argv) == 0  # 12 digits by default
+    assert out_of(capsys).splitlines()[-1] == default
 
 
 def test_limit_deterministic_output(capsys):

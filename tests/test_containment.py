@@ -616,22 +616,35 @@ def test_permcont2_packed_sides_are_the_dict_sides(a, b, total, packed_checks):
         assert rhs == _pair_rhs(weight, a, b, m, n) == lhs, (sigma, tau)
 
 
-def test_permtotab_packed_sides_are_the_dict_sides(packed_checks):
+def test_permtotab_sides_are_the_dict_polynomials(packed_checks, monkeypatch):
+    # permtotab compares its sides as polynomials and packs neither
     from qtab.weights import m3_1_weight, m3_weight
 
+    recorded = []
+    record = containment.IdentityReport.record
+
+    def spy(report, instance, lhs, rhs, show=str):
+        recorded.append((lhs, rhs))
+        return record(report, instance, lhs, rhs, show)
+
+    monkeypatch.setattr(containment.IdentityReport, "record", spy)
     tabs = _tableaux(3)
     for tab in tabs:
-        packed_checks.clear()
+        recorded.clear()
         permtotab_reports(tab, range(tab.size + 1))
-        for j, (_, lhs, rhs) in enumerate(packed_checks):
+        assert len(recorded) == tab.size + 1
+        for j, (lhs, rhs) in enumerate(recorded):
             assert lhs == _permtotab_lhs(tab, j) == rhs == m3_weight(tab.shape.outer)[j]
     for a_tab in tabs:
         for b_tab in tabs:
-            packed_checks.clear()
-            permtotab_pair_reports(a_tab, b_tab, range(min(a_tab.size, b_tab.size) + 1))
+            recorded.clear()
+            cuts = range(min(a_tab.size, b_tab.size) + 1)
+            permtotab_pair_reports(a_tab, b_tab, cuts)
+            assert len(recorded) == len(cuts)
             weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
-            for j, (_, lhs, rhs) in enumerate(packed_checks):
+            for j, (lhs, rhs) in enumerate(recorded):
                 assert lhs == _permtotab_pair_lhs(a_tab, b_tab, j) == rhs == weight[j]
+    assert packed_checks == []
 
 
 def test_majgen_packed_sides_are_the_dict_sides(packed_checks):

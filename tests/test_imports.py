@@ -215,8 +215,8 @@ def test_importing_containment_loads_no_family_or_command_code():
 
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 10,546 for
-# qlim1|m2-1, 12,127 for m3|m3-1, 6,406 for tlim|alim|xi and 6,998 for eq8;
+# each limit kind loads (the package included), which are 10,578 for
+# qlim1|m2-1, 12,153 for m3|m3-1, 6,438 for tlim|alim|xi and 7,030 for eq8;
 # they fail a change that puts code no limit kind runs back on their path.
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_700,
@@ -254,7 +254,7 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,672 and 5,617 nodes.  These ceilings, about 11% and 15% above, fail a
+# 4,627 and 5,572 nodes.  These ceilings, about 11% and 15% above, fail a
 # change that puts the verify handler and report loops (about 800 nodes) back
 # in `commands`.
 _HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_450}
@@ -265,8 +265,8 @@ def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
-# Each verify kind compiles 13,867 (permcont1), 17,333 (permcont2), 17,795
-# (permtotab) or 15,448 (majgen, majgen1) nodes.  These ceilings, about 5%
+# Each verify kind compiles 13,718 (permcont1), 17,178 (permcont2), 17,640
+# (permtotab) or 15,293 (majgen, majgen1) nodes.  These ceilings, about 5%
 # above, fail a change that puts another kind's code, such as a top-level
 # import of every family in `containment`, or the other commands' handlers
 # back on a kind's path.
