@@ -28,19 +28,24 @@ The reports check the two polynomial sums over the cuts, of the involution
 and of the pair cut terms, and :mod:`qtab.limits` evaluates the same ones at
 rational points without loading this module.
 
-A permtotab check compares a tally with one weight as polynomials.  The
-other checks, whose right side is a sum of products, pack each side into one
+Single and pair versions share one path per kind of check, with a pair flag
+where they differ, as the limit kernel's families do.  ``_cut_check`` checks
+a left side against a cut sum, and for the pattern and majgen identities
+also the q = 1 (p = q = 1) count row, in plain integers.  A permtotab check,
+``_permtotab``, compares a tally with one weight as polynomials.  A cut
+sum check, whose right side is a sum of products, packs each side into one
 integer, the side at q = 2^w and p = 2^(w * D) for a width w and stride D
-that make packing injective on both sides (see ``_check``), and compare the
+that make packing injective on both sides (see ``_check``), and compares the
 integers; polynomials are unpacked only to print a failure.
 
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
-and ``permcont1_report``/``permcont2_report`` check one instance on the
-buckets; ``verify_permcont1``/``verify_permcont2`` are the one-instance case.
-Likewise ``permtotab_reports``/``permtotab_pair_reports`` check every cut of
-one tableau (pair) from one j-set (j2-set) per permutation (pair), and
-``verify_permtotab``/``verify_permtotab_pair`` are the one-cut case.
+and ``permcont1_report``/``permcont2_report``, both ``_pattern_report``,
+check one instance on the buckets; ``verify_permcont1``/``verify_permcont2``
+are the one-instance case.  Likewise ``permtotab_reports``/
+``permtotab_pair_reports`` check every cut of one tableau (pair) from one
+j-set (j2-set) per permutation (pair), and ``verify_permtotab``/
+``verify_permtotab_pair`` are the one-cut case.
 ``sweep_reports`` runs the report loops of ``qtab verify``, and
 ``cmd_verify``, its handler, at the end of the module, checks the arguments
 and the ``QTAB_MAX_N`` cap and prints the reports.  ``qtab.cli`` imports it
@@ -57,7 +62,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .bivar import ZERO, BivarPoly, unpack
+from .bivar import ZERO, BivarPoly
 from .polynomial import packed_qbinomial, packed_width
 from .stats import a_poly, t_count, t_poly
 from .weights import (
@@ -259,13 +264,18 @@ def _pack_q(terms: Iterable[tuple[int, int]], width: int) -> int:
 
 
 def _unpack(value: int, width: int, stride: int) -> BivarPoly:
-    """The polynomial ``_pack`` gave value at (width, stride): a row of
-    ``stride`` digits per power of p."""
-    bits, rows = width * stride, []
+    """The polynomial ``_pack`` gave value at (width, stride): digit i, read
+    balanced in [-2^(width-1), 2^(width-1)), is the coefficient of
+    p^(i // stride) q^(i % stride).  ``packed_width`` puts 2^(width-1) above
+    every coefficient of a real side; a negative one, which only a broken
+    weight gives, reads back too."""
+    half, terms, i = 1 << width - 1, {}, 0
     while value:
-        rows.append(value & ((1 << bits) - 1))
-        value >>= bits
-    return unpack(width, *rows)
+        digit = ((value + half) & (2 * half - 1)) - half
+        terms[divmod(i, stride)] = digit
+        value = (value - digit) >> width
+        i += 1
+    return BivarPoly(terms)
 
 
 def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
@@ -311,11 +321,6 @@ def _tally_side(tally: Mapping[tuple[int, int], int]) -> Side:
     )
 
 
-def _maj_side(tally: Mapping[int, int]) -> Side:
-    """A tally of counts by q-degree."""
-    return lambda width, _: _pack_q(tally.items(), width), max(tally, default=-1)
-
-
 def _side_sum(sides: list[Side]) -> Side:
     """The sum of the sides."""
     return (
@@ -349,18 +354,22 @@ def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offse
     return pack, degree
 
 
-def _involution_cut_side(weight: Mapping[int, BivarPoly], m: int, n: int) -> Side:
-    """sum_j w(j) [n choose k]_q t_k(q), k = n - m + j, for patterns of size m and
-    n free points; cuts with k < 0 drop out."""
-    return _cut_side(weight, False, 0, n, n - m)  # only the pair terms read m
-
-
-def _pair_cut_side(weight: Mapping[int, BivarPoly], a: int, b: int, m: int, n: int) -> Side:
-    """sum_j w(j) [m choose k]_p [n choose k]_q A_k(p, q), k = n - a + j, for patterns
-    of sizes a and b with m + a = n + b; cuts with k < 0 drop out."""
-    if m + a != n + b:
-        raise ValueError("pair cut sum needs m + a = n + b")
-    return _cut_side(weight, True, m, n, n - a)
+def _cut_check(
+    report: IdentityReport, instance: str, lhs: Side, weight: Mapping[int, BivarPoly],
+    pair: bool, m: int, n: int, offset: int, counts: Mapping[int, int] | None = None,
+) -> None:
+    """Check lhs = sum_j w(j) T(j + offset) packed (``_cut_side``), then, unless
+    counts is None, the same sum at q = 1 (p = q = 1 for pairs) in plain
+    integers: sum_j counts[j] C(n, k) (C(m, k) k! for pairs, else t_k(1)) over
+    k = j + offset >= 0, against the left side's value there."""
+    value = _check(report, instance, lhs, _cut_side(weight, pair, m, n, offset))
+    if counts is not None:
+        count = sum(
+            c * math.comb(n, k) * (math.comb(m, k) * math.factorial(k) if pair else t_count(k))
+            for j, c in counts.items()
+            if (k := j + offset) >= 0
+        )
+        report.record(f"{instance} {'p=q=1' if pair else 'q=1'} count", value, count)
 
 
 # -- sweeps and reports -------------------------------------------------------------
@@ -378,7 +387,7 @@ def _suffix_majs(word: Sequence[int]) -> list[int]:
 
 def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
     """One sweep of the involutions of [total] for every pattern size m:
-    counts of the suffix maj past m, by low restriction at m.
+    counts of (0, the suffix maj past m), by low restriction at m.
 
     In an involution the values 1..m sit at the positions w[:m], so the low
     restriction at m depends only on that raw prefix and is computed once per
@@ -395,28 +404,39 @@ def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
             key = w[:m]
             if (low := low_by_prefix.get(key)) is None:
                 low = low_by_prefix[key] = word_low(w, m)
-            tally = bucket.setdefault(low, {})
-            tally[majs[m]] = tally.get(majs[m], 0) + 1
+            tally, stat = bucket.setdefault(low, {}), (0, majs[m])
+            tally[stat] = tally.get(stat, 0) + 1
     return counts
+
+
+def _pattern_report(
+    report: IdentityReport, weight_sum: Mapping[int, BivarPoly], weight_of: Callable,
+    sizes: tuple[int, ...], by_key: dict, m: int, n: int,
+) -> IdentityReport:
+    """The overall check on every bucket, then one per pattern on its own
+    bucket: sigma of size sizes[0], and for pairs tau of size sizes[1].  A
+    pattern weight's terms are monomials, so its count row reads 1 per cut."""
+    from .permutation import permutations
+
+    pair, offset = len(sizes) == 2, n - sizes[0]
+    lhs = _side_sum([_tally_side(tally) for tally in by_key.values()])
+    overall = "all permutations" if pair else "all involutions"
+    _cut_check(report, overall, lhs, weight_sum, pair, m, n, offset)
+    for patterns in itertools.product(*map(permutations, sizes)):
+        weight = weight_of(*patterns)
+        instance = " ".join(f"{name}={p.compact()}" for name, p in zip(("sigma", "tau"), patterns))
+        words = tuple(p.word for p in patterns)
+        lhs = _tally_side(by_key.get(words if pair else words[0], {}))
+        _cut_check(report, instance, lhs, weight, pair, m, n, offset, dict.fromkeys(weight, 1))
+    return report
 
 
 def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
     """Both involution identities at pattern size m, free size n, on swept buckets;
     the q = 1 rows double-check the plain count over binomials and involutions."""
-    from .permutation import permutations
-
     report = IdentityReport("permcont1", {"m": m, "n": n})
-    overall = _side_sum([_maj_side(tally) for tally in by_low.values()])
-    _check(report, "all involutions", overall, _involution_cut_side(involution_weight_sum(m), m, n))
-
-    for sigma in permutations(m):
-        weight = qlim1_weight(sigma)
-        count_rhs = sum(math.comb(n, k) * t_count(k) for j in weight if (k := n - m + j) >= 0)
-        instance = f"sigma={sigma.compact()}"
-        lhs = _maj_side(by_low.get(sigma.word, {}))
-        value = _check(report, instance, lhs, _involution_cut_side(weight, m, n))
-        report.record(f"{instance} q=1 count", value, count_rhs)
-    return report
+    # only the pair cut terms read their m
+    return _pattern_report(report, involution_weight_sum(m), qlim1_weight, (m,), by_low, 0, n)
 
 
 def verify_permcont1(m: int, n: int) -> IdentityReport:
@@ -474,26 +494,9 @@ def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tupl
 def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport:
     """Both pair identities for patterns of sizes a and b in [total], on swept buckets,
     against Gaussian binomials, the two-variable maj polynomial and the j2-sets."""
-    from .permutation import permutations
-
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
-    m, n = total - a, total - b
-    overall = _side_sum([_tally_side(tally) for tally in by_key.values()])
-    _check(report, "all permutations", overall, _pair_cut_side(pair_weight_sum(a, b), a, b, m, n))
-
-    for sigma in permutations(a):
-        for tau in permutations(b):
-            weight = m2_1_weight(sigma, tau)
-            count_rhs = sum(
-                math.comb(m, k) * math.comb(n, k) * math.factorial(k)
-                for j in weight
-                if (k := n - a + j) >= 0
-            )
-            instance = f"sigma={sigma.compact()} tau={tau.compact()}"
-            lhs = _tally_side(by_key.get((sigma.word, tau.word), {}))
-            value = _check(report, instance, lhs, _pair_cut_side(weight, a, b, m, n))
-            report.record(f"{instance} p=q=1 count", value, count_rhs)
-    return report
+    weight_sum = pair_weight_sum(a, b)
+    return _pattern_report(report, weight_sum, m2_1_weight, (a, b), by_key, total - a, total - b)
 
 
 def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
@@ -526,6 +529,18 @@ def perms_with_recording_tableau(tab: Tableau) -> list[Permutation]:
     return list(_perms_by_tableau(tab.size)[1].get(tab, []))
 
 
+def _permtotab(
+    theorem: str, params: dict, label: str, by_cut: dict, weight: Mapping[int, BivarPoly]
+) -> list[IdentityReport]:
+    """One report per cut j: the tally at j against w(j), compared as polynomials."""
+    reports = []
+    for j, tally in by_cut.items():
+        report = IdentityReport(theorem, {**params, "j": j})
+        report.record(f"{label} j={j}", BivarPoly(tally), weight.get(j, ZERO))
+        reports.append(report)
+    return reports
+
+
 def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityReport]:
     """Suffix-maj sum over the insertion class of a tableau vs inner skew sums, per cut.
 
@@ -541,16 +556,9 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
     for sigma in perms_with_insertion_tableau(a_tab):
         majs = _suffix_majs(sigma.word)
         for j in j_set(sigma) & by_cut.keys():
-            by_cut[j][majs[j]] += 1
-    rows = a_tab.to_json()["rows"]
-    weight = m3_weight(alpha)
-    reports = []
-    for j, tally in by_cut.items():
-        report = IdentityReport("permtotab", {"tableau": rows, "j": j})
-        lhs = BivarPoly({(0, maj): count for maj, count in tally.items()})
-        report.record(f"shape={alpha} j={j}", lhs, weight.get(j, ZERO))
-        reports.append(report)
-    return reports
+            by_cut[j][0, majs[j]] += 1
+    params = {"tableau": a_tab.to_json()["rows"]}
+    return _permtotab("permtotab", params, f"shape={alpha}", by_cut, m3_weight(alpha))
 
 
 def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
@@ -582,13 +590,8 @@ def permtotab_pair_reports(
             for j in j2_set(sigma, tau) & by_cut.keys():
                 by_cut[j][imajs[j], majs[j]] += 1
     params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}
-    weight = m3_1_weight(alpha, beta)
-    reports = []
-    for j, tally in by_cut.items():
-        report = IdentityReport("permtotab-pair", {**params, "j": j})
-        report.record(f"shapes={alpha};{beta} j={j}", BivarPoly(tally), weight.get(j, ZERO))
-        reports.append(report)
-    return reports
+    label = f"shapes={alpha};{beta}"
+    return _permtotab("permtotab-pair", params, label, by_cut, m3_1_weight(alpha, beta))
 
 
 def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityReport:
@@ -658,14 +661,8 @@ def verify_majgen(alpha: Partition, n: int) -> IdentityReport:
         lambda width, _: sum(_outer_packed(alpha, n, width)),
         max((terms[-1][0] for terms in _outer_majs(alpha, n) if terms), default=-1),
     )
-    rhs = _involution_cut_side(m3_weight(alpha), alpha.size, n)
-    inner_counts = _inner_counts(alpha)
-    count_rhs = 0
-    for k in range(n + 1):
-        if n - k <= alpha.size:
-            count_rhs += math.comb(n, k) * t_count(k) * inner_counts[alpha.size - (n - k)]
-    value = _check(report, f"alpha={alpha} n={n}", lhs, rhs)
-    report.record(f"alpha={alpha} n={n} q=1 count", value, count_rhs)
+    weight, counts = m3_weight(alpha), _inner_counts(alpha)
+    _cut_check(report, f"alpha={alpha} n={n}", lhs, weight, False, 0, n, n - alpha.size, counts)
     return report
 
 
@@ -678,7 +675,7 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
     report = IdentityReport(
         "majgen1", {"alpha": str(alpha), "beta": str(beta), "m": m, "n": n}
     )
-    lhs = rhs = ((lambda width, stride: 0), -1)
+    lhs, weight, counts = ((lambda width, stride: 0), -1), {}, {}
     if m + alpha.size == n + beta.size:
         # sum of f_{lam/alpha}(p) f_{lam/beta}(q) over the shapes lam of size
         # |alpha| + m = |beta| + n, which are outer to both
@@ -690,17 +687,9 @@ def verify_majgen1(alpha: Partition, beta: Partition, m: int, n: int) -> Identit
 
         degree = max((q[-1][0] for p, q in zip(p_majs, q_majs) if p and q), default=-1)
         lhs = pack, degree
-        rhs = _pair_cut_side(m3_1_weight(alpha, beta), alpha.size, beta.size, m, n)
-    inner_counts = _common_inner_counts(alpha, beta)
-    count_rhs = 0
-    for k in range(min(m, n) + 1):
-        size = beta.size - (m - k)
-        if size >= 0 and alpha.size - size == n - k >= 0:
-            pairs = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
-            count_rhs += pairs * inner_counts.get(size, 0)
+        weight, counts = m3_1_weight(alpha, beta), _common_inner_counts(alpha, beta)
     instance = f"alpha={alpha} beta={beta} m={m} n={n}"
-    value = _check(report, instance, lhs, rhs)
-    report.record(f"{instance} p=q=1 count", value, count_rhs)
+    _cut_check(report, instance, lhs, weight, True, m, n, n - alpha.size, counts)
     return report
 
 
@@ -717,18 +706,17 @@ def sweep_reports(which: str, max_size: int, cap: int | None = None) -> list[Ide
     """
     k = max_size
     reports = []
-    if which == "permcont1":
+    if which in ("permcont1", "permcont2"):
         for total in range(cap + 1):
             sizes = range(min(k, total) + 1)
-            swept = permcont1_buckets(total, sizes)
-            reports += [permcont1_report(m, total - m, swept.pop(m)) for m in sizes]
-        return sorted(reports, key=lambda r: (r.params["m"], r.params["n"]))
-    if which == "permcont2":
-        for total in range(cap + 1):
-            pairs = [(a, b) for a in range(min(k, total) + 1) for b in range(min(k, total) + 1)]
-            swept = permcont2_buckets(total, pairs)
-            reports += [permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
-        return sorted(reports, key=lambda r: (r.params["a"], r.params["b"], r.params["total"]))
+            if which == "permcont1":
+                swept = permcont1_buckets(total, sizes)
+                reports += [permcont1_report(m, total - m, swept.pop(m)) for m in sizes]
+            else:
+                pairs = list(itertools.product(sizes, sizes))
+                swept = permcont2_buckets(total, pairs)
+                reports += [permcont2_report(*ab, total, swept.pop(ab)) for ab in pairs]
+        return sorted(reports, key=lambda r: tuple(r.params.values()))
     if which == "permtotab":
         from .tableau import SkewShape, enumerate_syt, partitions
 

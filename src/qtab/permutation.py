@@ -166,21 +166,26 @@ def permutations(n: int) -> Iterator[Permutation]:
 def involution_words(n: int) -> Iterator[tuple[int, ...]]:
     """Words of all involutions of [n]: the smallest free value is fixed, then
     paired with each larger free value in turn.  The cost is the involution
-    count, not n!.  One buffer is reused; every slot is rewritten per word."""
+    count, not n!.  One buffer is reused; every slot is rewritten per word.
+
+    The walk keeps one stack of (free values, choice): choice 0 fixes the
+    smallest free value, choice c pairs it with the c-th free value after it."""
+    if n == 0:
+        yield ()
+        return
     word = [0] * n
-
-    def build(free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not free:
+    stack = [(tuple(range(1, n + 1)), 0)]
+    while stack:
+        free, choice = stack.pop()
+        if choice + 1 < len(free):
+            stack.append((free, choice + 1))
+        x, y = free[0], free[choice]
+        word[x - 1], word[y - 1] = y, x
+        rest = free[1:choice] + free[choice + 1 :]
+        if rest:
+            stack.append((rest, 0))
+        else:
             yield tuple(word)
-            return
-        x, rest = free[0], free[1:]
-        word[x - 1] = x
-        yield from build(rest)
-        for idx, y in enumerate(rest):
-            word[x - 1], word[y - 1] = y, x
-            yield from build(rest[:idx] + rest[idx + 1 :])
-
-    yield from build(tuple(range(1, n + 1)))
 
 
 def involutions(n: int) -> Iterator[Permutation]:

@@ -3,6 +3,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,7 +244,7 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     from qtab import containment
 
     zero_side = ((lambda width, stride: 0), -1)  # the zero polynomial as a packed side
-    monkeypatch.setattr(containment, "_involution_cut_side", lambda *args: zero_side)
+    monkeypatch.setattr(containment, "_cut_side", lambda *args: zero_side)
     argv = ["verify", "permcont1", "--max-size", "1", "--max-total", "2"]
     assert run(argv) == 1
     lines = out_of(capsys).splitlines()
@@ -254,6 +257,39 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     for failure in failures:
         assert sorted(failure) == ["instance", "lhs", "rhs"]
         assert all(isinstance(text, str) for text in failure.values())
+
+
+_NEGATIVE_PLANT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qtab import containment
+from qtab.bivar import BivarPoly
+weight_of = containment.m3_weight
+def planted(alpha):
+    return {j: w - BivarPoly.monomial(0, 1) for j, w in weight_of(alpha).items()}
+containment.m3_weight = planted
+from qtab.cli import run
+sys.exit(run(["verify", "majgen", "--max-size", "1", "--max-total", "1", "--json"]))
+"""
+
+
+def test_verify_failure_with_a_negative_coefficient_prints_it():
+    # a weight planted minus q packs a side below zero; its failure must print
+    # the planted polynomial, not loop on the sign (hence the child's time and
+    # memory limits)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_PLANT],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1 and done.stderr == "", done.stderr[-500:]
+    failures = [f for r in json.loads(done.stdout) for f in r["failures"]]
+    assert [(f["instance"], f["lhs"], f["rhs"]) for f in failures] == [
+        ("alpha= n=0", "1", "1 - q"),
+        ("alpha= n=1", "1", "1 - q"),
+        ("alpha=1 n=0", "1", "1 - q"),
+        ("alpha=1 n=1", "2", "2 - 2*q"),
+    ]
 
 
 def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
@@ -381,6 +417,29 @@ def test_oracle_stdout_is_pinned(command, capsys):
     assert run(command.split()) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == ORACLE_STDOUT_SHA256[command]
+
+
+# sha256 of the --json stdout of the oracle verify commands, recorded before
+# the single and pair identities were put on one check path
+ORACLE_JSON_SHA256 = {
+    "verify permcont1 --max-size 3 --max-total 10":
+        "93f8af9964cc2508fd3e57e21ca1c933b99ae4c7ccf815bbbe074291b1fef811",
+    "verify permcont2 --max-size 3 --max-total 7":
+        "bdb6686cbfb425d8a6436f0dc483acde8cb657d82992e63473c0c2184722589e",
+    "verify permtotab --max-size 4":
+        "7e57e4aaba035357713a3cf5fe267bc869b08778d186cdab5515d9e2f55d3c59",
+    "verify majgen --max-size 5":
+        "60af58654f3157a8c3f9bc628c01691e5e3eee0fc3298a5644efb37c65931dcb",
+    "verify majgen1 --max-size 4":
+        "fec14eee2c61d9cdef1b2b6e26c1416b0455f5f6867e9dbd3e6a35dd08c821be",
+}
+
+
+@pytest.mark.parametrize("command", list(ORACLE_JSON_SHA256))
+def test_oracle_json_is_pinned(command, capsys):
+    assert run([*command.split(), "--json"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == ORACLE_JSON_SHA256[command]
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -168,7 +169,7 @@ def test_permcont1_buckets_equal_per_word_statistics():
         for m in sizes:
             expected = {}
             for w in involution_words(total):
-                _tally(expected, word_low(w, m), word_maj(w[m:]))
+                _tally(expected, word_low(w, m), (0, word_maj(w[m:])))
             assert swept[m] == expected, (m, total)
 
 
@@ -266,9 +267,11 @@ def test_pattern_weights_are_cached_read_only_mappings():
             weight[0] = ZERO
 
 
-def test_pair_cut_sum_rejects_inconsistent_sizes():
-    with pytest.raises(ValueError):
-        containment._pair_cut_side(pair_weight_sum(1, 1), 1, 1, 2, 3)
+def test_majgen1_with_inconsistent_sizes_checks_zero_twice():
+    # m + |alpha| != n + |beta|: no outer shape has both sizes, and both the
+    # packed check and the p = q = 1 count read 0 = 0
+    report = verify_majgen1(Partition.of(1), Partition.of(1), 2, 3)
+    assert report.passed and report.checked == 2
 
 
 def test_permtotab_single_examples():
@@ -369,6 +372,38 @@ def test_majgen1_small():
                 if 0 <= n <= 3:
                     assert verify_majgen1(alpha, beta, m, n).passed
 
+
+# sha256 of the "{theorem} {instance}" lines, one per check, of each sweep in
+# the order the checks run, recorded before the single and pair identities
+# were put on one check path
+SWEEP_LABELS = {
+    ("permcont1", 3, 6): (
+        116, "ad9789b9f311026b68cab2ca70e30430b3242c4eb2816add542a5c16ee558cd7"
+    ),
+    ("permcont2", 2, 4): (
+        138, "b8624ce2bb0388931f00239e6e25ded425e1f21f414371eeb0aa331d85d67ff1"
+    ),
+    ("permtotab", 3): (174, "7748e9c0cccd0d0449bd226b0baf92d0252e820a2ee306307f484c9d3543a50b"),
+    ("majgen", 3, 3): (56, "9a558a89c023c3d0a3d98d9475e3d30fd65f8a5321a78d28a91123cfc75452a4"),
+    ("majgen1", 2, 3): (
+        100, "903b573407f980cbc96e7ac428a2d712fd4a8195d3af7bc657c5b01f4967a051"
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEP_LABELS), ids=lambda sweep: sweep[0])
+def test_sweep_check_labels_are_pinned(sweep, monkeypatch):
+    labels = []
+    record = containment.IdentityReport.record
+
+    def spy(report, instance, *args):
+        labels.append(f"{report.theorem} {instance}")
+        return record(report, instance, *args)
+
+    monkeypatch.setattr(containment.IdentityReport, "record", spy)
+    containment.sweep_reports(*sweep)
+    digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
+    assert (len(labels), digest) == SWEEP_LABELS[sweep]
 
 def test_outer_majs_are_the_outer_shapes_maj_terms():
     # one entry per partition of the outer size, empty where it does not contain the base
@@ -513,7 +548,7 @@ def _pair_rhs(weight, a, b, m, n):
 def _permcont1_lhs(m, n, sigma=None):
     by_low = permcont1_buckets(m + n, [m])[m]
     tallies = by_low.values() if sigma is None else [by_low.get(sigma.word, {})]
-    return sum((BivarPoly({(0, maj): c for maj, c in t.items()}) for t in tallies), ZERO)
+    return sum(map(BivarPoly, tallies), ZERO)
 
 
 def _permcont2_lhs(a, b, total, sigma=None, tau=None):

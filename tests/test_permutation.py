@@ -154,7 +154,7 @@ def test_word_kernel_matches_references(n):
             assert word_imaj(high) == sum(Permutation(high).inverse().descents())
 
 
-@pytest.mark.parametrize("n", range(0, 10))
+@pytest.mark.parametrize("n", range(0, 12))
 def test_involution_words_keep_order(n):
     words = list(involution_words(n))
     assert words == list(_involutions_reference(n))
