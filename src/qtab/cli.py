@@ -324,3 +324,12 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    # `python -m qtab.cli` runs this file as `__main__`, a second copy of the
+    # module whose UsageError the handlers, which import `qtab.cli`, never
+    # raise; so the imported module runs the command
+    from qtab.cli import main
+
+    main()

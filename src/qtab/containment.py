@@ -23,10 +23,9 @@ T(j), and so is each limit theorem, which is the ratio of two such sums.  The
 weights, a polynomial per j, are defined once in :mod:`qtab.weights` and
 re-exported here: the pattern weights ``qlim1_weight``, ``m2_1_weight``,
 ``m3_weight`` and ``m3_1_weight``, and the weight sums W(j) over all patterns
-of a size (``involution_weight_sum``, ``pair_weight_sum``).
-The reports check the two polynomial sums over the cuts, of the involution
-and of the pair cut terms, and :mod:`qtab.limits` evaluates the same ones at
-rational points without loading this module.
+of a size (``involution_weight_sum``, ``pair_weight_sum``).  The cut terms
+read t_k and A_k from the series that :mod:`qtab.limits` evaluates at
+rational points (``t_value``, ``a_value``), here at the packing point.
 
 Single and pair versions share one path per kind of check, with a pair flag
 where they differ, as the limit kernel's families do.  ``_cut_check`` checks
@@ -64,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .bivar import ZERO, BivarPoly
 from .polynomial import packed_qbinomial, packed_width
-from .stats import a_poly, t_count, t_poly
+from .stats import a_value, t_count, t_value
 from .weights import (
     involution_weight_sum,
     m2_1_weight,
@@ -76,7 +75,7 @@ from .weights import (
 
 # The permutation, tableau, j-set and insertion code is imported by the
 # functions that read it, so a verify kind loads only what its identity runs:
-# permcont1 no tableau code, majgen and majgen1 no permutation or j-set code.
+# permcont1 and permcont2 no tableau code, majgen and majgen1 no permutation or j-set code.
 if TYPE_CHECKING:
     from .permutation import Permutation
     from .tableau import Partition, Tableau
@@ -321,36 +320,28 @@ def _tally_side(tally: Mapping[tuple[int, int], int]) -> Side:
     )
 
 
-def _side_sum(sides: list[Side]) -> Side:
-    """The sum of the sides."""
-    return (
-        lambda width, stride: sum(pack(width, stride) for pack, _ in sides),
-        max((degree for _, degree in sides), default=-1),
-    )
-
-
 @lru_cache(maxsize=None)
-def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> tuple[int, int]:
-    """The cut term at q = 2^width, p = 2^(width * stride), and its q-degree:
-    [m choose k]_p [n choose k]_q A_k(p, q) for pairs, else [n choose k]_q t_k(q)."""
-    series = a_poly(k) if pair else t_poly(k)
-    term = packed_qbinomial(n, k, width) * _pack(series.sorted_terms(), width, stride)
+def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> int:
+    """The cut term at q = 2^width, p = 2^(width * stride), t_k and A_k from the limits'
+    series: [m choose k]_p [n choose k]_q A_k(p, q) for pairs, else [n choose k]_q t_k(q)."""
+    term, q, p = packed_qbinomial(n, k, width), 1 << width, 1 << width * stride
     if pair:
-        term *= packed_qbinomial(m, k, width * stride)
-    return term, k * (n - k) + series.degree_q()
+        return term * packed_qbinomial(m, k, width * stride) * a_value(k, p, q).numerator
+    return term * t_value(k, q).numerator
 
 
 def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offset: int) -> Side:
-    """sum_j w(j) T(k), k = j + offset, over the cuts with k >= 0; T is ``_cut_term``."""
+    """sum_j w(j) T(k), k = j + offset, over the cuts with k >= 0; T is ``_cut_term``, of
+    q-degree at most k(n - k) + C(k, 2), as no word of length k has maj above C(k, 2)."""
     cuts = [(w.sorted_terms(), w.degree_q(), k) for j, w in weight.items() if (k := j + offset) >= 0]
 
     def pack(width: int, stride: int) -> int:
         return sum(
-            _pack(terms, width, stride) * _cut_term(pair, m, n, k, width, stride)[0]
+            _pack(terms, width, stride) * _cut_term(pair, m, n, k, width, stride)
             for terms, _, k in cuts
         )
 
-    degree = max((d + _cut_term(pair, m, n, k, 0, 0)[1] for _, d, k in cuts), default=-1)
+    degree = max((d + k * (n - k) + k * (k - 1) // 2 for _, d, k in cuts), default=-1)
     return pack, degree
 
 
@@ -418,10 +409,11 @@ def _pattern_report(
     pattern weight's terms are monomials, so its count row reads 1 per cut."""
     from .permutation import permutations
 
-    pair, offset = len(sizes) == 2, n - sizes[0]
-    lhs = _side_sum([_tally_side(tally) for tally in by_key.values()])
+    pair, offset, merged = len(sizes) == 2, n - sizes[0], Counter()
+    for tally in by_key.values():
+        merged.update(tally)
     overall = "all permutations" if pair else "all involutions"
-    _cut_check(report, overall, lhs, weight_sum, pair, m, n, offset)
+    _cut_check(report, overall, _tally_side(merged), weight_sum, pair, m, n, offset)
     for patterns in itertools.product(*map(permutations, sizes)):
         weight = weight_of(*patterns)
         instance = " ".join(f"{name}={p.compact()}" for name, p in zip(("sigma", "tau"), patterns))

@@ -868,6 +868,33 @@ def test_enum_cap_covers_skew_fillings(which, monkeypatch, capsys):
     assert run(["verify", which, "--max-size", "1", "--max-total", "3"]) == 0
 
 
+def _python_m(module, argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("module", ["qtab", "qtab.cli"])
+@pytest.mark.parametrize(
+    "argv", [["stat", "perm", "21"], ["verify", "permcont1", "--max-size", "1", "--max-total", "2"]]
+)
+def test_python_m_runs_the_command(module, argv, capsys):
+    done = _python_m(module, argv)
+    assert run(argv) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
+@pytest.mark.parametrize("module", ["qtab", "qtab.cli"])
+def test_python_m_usage_error_exits_two(module):
+    # `python -m qtab.cli` runs the module as `__main__`; the handlers raise
+    # `qtab.cli`'s UsageError, which must still print one error line
+    done = _python_m(module, ["limit", "tlim", "--q", "1/2", "--n", "3", "--precision", "1"])
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         run(["stat"])

@@ -846,3 +846,26 @@ def test_planted_fault_fails_with_the_dict_sides(family, fault, monkeypatch, cap
         lhs, rhs = _failing_sides(report["theorem"], report["range"])
         assert lhs != rhs
         assert (failure["lhs"], failure["rhs"]) == (str(lhs), str(rhs))
+
+
+def test_planted_series_fault_fails_permcont2(monkeypatch, capsys):
+    # the pair cut terms read A_k off the permutation series the pair limits
+    # evaluate, so a fault planted in that series at n = 2 fails verify
+    from qtab import stats
+    from qtab.cli import run
+
+    series = stats._series
+
+    def planted(n, *params):
+        value = series(n, *params)
+        return value + 1 if n == 2 and len(params) == 2 else value
+
+    monkeypatch.setattr(stats, "_series", planted)
+    containment._cut_term.cache_clear()  # drop the terms earlier tests packed
+    try:
+        assert run(["verify", "permcont2", "--max-size", "2", "--max-total", "4"]) == 1
+    finally:
+        containment._cut_term.cache_clear()  # and the planted ones
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.endswith(" FAIL") for line in lines[:-1]) > 0
+    assert lines[-1].endswith(" failures=25")
