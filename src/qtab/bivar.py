@@ -5,7 +5,11 @@ exact.  Univariate polynomials in q are the p-degree-0 slice of the same
 representation.  Evaluation at rational points returns ``fractions.Fraction``.
 ``unpack`` reads a polynomial off the digits of a value of the packed kernel
 of :mod:`qtab.polynomial`; the q-factorials and q-binomials are built that way.
-Only the commands that print or check a polynomial load this module.
+Only the commands that print a polynomial load this module: the ``qpoly``
+kinds, and ``qtab verify`` when a check fails and prints its sides.  The
+theorem weights of :mod:`qtab.weights` are coefficient tables, so no
+``limit`` kind and no passing ``verify`` loads it; the test suite uses it to
+rebuild the weights as the polynomials they were first defined as.
 """
 
 from __future__ import annotations

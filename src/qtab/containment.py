@@ -20,10 +20,11 @@ than a bare assertion.  The identities verified:
 
 Each identity is a sum over cut sizes j of a weight w(j) times a cut term
 T(j), and so is each limit theorem, which is the ratio of two such sums.  The
-weights, a polynomial per j, are defined once in :mod:`qtab.weights` and
-re-exported here: the pattern weights ``qlim1_weight``, ``m2_1_weight``,
-``m3_weight`` and ``m3_1_weight``, and the weight sums W(j) over all patterns
-of a size (``involution_weight_sum``, ``pair_weight_sum``).  The cut terms
+weights, a coefficient table {(i, k): c} of a polynomial in p and q per j,
+are defined once in :mod:`qtab.weights` and re-exported here: the pattern
+weights ``qlim1_weight``, ``m2_1_weight``, ``m3_weight`` and
+``m3_1_weight``, and the weight sums W(j) over all patterns of a size
+(``involution_weight_sum``, ``pair_weight_sum``).  The cut terms
 read t_k and A_k from the series that :mod:`qtab.limits` evaluates at
 rational points (``t_value``, ``a_value``), here at the packing point.
 
@@ -31,11 +32,15 @@ Single and pair versions share one path per kind of check, with a pair flag
 where they differ, as the limit kernel's families do.  ``_cut_check`` checks
 a left side against a cut sum, and for the pattern and majgen identities
 also the q = 1 (p = q = 1) count row, in plain integers.  A permtotab check,
-``_permtotab``, compares a tally with one weight as polynomials.  A cut
-sum check, whose right side is a sum of products, packs each side into one
-integer, the side at q = 2^w and p = 2^(w * D) for a width w and stride D
-that make packing injective on both sides (see ``_check``), and compares the
-integers; polynomials are unpacked only to print a failure.
+``_permtotab``, compares a tally with one weight as coefficient tables.  A
+cut sum check, whose right side is a sum of products, packs each side into
+one integer, the side at q = 2^w and p = 2^(w * D) for a width w and stride
+D that make packing injective on both sides (see ``_check``), and compares
+the integers.  No check builds a polynomial: a failing one unpacks its sides
+into tables and prints them through :mod:`qtab.bivar` (``_show``), which a
+passing sweep never loads.  Report lines print their params with
+``_json_text`` and permtotab's instance labels are joined only to print a
+failure (``_Label``), so a text report loads no ``json``.
 
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
@@ -54,14 +59,12 @@ only for ``verify``, and the handler imports ``qtab.cli`` only when it runs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .bivar import ZERO, BivarPoly
 from .polynomial import packed_qbinomial, packed_width
 from .stats import a_value, t_count, t_value
 from .weights import (
@@ -79,6 +82,7 @@ from .weights import (
 if TYPE_CHECKING:
     from .permutation import Permutation
     from .tableau import Partition, Tableau
+    from .weights import Table
 
 __all__ = [
     "contains",
@@ -216,11 +220,12 @@ class IdentityReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, instance: str, lhs, rhs, show: Callable[[object], str] = str) -> None:
-        """Count one check of lhs = rhs; a failure keeps both sides as ``show`` prints them."""
+    def record(self, instance: object, lhs, rhs, show: Callable[[object], str] = str) -> None:
+        """Count one check of lhs = rhs; a failure keeps the instance's text and both
+        sides as ``show`` prints them."""
         self.checked += 1
         if lhs != rhs:
-            self.failures.append({"instance": instance, "lhs": show(lhs), "rhs": show(rhs)})
+            self.failures.append({"instance": str(instance), "lhs": show(lhs), "rhs": show(rhs)})
 
     def to_json(self) -> dict:
         return {
@@ -233,9 +238,36 @@ class IdentityReport:
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{self.theorem} {json.dumps(self.params, sort_keys=True)} "
+            f"{self.theorem} {_json_text(self.params)} "
             f"checked={self.checked} failures={len(self.failures)} {status}"
         )
+
+
+def _json_text(params: dict) -> str:
+    """``json.dumps(params, sort_keys=True)`` for what report params hold: ints,
+    strings with no character JSON escapes, and lists of ints and nulls (a
+    skew tableau's rows) or of such lists, which print as JSON does once each
+    None reads null."""
+    return "{" + ", ".join(
+        f'"{k}": "{v}"' if isinstance(v, str) else f'"{k}": {v!r}'.replace("None", "null")
+        for k, v in sorted(params.items())
+    ) + "}"
+
+
+class _Label(tuple):
+    """A check's instance label, kept as its pieces and joined only when printed."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return "".join(map(str, self))
+
+
+def _show(table: Table) -> str:
+    """A coefficient table as its polynomial prints, for a failing check."""
+    from .bivar import BivarPoly
+
+    return str(BivarPoly(table))
 
 
 # -- packed identity checks ------------------------------------------------------
@@ -262,19 +294,20 @@ def _pack_q(terms: Iterable[tuple[int, int]], width: int) -> int:
     return total
 
 
-def _unpack(value: int, width: int, stride: int) -> BivarPoly:
-    """The polynomial ``_pack`` gave value at (width, stride): digit i, read
-    balanced in [-2^(width-1), 2^(width-1)), is the coefficient of
+def _unpack(value: int, width: int, stride: int) -> dict[tuple[int, int], int]:
+    """The coefficient table ``_pack`` gave value at (width, stride): digit i,
+    read balanced in [-2^(width-1), 2^(width-1)), is the coefficient of
     p^(i // stride) q^(i % stride).  ``packed_width`` puts 2^(width-1) above
     every coefficient of a real side; a negative one, which only a broken
     weight gives, reads back too."""
     half, terms, i = 1 << width - 1, {}, 0
     while value:
         digit = ((value + half) & (2 * half - 1)) - half
-        terms[divmod(i, stride)] = digit
+        if digit:
+            terms[divmod(i, stride)] = digit
         value = (value - digit) >> width
         i += 1
-    return BivarPoly(terms)
+    return terms
 
 
 def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
@@ -307,7 +340,7 @@ def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
         instance,
         pack_lhs(width, stride),
         pack_rhs(width, stride),
-        lambda packed: str(_unpack(packed, width, stride)),
+        lambda packed: _show(_unpack(packed, width, stride)),
     )
     return value
 
@@ -330,10 +363,14 @@ def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> in
     return term * t_value(k, q).numerator
 
 
-def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offset: int) -> Side:
+def _cut_side(weight: Mapping[int, Table], pair: bool, m: int, n: int, offset: int) -> Side:
     """sum_j w(j) T(k), k = j + offset, over the cuts with k >= 0; T is ``_cut_term``, of
     q-degree at most k(n - k) + C(k, 2), as no word of length k has maj above C(k, 2)."""
-    cuts = [(w.sorted_terms(), w.degree_q(), k) for j, w in weight.items() if (k := j + offset) >= 0]
+    cuts = [
+        (sorted(w.items()), max([d for _, d in w], default=-1), k)
+        for j, w in weight.items()
+        if (k := j + offset) >= 0
+    ]
 
     def pack(width: int, stride: int) -> int:
         return sum(
@@ -346,7 +383,7 @@ def _cut_side(weight: Mapping[int, BivarPoly], pair: bool, m: int, n: int, offse
 
 
 def _cut_check(
-    report: IdentityReport, instance: str, lhs: Side, weight: Mapping[int, BivarPoly],
+    report: IdentityReport, instance: str, lhs: Side, weight: Mapping[int, Table],
     pair: bool, m: int, n: int, offset: int, counts: Mapping[int, int] | None = None,
 ) -> None:
     """Check lhs = sum_j w(j) T(j + offset) packed (``_cut_side``), then, unless
@@ -401,7 +438,7 @@ def permcont1_buckets(total: int, sizes: Sequence[int]) -> dict[int, dict]:
 
 
 def _pattern_report(
-    report: IdentityReport, weight_sum: Mapping[int, BivarPoly], weight_of: Callable,
+    report: IdentityReport, weight_sum: Mapping[int, Table], weight_of: Callable,
     sizes: tuple[int, ...], by_key: dict, m: int, n: int,
 ) -> IdentityReport:
     """The overall check on every bucket, then one per pattern on its own
@@ -522,13 +559,13 @@ def perms_with_recording_tableau(tab: Tableau) -> list[Permutation]:
 
 
 def _permtotab(
-    theorem: str, params: dict, label: str, by_cut: dict, weight: Mapping[int, BivarPoly]
+    theorem: str, params: dict, label: tuple, by_cut: dict, weight: Mapping[int, Table]
 ) -> list[IdentityReport]:
-    """One report per cut j: the tally at j against w(j), compared as polynomials."""
+    """One report per cut j: the tally at j against w(j), compared as coefficient tables."""
     reports = []
     for j, tally in by_cut.items():
         report = IdentityReport(theorem, {**params, "j": j})
-        report.record(f"{label} j={j}", BivarPoly(tally), weight.get(j, ZERO))
+        report.record(_Label((*label, " j=", j)), tally, weight.get(j, {}), _show)
         reports.append(report)
     return reports
 
@@ -550,7 +587,7 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
         for j in j_set(sigma) & by_cut.keys():
             by_cut[j][0, majs[j]] += 1
     params = {"tableau": a_tab.to_json()["rows"]}
-    return _permtotab("permtotab", params, f"shape={alpha}", by_cut, m3_weight(alpha))
+    return _permtotab("permtotab", params, ("shape=", alpha), by_cut, m3_weight(alpha))
 
 
 def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
@@ -582,7 +619,7 @@ def permtotab_pair_reports(
             for j in j2_set(sigma, tau) & by_cut.keys():
                 by_cut[j][imajs[j], majs[j]] += 1
     params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}
-    label = f"shapes={alpha};{beta}"
+    label = ("shapes=", alpha, ";", beta)
     return _permtotab("permtotab-pair", params, label, by_cut, m3_1_weight(alpha, beta))
 
 
@@ -774,6 +811,8 @@ def cmd_verify(args) -> int:
     failures = sum(len(r.failures) for r in reports)
     checked = sum(r.checked for r in reports)
     if args.json:
+        import json
+
         print(json.dumps([r.to_json() for r in reports], sort_keys=True))
     else:
         for report in reports:

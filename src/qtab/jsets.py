@@ -73,7 +73,8 @@ def j_sets_of(n: int) -> frozenset[frozenset[int]]:
 def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
     """Each w in S_n, as a ``bytes`` word, with J2(w, w), walking down from n to
     the first kept cut j < n and reading the cuts up to j from ``_j2_memo(j)``
-    (see ``j2_sets_of``).
+    (see ``j2_sets_of``).  Those sets are shared objects, so n is added to
+    each distinct one once, and the sets yielded are shared too.
 
     A step is three C calls: ``translate`` pops the last letter r of the
     standardized prefix and lowers the letters above r, ``replace`` drops j + 1
@@ -85,13 +86,17 @@ def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
     # drop[r] maps v to v - 1 above r; letter[v] is the one-letter word v
     drop = [bytes(range(r + 1)) + bytes(range(r, 255)) for r in range(n + 1)]
     letter = [bytes((v,)) for v in range(n + 1)]
+    memos = [_j2_memo(j) for j in range(n)]
+    # J2(u, u) of the first kept cut -> that set with n added
+    tops: dict[frozenset[int], frozenset[int]] = {}
     for w in map(bytes, itertools.permutations(range(1, n + 1))):
         pre = low = w
         for j in range(n - 1, -1, -1):
             pre = pre[:-1].translate(drop[pre[-1]])
             low = low.replace(letter[j + 1], b"")
             if pre == low:
-                yield w, _j2_memo(j)[pre] | {n}
+                lower = memos[j][pre]
+                yield w, tops.get(lower) or tops.setdefault(lower, lower | {n})
                 break
 
 
@@ -99,8 +104,7 @@ def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
 def _j2_memo(n: int) -> dict[bytes, frozenset[int]]:
     """J2(u, u) for every u in S_n, keyed by the ``bytes`` word of u, each
     distinct set one shared object."""
-    interned: dict[frozenset[int], frozenset[int]] = {}
-    return {u: interned.setdefault(cuts, cuts) for u, cuts in _j2_word_sets(n)}
+    return dict(_j2_word_sets(n))
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,12 @@ which runs on the parameter tuple as the series of :mod:`qtab.stats` does:
 (q,) for the involution theorems (qlim1, m3) and (p, q) for the permutation
 pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
 finite n or in the limit, where W(j) is the weight summed over all patterns
-of the sizes.  The weights are the polynomials :mod:`qtab.weights` defines
-and ``qtab verify`` checks; the kernel evaluates them at (p, q).  Their sums
-W(j) carry exactly the q-factorials that T(j) divides by, so each W(j) T(j)
-is an integer times the series term and no W(j) is evaluated.
+of the sizes.  The weights are the coefficient tables :mod:`qtab.weights`
+defines and ``qtab verify`` checks; the kernel evaluates them at (p, q)
+exactly (``_evaluate``), as ``BivarPoly.evaluate`` does a polynomial, so no
+limit kind loads the polynomial type.  Their sums W(j) carry exactly the
+q-factorials that T(j) divides by, so each W(j) T(j) is an integer times the
+series term and no W(j) is evaluated.
 ``cmd_limit``, the handler of ``qtab limit``, prints a
 :class:`ConvergenceReport` of its rows as text, CSV or JSON.
 
@@ -45,12 +47,11 @@ from .stats import a_scaled_value, q_factorial_value, t_count, t_scaled_value
 from .values import Value
 
 # The pattern theorems import their weights from :mod:`qtab.weights` when they
-# run, so that tlim, alim, xi and eq8 do not load it, nor the formal
-# polynomials of :mod:`qtab.bivar` that it builds.
+# run, so that tlim, alim, xi and eq8 do not load it.
 if TYPE_CHECKING:
-    from .bivar import BivarPoly
     from .permutation import Permutation
     from .tableau import Tableau
+    from .weights import Table
 
 __all__ = [
     "contraction",
@@ -134,8 +135,21 @@ def a_limit(p: Fraction, q: Fraction) -> Fraction:
 # in the limit when n is None; each term T(j) serves both of its sums.
 
 
+def _evaluate(table: Table, p: Fraction, q: Fraction) -> Fraction:
+    """A weight's coefficient table at (p, q), exactly, as ``BivarPoly.evaluate``:
+    with p = a/b, q = r/s and P, Q the largest degrees, the terms are summed as
+    integers c a^i b^(P-i) r^k s^(Q-k) over b^P s^Q, so one ``Fraction`` is built."""
+    top_p = max([i for i, _ in table], default=0)
+    top_q = max([k for _, k in table], default=0)
+    a, b, r, s = p.numerator, p.denominator, q.numerator, q.denominator
+    total = sum([
+        c * a**i * b ** (top_p - i) * r**k * s ** (top_q - k) for (i, k), c in table.items()
+    ])
+    return Fraction(total, b**top_p * s**top_q)
+
+
 def _family(
-    weight: Mapping[int, BivarPoly], a: int, b: int, params: tuple[Fraction, ...], n: int | None
+    weight: Mapping[int, Table], a: int, b: int, params: tuple[Fraction, ...], n: int | None
 ) -> Fraction:
     """Kernel of the containment theorems for patterns of sizes a and b.
 
@@ -169,7 +183,7 @@ def _family(
         series = r**j if n is None else scaled(k, *params)
         if j in weight:
             factorials = math.prod(q_factorial_value(l - j, v) for v, l in zip(params, (b, a)))
-            numerator += weight[j].evaluate(*point) * series / factorials
+            numerator += _evaluate(weight[j], *point) * series / factorials
         pairs = t_count(j) if len(params) == 1 else math.factorial(j) * math.comb(b, j)
         denominator += math.comb(a, j) * pairs * series
     return numerator / denominator

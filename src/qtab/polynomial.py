@@ -7,7 +7,8 @@ so sums, products and exact quotients of packed values are those of the
 polynomials, and the base-2^width digits of a packed value are its
 coefficients.  At width 0 every q-integer [h] is h, so the same formulas
 count.  The formal polynomial type is in :mod:`qtab.bivar`, which the limit
-computations, reading the series as integers, never load.
+computations, reading the series as integers and the weights as coefficient
+tables, never load.
 """
 
 from __future__ import annotations

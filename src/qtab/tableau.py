@@ -11,7 +11,9 @@ skew) shape.  Straight shapes take the hook-length product q^b [n]! / prod [h]
 specialization (Stanley, EC2 7.16 and Prop. 7.19.11), a signed sum of
 q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
 one choice between them (``_packed``) serves ``f_poly`` and, at width 0,
-``skew_syt_count``.
+``skew_syt_count``.  ``f_coefficients`` reads the polynomial's coefficients
+off the packed value's digits; ``f_poly`` and the theorem weights of
+:mod:`qtab.weights` are built from them.
 ``maj_tally`` enumerates every filling and tallies it by maj; it is the
 oracle the test suite pins both paths to on an exhaustive band (as
 ``f_poly_enum``, its polynomial), and the left-hand side of the ``majgen``
@@ -21,7 +23,6 @@ containment ratio, is a sum of products of these skew counts.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .polynomial import (
     divide_packed,
+    packed_digits,
     packed_qbinomial,
     packed_qfactorial,
     packed_width,
@@ -50,6 +52,7 @@ __all__ = [
     "partitions_inside",
     "enumerate_syt",
     "f_poly",
+    "f_coefficients",
     "f_poly_enum",
     "f_poly_hook",
     "maj_tally",
@@ -325,6 +328,8 @@ class Tableau(Value):
         floats included, or a null out of place raises a ValueError naming the
         field; a missing field raises KeyError."""
         if isinstance(data, str):
+            import json
+
             data = json.loads(data)
         if type(data) is not dict:
             raise ValueError("expected a JSON object with fields 'outer' and 'rows'")
@@ -450,12 +455,19 @@ def _packed(shape: SkewShape, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def f_coefficients(shape: SkewShape) -> tuple[int, ...]:
+    """The coefficients of ``f_poly``, lowest maj first: the digits of ``_packed``,
+    whose width is above the filling count, so above every coefficient."""
+    width = packed_width(skew_syt_count(shape))
+    return tuple(packed_digits(width, _packed(shape, width)))
+
+
+@lru_cache(maxsize=None)
 def f_poly(shape: SkewShape) -> BivarPoly:
     """Maj generating polynomial of the shape: hook product or Jacobi-Trudi."""
-    from .bivar import unpack
+    from .bivar import BivarPoly
 
-    width = packed_width(skew_syt_count(shape))
-    return unpack(width, _packed(shape, width))
+    return BivarPoly({(0, maj): c for maj, c in enumerate(f_coefficients(shape))})
 
 
 def hook_packed(shape: Partition, width: int) -> int:

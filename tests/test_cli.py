@@ -266,7 +266,10 @@ from qtab import containment
 from qtab.bivar import BivarPoly
 weight_of = containment.m3_weight
 def planted(alpha):
-    return {j: w - BivarPoly.monomial(0, 1) for j, w in weight_of(alpha).items()}
+    return {
+        j: dict((BivarPoly(w) - BivarPoly.monomial(0, 1)).sorted_terms())
+        for j, w in weight_of(alpha).items()
+    }
 containment.m3_weight = planted
 from qtab.cli import run
 sys.exit(run(["verify", "majgen", "--max-size", "1", "--max-total", "1", "--json"]))
@@ -296,10 +299,11 @@ def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
     # a weight off by one fails every check it is the right side of, and the
     # failure prints the tally and the planted weight as polynomials
     from qtab import containment
+    from qtab.bivar import BivarPoly
     from qtab.tableau import Tableau
 
     m3_weight, m3_1_weight = containment.m3_weight, containment.m3_1_weight
-    plus_one = lambda weight: {j: w + 1 for j, w in weight.items()}
+    plus_one = lambda weight: {j: dict((BivarPoly(w) + 1).sorted_terms()) for j, w in weight.items()}
     monkeypatch.setattr(containment, "m3_weight", lambda *shapes: plus_one(m3_weight(*shapes)))
     monkeypatch.setattr(containment, "m3_1_weight", lambda *shapes: plus_one(m3_1_weight(*shapes)))
     argv = ["verify", "permtotab", "--max-size", "2"]
@@ -319,7 +323,7 @@ def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
             a_tab, b_tab = (Tableau.from_rows(params[key]) for key in ("tableau_a", "tableau_b"))
             weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
         [failure] = report["failures"]
-        right = weight[params["j"]]
+        right = BivarPoly(weight[params["j"]])
         assert (failure["lhs"], failure["rhs"]) == (str(right), str(right + 1))
 
 

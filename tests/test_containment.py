@@ -56,8 +56,10 @@ from qtab.tableau import (
     SkewShape,
     Tableau,
     enumerate_syt,
+    f_poly,
     f_poly_enum,
     partitions,
+    partitions_inside,
     skew_syt_count,
 )
 
@@ -226,15 +228,25 @@ def test_sweeps_reject_patterns_larger_than_the_ambient_size():
         verify_permcont2(3, 1, 2)
 
 
+def _polys(weight):
+    """A weight's coefficient tables as polynomials, by cut."""
+    return {j: BivarPoly(w) for j, w in weight.items()}
+
+
+def _table(poly):
+    """A polynomial as the coefficient table the weights hold."""
+    return dict(poly.sorted_terms())
+
+
 @pytest.mark.parametrize("m", range(0, 6))
 def test_qlim1_weights_sum_to_the_involution_weight_sum(m):
     # W(j) = t_j C(m, j) [m-j]_q! is the weight summed over every pattern of size m
     totals = {}
     for sigma in permutations(m):
         for j, w in qlim1_weight(sigma).items():
-            totals[j] = totals.get(j, ZERO) + w
+            totals[j] = totals.get(j, ZERO) + BivarPoly(w)
     expected = {j: t_count(j) * math.comb(m, j) * qfactorial(m - j) for j in range(m + 1)}
-    assert totals == expected == involution_weight_sum(m)
+    assert totals == expected == _polys(involution_weight_sum(m))
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(0, 4) for b in range(0, 4)])
@@ -244,7 +256,7 @@ def test_m2_1_weights_sum_to_the_pair_weight_sum(a, b):
     for sigma in permutations(a):
         for tau in permutations(b):
             for j, w in m2_1_weight(sigma, tau).items():
-                totals[j] = totals.get(j, ZERO) + w
+                totals[j] = totals.get(j, ZERO) + BivarPoly(w)
     expected = {
         j: math.factorial(j)
         * math.comb(a, j)
@@ -253,7 +265,7 @@ def test_m2_1_weights_sum_to_the_pair_weight_sum(a, b):
         * qfactorial(a - j)
         for j in range(min(a, b) + 1)
     }
-    assert totals == expected == pair_weight_sum(a, b)
+    assert totals == expected == _polys(pair_weight_sum(a, b))
 
 
 def test_pattern_weights_are_cached_read_only_mappings():
@@ -265,6 +277,77 @@ def test_pattern_weights_are_cached_read_only_mappings():
         assert weight is again
         with pytest.raises(TypeError):
             weight[0] = ZERO
+        with pytest.raises(TypeError):
+            weight[0][0, 0] = 1
+
+
+# The weights as they were defined as polynomials, before they became
+# coefficient tables: each table must hold exactly that polynomial's nonzero
+# coefficients, on every pattern of size <= 4 and every shape of size <= 5.
+_PATTERNS = [sigma for size in range(5) for sigma in permutations(size)]
+_SHAPES = [alpha for size in range(6) for alpha in partitions(size)]
+
+
+def _tables(weight):
+    return {j: dict(w) for j, w in weight.items()}
+
+
+def _tables_of(polys):
+    return {j: _table(poly) for j, poly in polys.items()}
+
+
+def test_qlim1_and_m2_1_tables_are_their_monomials():
+    for sigma in _PATTERNS:
+        expected = {j: BivarPoly.monomial(0, sigma.suffix(j).maj()) for j in j_set(sigma)}
+        assert _tables(qlim1_weight(sigma)) == _tables_of(expected), sigma
+        for tau in _PATTERNS:
+            expected = {
+                j: BivarPoly.monomial(tau.restrict_high(j).imaj(), sigma.suffix(j).maj())
+                for j in j2_set(sigma, tau)
+            }
+            assert _tables(m2_1_weight(sigma, tau)) == _tables_of(expected), (sigma, tau)
+
+
+def test_m3_and_m3_1_tables_are_the_skew_polynomial_sums():
+    from qtab.weights import m3_1_weight, m3_weight
+
+    for alpha in _SHAPES:
+        expected = {
+            j: sum((f_poly(SkewShape(alpha, mu)) for mu in partitions_inside(j, alpha)), ZERO)
+            for j in range(alpha.size + 1)
+        }
+        assert _tables(m3_weight(alpha)) == _tables_of(expected), alpha
+        for beta in _SHAPES:
+            expected = {
+                j: sum(
+                    (
+                        f_poly(SkewShape(beta, mu)).swap_variables() * f_poly(SkewShape(alpha, mu))
+                        for mu in partitions_inside(j, alpha)
+                        if beta.contains(mu)
+                    ),
+                    ZERO,
+                )
+                for j in range(min(alpha.size, beta.size) + 1)
+            }
+            assert _tables(m3_1_weight(alpha, beta)) == _tables_of(expected), (alpha, beta)
+
+
+def test_weight_sum_tables_are_the_q_factorial_products():
+    for a in range(6):
+        expected = {
+            j: t_count(j) * math.comb(a, j) * qfactorial(a - j) for j in range(a + 1)
+        }
+        assert _tables(involution_weight_sum(a)) == _tables_of(expected), a
+        for b in range(6):
+            expected = {
+                j: math.factorial(j)
+                * math.comb(a, j)
+                * math.comb(b, j)
+                * qfactorial(b - j).swap_variables()
+                * qfactorial(a - j)
+                for j in range(min(a, b) + 1)
+            }
+            assert _tables(pair_weight_sum(a, b)) == _tables_of(expected), (a, b)
 
 
 def test_majgen1_with_inconsistent_sizes_checks_zero_twice():
@@ -405,6 +488,34 @@ def test_sweep_check_labels_are_pinned(sweep, monkeypatch):
     digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
     assert (len(labels), digest) == SWEEP_LABELS[sweep]
 
+
+# the sweeps of the benchmark's oracle workload, as sweep_reports arguments
+ORACLE_SWEEPS = [
+    ("permcont1", 3, 10), ("permcont2", 3, 7), ("permtotab", 4), ("majgen", 5, 5),
+    ("majgen1", 4, 5),
+]
+
+
+@pytest.mark.parametrize("sweep", ORACLE_SWEEPS, ids=lambda sweep: sweep[0])
+def test_report_params_print_as_json_dumps(sweep):
+    # a report line prints its params with a small formatter, not json, which
+    # must give json.dumps(params, sort_keys=True) byte for byte
+    reports = containment.sweep_reports(*sweep)
+    assert reports
+    for report in reports:
+        text = json.dumps(report.params, sort_keys=True)
+        assert containment._json_text(report.params) == text
+        assert str(report).startswith(f"{report.theorem} {text} checked="), str(report)
+
+
+def test_report_params_with_nulls_print_as_json_dumps():
+    # the rows of a skew tableau lead with one null per inner cell
+    skew = Tableau(SkewShape.parse("2,1/1"), ((2,), (1,)))
+    [report] = permtotab_reports(skew, [1])
+    assert report.params["tableau"] == [[None, 2], [1]]
+    assert containment._json_text(report.params) == json.dumps(report.params, sort_keys=True)
+
+
 def test_outer_majs_are_the_outer_shapes_maj_terms():
     # one entry per partition of the outer size, empty where it does not contain the base
     for size in range(5):
@@ -529,7 +640,11 @@ def test_conjecture_probe_triple_runs():
 
 def _involution_rhs(weight, m, n):
     return sum(
-        (w * qbinomial(n, k) * t_poly(k) for j, w in weight.items() if (k := n - m + j) >= 0),
+        (
+            BivarPoly(w) * qbinomial(n, k) * t_poly(k)
+            for j, w in weight.items()
+            if (k := n - m + j) >= 0
+        ),
         ZERO,
     )
 
@@ -537,7 +652,7 @@ def _involution_rhs(weight, m, n):
 def _pair_rhs(weight, a, b, m, n):
     return sum(
         (
-            w * qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
+            BivarPoly(w) * qbinomial(m, k).swap_variables() * qbinomial(n, k) * a_poly(k)
             for j, w in weight.items()
             if (k := n - a + j) >= 0
         ),
@@ -606,7 +721,7 @@ def _unpacked(side):
     """A side's polynomial, read off the digits of a packing injective on it alone."""
     pack, degree = side
     width, stride = packed_width(pack(0, 0)), max(degree, 0) + 1
-    return containment._unpack(pack(width, stride), width, stride)
+    return BivarPoly(containment._unpack(pack(width, stride), width, stride))
 
 
 @pytest.fixture
@@ -652,7 +767,7 @@ def test_permcont2_packed_sides_are_the_dict_sides(a, b, total, packed_checks):
 
 
 def test_permtotab_sides_are_the_dict_polynomials(packed_checks, monkeypatch):
-    # permtotab compares its sides as polynomials and packs neither
+    # permtotab compares its sides as coefficient tables and packs neither
     from qtab.weights import m3_1_weight, m3_weight
 
     recorded = []
@@ -669,7 +784,8 @@ def test_permtotab_sides_are_the_dict_polynomials(packed_checks, monkeypatch):
         permtotab_reports(tab, range(tab.size + 1))
         assert len(recorded) == tab.size + 1
         for j, (lhs, rhs) in enumerate(recorded):
-            assert lhs == _permtotab_lhs(tab, j) == rhs == m3_weight(tab.shape.outer)[j]
+            expected = BivarPoly(m3_weight(tab.shape.outer)[j])
+            assert BivarPoly(lhs) == _permtotab_lhs(tab, j) == BivarPoly(rhs) == expected
     for a_tab in tabs:
         for b_tab in tabs:
             recorded.clear()
@@ -678,7 +794,8 @@ def test_permtotab_sides_are_the_dict_polynomials(packed_checks, monkeypatch):
             assert len(recorded) == len(cuts)
             weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
             for j, (lhs, rhs) in enumerate(recorded):
-                assert lhs == _permtotab_pair_lhs(a_tab, b_tab, j) == rhs == weight[j]
+                lhs, rhs = BivarPoly(lhs), BivarPoly(rhs)
+                assert lhs == _permtotab_pair_lhs(a_tab, b_tab, j) == rhs == BivarPoly(weight[j])
     assert packed_checks == []
 
 
@@ -744,11 +861,11 @@ def _failing_sides(theorem, params):
         )
     if theorem == "permtotab":
         tab = Tableau.from_rows(params["tableau"])
-        return _permtotab_lhs(tab, params["j"]), containment.m3_weight(_SHAPE)[params["j"]]
+        return _permtotab_lhs(tab, params["j"]), BivarPoly(containment.m3_weight(_SHAPE)[params["j"]])
     if theorem == "permtotab-pair":
         a_tab = Tableau.from_rows(params["tableau_a"])
         lhs = _permtotab_pair_lhs(a_tab, Tableau.from_rows(params["tableau_b"]), params["j"])
-        return lhs, containment.m3_1_weight(_SHAPE, _SHAPE)[params["j"]]
+        return lhs, BivarPoly(containment.m3_1_weight(_SHAPE, _SHAPE)[params["j"]])
     if theorem == "majgen":
         n = params["n"]
         return _majgen_lhs(_SHAPE, n), _involution_rhs(containment.m3_weight(_SHAPE), 3, n)
@@ -832,7 +949,7 @@ def test_planted_fault_fails_with_the_dict_sides(family, fault, monkeypatch, cap
         weight = weight_of(*args)
         if args != pattern:
             return weight
-        return {**weight, 0: fault(weight[0], stride)}
+        return {**weight, 0: _table(fault(BivarPoly(weight[0]), stride))}
 
     monkeypatch.setattr(containment, name, planted)
     assert run(argv) == 1

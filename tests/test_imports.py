@@ -41,8 +41,9 @@ EXPORTED = [
 
 
 def modules_after(code: str) -> set[str]:
-    """Every module a fresh interpreter holds after running code."""
-    probe = f"import sys\n{code}\nimport json\nprint(json.dumps(sorted(sys.modules)))"
+    """Every module a fresh interpreter holds after running code (read before
+    the probe itself imports json)."""
+    probe = f"import sys\n{code}\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
@@ -101,22 +102,23 @@ def test_import_qtab_loads_no_submodule():
 
 _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
 # tlim, alim, xi and eq8 need only `limits`, which holds their handler, and
-# the series (eq8 adds its ratios), never the formal polynomials of `bivar`;
-# the pattern theorems add the weights, those polynomials and what the weights
-# read: the j-sets of permutation patterns, or the skew polynomials of tableau
-# shapes, never the oracle modules, the j-set criteria or the handlers of the
-# other commands.  Every command that builds a value class (a permutation,
-# shape, tableau, j-profile or report) loads their base, `values`.
+# the series (eq8 adds its ratios); the pattern theorems add the weights and
+# what the weights read: the j-sets of permutation patterns, or the skew
+# polynomials of tableau shapes, never the oracle modules, the j-set criteria
+# or the handlers of the other commands.  No limit kind loads the formal
+# polynomials of `bivar`: the weights are coefficient tables.  Every command
+# that builds a value class (a permutation, shape, tableau, j-profile or
+# report) loads their base, `values`.
 _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats", "values"}
-_PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "permutation", "jsets"}
-_TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "bivar", "tableau"}
+_PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
+_TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
 _COMMANDS = {"cli", "commands"}
 # verify loads `containment`, which holds its handler, and no `commands`; each
 # kind adds only what its identity reads: the permutation sweeps no tableau
 # code (their cut terms read t_k and A_k off the series), the tableau
 # sweeps the tableaux and insertion, and the skew maj sweeps no permutation
-# or j-set code
-_VERIFY_KERNEL = {"cli", "containment", "bivar", "polynomial", "stats", "values", "weights"}
+# or j-set code; none loads `bivar`, which only a failing check's printing reads
+_VERIFY_KERNEL = {"cli", "containment", "polynomial", "stats", "values", "weights"}
 _PERMCONT1 = _VERIFY_KERNEL | {"permutation", "jsets"}
 _PERMTOTAB = _PERMCONT1 | {"tableau", "rsk"}
 _MAJGEN = _VERIFY_KERNEL | {"tableau"}
@@ -182,6 +184,10 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     # with them does not load `fractions`, which imports `decimal`
     if not modules & {"polynomial", "bivar", "stats", "tableau", "limits"}:
         assert not {"fractions", "decimal"} & (loaded - bare_modules)
+    # nor does a command load `json` unless it reads a tableau operand or
+    # prints --json: text `verify` and `qpoly an|fshape` load none
+    if "--json" not in argv and not any(arg.startswith("{") for arg in argv):
+        assert "json" not in loaded - bare_modules
 
 
 def test_no_two_modules_load_for_the_same_commands():
@@ -206,7 +212,7 @@ def test_importing_limits_loads_no_polynomial_type_or_command_code():
 
 
 def test_importing_containment_loads_no_family_or_command_code():
-    kernel = {"containment", "weights", "bivar", "stats", "polynomial"}
+    kernel = {"containment", "weights", "stats", "polynomial"}
     assert loaded_after("import qtab.containment") == kernel
     # the re-exported probe loads the tableau code on first use
     probe = "from qtab.containment import conjecture_probe"
@@ -215,18 +221,20 @@ def test_importing_containment_loads_no_family_or_command_code():
 
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 10,598 for
-# qlim1|m2-1, 12,165 for m3|m3-1, 6,450 for tlim|alim|xi and 7,042 for eq8;
-# they fail a change that puts code no limit kind runs back on their path.
+# each limit kind loads (the package included), which are 9,303 for
+# qlim1|m2-1, 10,900 for m3|m3-1, 6,619 for tlim|alim|xi and 7,211 for eq8,
+# by about 700 nodes; they fail a change that puts code no limit kind runs
+# back on their path, such as the formal polynomials of `bivar` (1,748 nodes)
+# or, for tlim|alim|xi|eq8, the weights (768).
 _LIMIT_COMPILE_CEILING = {
-    "qlim1": 10_700,
-    "m2-1": 10_700,
-    "m3": 12_400,
-    "m3-1": 12_400,
-    "tlim": 8_000,
-    "alim": 8_000,
-    "xi": 8_000,
-    "eq8": 8_900,
+    "qlim1": 10_000,
+    "m2-1": 10_000,
+    "m3": 11_600,
+    "m3-1": 11_600,
+    "tlim": 7_300,
+    "alim": 7_300,
+    "xi": 7_300,
+    "eq8": 7_900,
 }
 _LIMIT_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "limit"]
 
@@ -265,17 +273,18 @@ def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
-# Each verify kind compiles 13,355 (permcont1, permcont2), 17,277 (permtotab)
-# or 14,922 (majgen, majgen1) nodes.  These ceilings, about 8-9% above, fail a
+# Each verify kind compiles 12,035 (permcont1, permcont2), 16,010 (permtotab)
+# or 13,632 (majgen, majgen1) nodes.  These ceilings, about 8% above, fail a
 # change that puts another kind's code, such as a top-level import of every
 # family in `containment`, the tableau code of the A_k hook sum on the
-# permutation sweeps, or the other commands' handlers back on a kind's path.
+# permutation sweeps, the formal polynomials of `bivar` or the other
+# commands' handlers back on a kind's path.
 _VERIFY_COMPILE_CEILING = {
-    "permcont1": 14_550,
-    "permcont2": 14_550,
-    "permtotab": 18_700,
-    "majgen": 16_200,
-    "majgen1": 16_200,
+    "permcont1": 13_000,
+    "permcont2": 13_000,
+    "permtotab": 17_300,
+    "majgen": 14_700,
+    "majgen1": 14_700,
 }
 _VERIFY_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "verify"]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtab.bivar import BivarPoly
 from qtab.bounds import check_bound, eq8_check
 from qtab.containment import m2_1_weight, m3_1_weight, pair_weight_sum, tab_contains
 from qtab.limits import (
@@ -284,18 +285,47 @@ def test_rhs_pinned_off_the_unit_parameter():
         assert m3_1_rhs(a_tab, b_tab, p, q) == m3_1, (p, q)
 
 
+def test_weight_evaluation_is_the_polynomial_evaluation():
+    # the kernel evaluates a weight's coefficient table as BivarPoly.evaluate
+    # does the polynomial: both are the table's term-by-term sum, exactly,
+    # with the parameters on either side of 1
+    from qtab import limits
+    from qtab.weights import (
+        involution_weight_sum, m2_1_weight, m3_1_weight, m3_weight, pair_weight_sum, qlim1_weight,
+    )
+
+    patterns = [sigma for size in range(4) for sigma in permutations(size)]
+    shapes = [alpha for size in range(5) for alpha in partitions(size)]
+    weights = [qlim1_weight(sigma) for sigma in patterns]
+    weights += [m2_1_weight(sigma, tau) for sigma in patterns for tau in patterns]
+    weights += [m3_weight(alpha) for alpha in shapes]
+    weights += [m3_1_weight(alpha, beta) for alpha in shapes for beta in shapes]
+    weights += [involution_weight_sum(a) for a in range(5)]
+    weights += [pair_weight_sum(a, b) for a in range(5) for b in range(5)]
+    tables = [table for weight in weights for table in weight.values()]
+    assert {} in tables  # a cut no inner shape fits evaluates to 0
+    points = [
+        (1, HALF), (1, Fraction(3)), (HALF, Fraction(2, 3)), (Fraction(3), Fraction(3, 2)),
+        (HALF, Fraction(3)), (Fraction(5, 2), Fraction(1, 3)),
+    ]
+    for table in tables:
+        for p, q in points:
+            value = sum((c * Fraction(p) ** i * q**k for (i, k), c in table.items()), Fraction(0))
+            assert limits._evaluate(table, p, q) == value == BivarPoly(table).evaluate(p, q), table
+
+
 def test_opposite_sides_limit_is_the_first_cut():
     # the pair rate a_limit is 0 with p and q on opposite sides of 1, so each
     # pair limit is w(0)/W(0), and every finite ratio closes in on its limit
     sigma, tau = Permutation.parse("21"), Permutation.parse("312")
     a_tab = Tableau.from_rows([[1, 2], [3]])
     b_tab = Tableau.from_rows([[1], [2]])
-    m2_1_first = m2_1_weight(sigma, tau)[0]
-    m3_1_first = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)[0]
+    m2_1_first = BivarPoly(m2_1_weight(sigma, tau)[0])
+    m3_1_first = BivarPoly(m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)[0])
     for p, q in ((HALF, Fraction(3)), (Fraction(3), HALF)):
-        total = pair_weight_sum(sigma.size, tau.size)[0].evaluate(p, q)
+        total = BivarPoly(pair_weight_sum(sigma.size, tau.size)[0]).evaluate(p, q)
         assert m2_1_rhs(sigma, tau, p, q) == m2_1_first.evaluate(p, q) / total, (p, q)
-        total = pair_weight_sum(a_tab.size, b_tab.size)[0].evaluate(p, q)
+        total = BivarPoly(pair_weight_sum(a_tab.size, b_tab.size)[0]).evaluate(p, q)
         assert m3_1_rhs(a_tab, b_tab, p, q) == m3_1_first.evaluate(p, q) / total, (p, q)
     pattern = Permutation.parse("132")
     cases = [(qlim1_lhs, qlim1_rhs, (pattern, q)) for q in (HALF, Fraction(3))]
