@@ -2,7 +2,8 @@
 
 Coefficients are arbitrary-precision Python ints and all ring operations are
 exact.  Univariate polynomials in q are the p-degree-0 slice of the same
-representation.  Evaluation at rational points returns ``fractions.Fraction``.
+representation.  Evaluation at rational points is ``weights.evaluate``, the
+one evaluator of coefficient tables, and returns ``fractions.Fraction``.
 ``unpack`` reads a polynomial off the digits of a value of the packed kernel
 of :mod:`qtab.polynomial`; the q-factorials and q-binomials are built that way.
 Only the commands that print a polynomial load this module: the ``qpoly``
@@ -151,24 +152,10 @@ class BivarPoly:
         return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
 
     def evaluate(self, p_value: Scalar, q_value: Scalar) -> Fraction:
-        """Exact rational evaluation at p = p_value, q = q_value.
+        """Exact rational evaluation at p = p_value, q = q_value (``weights.evaluate``)."""
+        from .weights import evaluate
 
-        With p = a/b, q = r/s and P, Q the largest degrees, the terms are summed
-        as integers c a^i b^(P-i) r^j s^(Q-j) over the common denominator
-        b^P s^Q, so one ``Fraction`` is built.
-        """
-        p_value = Fraction(p_value)
-        q_value = Fraction(q_value)
-        terms = self._terms
-        p_degrees = {i for i, _ in terms}
-        q_degrees = {j for _, j in terms}
-        top_p, top_q = max(p_degrees, default=0), max(q_degrees, default=0)
-        a, b = p_value.numerator, p_value.denominator
-        r, s = q_value.numerator, q_value.denominator
-        p_scaled = {i: a**i * b ** (top_p - i) for i in p_degrees}
-        q_scaled = {j: r**j * s ** (top_q - j) for j in q_degrees}
-        total = sum([c * p_scaled[i] * q_scaled[j] for (i, j), c in terms.items()])
-        return Fraction(total, b**top_p * s**top_q)
+        return evaluate(self._terms, Fraction(p_value), Fraction(q_value))
 
     # -- comparison / hashing ------------------------------------------------
 

@@ -595,6 +595,15 @@ def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
     return permtotab_reports(a_tab, [j])[0]
 
 
+@lru_cache(maxsize=None)
+def _recording_class(b_tab: Tableau) -> tuple[tuple[Permutation, list[int]], ...]:
+    """The permutations with recording tableau B, each with its inverse's suffix majs:
+    the inverse of tau's high restriction at j is the suffix of tau's inverse past j."""
+    return tuple(
+        (tau, _suffix_majs(tau.inverse().word)) for tau in perms_with_recording_tableau(b_tab)
+    )
+
+
 def permtotab_pair_reports(
     a_tab: Tableau, b_tab: Tableau, cuts: Sequence[int]
 ) -> list[IdentityReport]:
@@ -611,11 +620,9 @@ def permtotab_pair_reports(
     alpha = a_tab.shape.outer
     beta = b_tab.shape.outer
     by_cut = {j: Counter() for j in cuts}
-    # the inverse of tau's high restriction at j is the suffix of tau's inverse past j
-    taus = [(tau, _suffix_majs(tau.inverse().word)) for tau in perms_with_recording_tableau(b_tab)]
     for sigma in perms_with_insertion_tableau(a_tab):
         majs = _suffix_majs(sigma.word)
-        for tau, imajs in taus:
+        for tau, imajs in _recording_class(b_tab):
             for j in j2_set(sigma, tau) & by_cut.keys():
                 by_cut[j][imajs[j], majs[j]] += 1
     params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}

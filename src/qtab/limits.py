@@ -12,12 +12,9 @@ which runs on the parameter tuple as the series of :mod:`qtab.stats` does:
 (q,) for the involution theorems (qlim1, m3) and (p, q) for the permutation
 pair theorems (m2-1, m3-1).  It returns sum_j w(j) T(j) / sum_j W(j) T(j) at
 finite n or in the limit, where W(j) is the weight summed over all patterns
-of the sizes.  The weights are the coefficient tables :mod:`qtab.weights`
-defines and ``qtab verify`` checks; the kernel evaluates them at (p, q)
-exactly (``_evaluate``), as ``BivarPoly.evaluate`` does a polynomial, so no
-limit kind loads the polynomial type.  Their sums W(j) carry exactly the
-q-factorials that T(j) divides by, so each W(j) T(j) is an integer times the
-series term and no W(j) is evaluated.
+of the sizes.  Both are the coefficient tables :mod:`qtab.weights` defines
+and ``qtab verify`` checks, evaluated exactly by ``weights.evaluate``, so no
+limit kind loads the polynomial type.
 ``cmd_limit``, the handler of ``qtab limit``, prints a
 :class:`ConvergenceReport` of its rows as text, CSV or JSON.
 
@@ -135,19 +132,6 @@ def a_limit(p: Fraction, q: Fraction) -> Fraction:
 # in the limit when n is None; each term T(j) serves both of its sums.
 
 
-def _evaluate(table: Table, p: Fraction, q: Fraction) -> Fraction:
-    """A weight's coefficient table at (p, q), exactly, as ``BivarPoly.evaluate``:
-    with p = a/b, q = r/s and P, Q the largest degrees, the terms are summed as
-    integers c a^i b^(P-i) r^k s^(Q-k) over b^P s^Q, so one ``Fraction`` is built."""
-    top_p = max([i for i, _ in table], default=0)
-    top_q = max([k for _, k in table], default=0)
-    a, b, r, s = p.numerator, p.denominator, q.numerator, q.denominator
-    total = sum([
-        c * a**i * b ** (top_p - i) * r**k * s ** (top_q - k) for (i, k), c in table.items()
-    ])
-    return Fraction(total, b**top_p * s**top_q)
-
-
 def _family(
     weight: Mapping[int, Table], a: int, b: int, params: tuple[Fraction, ...], n: int | None
 ) -> Fraction:
@@ -163,15 +147,15 @@ def _family(
     T(j) = 0 when k < 0; this is prod_v [n - a - b + l_v choose k]_v x_k up
     to a factor common to every cut.  In the limit, g(j) = r^j, where r is the
     scaled series' rate (``t_limit`` or ``a_limit``), so with p and q on
-    opposite sides of 1 only the cut j = 0 remains.  The q-factorials of W(j)
-    are those T(j) divides by, so the denominator sums N(j) g(j), with
-    N(j) = t_j C(a, j) or j! C(a, j) C(b, j).
+    opposite sides of 1 only the cut j = 0 remains.
     """
+    from .weights import evaluate, involution_weight_sum, pair_weight_sum
+
     params = tuple(Fraction(v) for v in params)
     if len(params) == 1:
-        scaled, rate, point = t_scaled_value, t_limit, (1, *params)
+        scaled, rate, point, total = t_scaled_value, t_limit, (1, *params), involution_weight_sum(a)
     else:
-        scaled, rate, point = a_scaled_value, a_limit, params
+        scaled, rate, point, total = a_scaled_value, a_limit, params, pair_weight_sum(a, b)
     if n is None:
         r = rate(*params)
     elif n < max(a, b):
@@ -181,11 +165,10 @@ def _family(
         if n is not None and (k := n - a - b + j) < 0:
             continue
         series = r**j if n is None else scaled(k, *params)
+        term = series / math.prod(q_factorial_value(l - j, v) for v, l in zip(params, (b, a)))
         if j in weight:
-            factorials = math.prod(q_factorial_value(l - j, v) for v, l in zip(params, (b, a)))
-            numerator += _evaluate(weight[j], *point) * series / factorials
-        pairs = t_count(j) if len(params) == 1 else math.factorial(j) * math.comb(b, j)
-        denominator += math.comb(a, j) * pairs * series
+            numerator += evaluate(weight[j], *point) * term
+        denominator += evaluate(total[j], *point) * term
     return numerator / denominator
 
 

@@ -10,8 +10,9 @@ tableau shape), and the weight sums W(j) over all patterns of a size
 
 A weight w(j) is a polynomial in p and q held as a plain table
 ``{(i, k): c}`` of its nonzero coefficients c of p^i q^k: q marks the maj
-side and p the imaj side.  Its readers need no polynomial type: the limits
-evaluate a table at (p, q), and ``qtab verify`` packs it or compares it with
+side and p the imaj side.  Its readers need no polynomial type: ``evaluate``,
+the one table evaluator, gives its exact value at (p, q) to the limits and to
+``BivarPoly.evaluate``, and ``qtab verify`` packs a table or compares it with
 a tally.  The skew maj sums and the q-factorials are read off the digits of
 packed values (``tableau.f_coefficients``, ``packed_qfactorial``), and a
 product of a p side and a q side is the outer product of their coefficient
@@ -27,6 +28,7 @@ tableau code and one over tableau patterns no permutation code.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -45,10 +47,24 @@ __all__ = [
     "m3_1_weight",
     "involution_weight_sum",
     "pair_weight_sum",
+    "evaluate",
 ]
 
 # the coefficients c of p^i q^k, by (i, k), nonzero only
 Table = Mapping[tuple[int, int], int]
+
+
+def evaluate(table: Table, p: Fraction, q: Fraction) -> Fraction:
+    """A coefficient table at (p, q), exactly: with p = a/b, q = r/s and P, Q the
+    largest degrees, the terms are summed as integers c a^i b^(P-i) r^k s^(Q-k)
+    over b^P s^Q, so one ``Fraction`` is built."""
+    top_p = max([i for i, _ in table], default=0)
+    top_q = max([k for _, k in table], default=0)
+    a, b, r, s = p.numerator, p.denominator, q.numerator, q.denominator
+    total = sum([
+        c * a**i * b ** (top_p - i) * r**k * s ** (top_q - k) for (i, k), c in table.items()
+    ])
+    return Fraction(total, b**top_p * s**top_q)
 
 
 def _frozen(tables: dict[int, dict[tuple[int, int], int]]) -> Mapping[int, Table]:

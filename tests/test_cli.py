@@ -613,6 +613,93 @@ def test_limit_stdout_matches_recorded_reference(capsys):
         assert capsys.readouterr().out == stdout, argv
 
 
+# sha256 of the --json stdout, which carries the exact limit and finite value,
+# of the pattern limits on both sides of 1 and at 1, with p and q on opposite
+# sides, and with patterns of unequal sizes; recorded before the kernel's
+# denominator was read from the weight sums that verify checks
+LIMIT_JSON_SHA256 = {
+    'limit qlim1 --sigma 132 --q 1/2 --n 12':
+        "418b8b3ddbd22f15067c08ec4225296c406f9a9ae247148a85a199e9db18dbff",
+    'limit qlim1 --sigma 132 --q 3/2 --n 12':
+        "32235f27f8382945cb118927563b73ac8fc83f444f45f4c082dee64f7617f2e7",
+    'limit qlim1 --sigma 132 --q 1 --n 12':
+        "efdcf588049f478a88c1d31b9798f2b835b5dd04ee5d916bd6a2de7a65dda541",
+    'limit qlim1 --sigma 2413 --q 1/2 --n 12':
+        "66fac942d9ec4b225a06b77bbdf47ad19b66bc0f21ec303aaa44029ef2c45892",
+    'limit qlim1 --sigma 2413 --q 3/2 --n 12':
+        "10539ac8505407e50a81ebf628d70174476802a393837e9314f0f9de594189df",
+    'limit qlim1 --sigma 2413 --q 1 --n 12':
+        "b7a7063c9dc428a605eb43d821ac8c86b393b76ba612ced8f1fa251f4363c1e2",
+    'limit m3 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --q 1/2 --n 12':
+        "37492a281801a96b177ab4f718448d1e14be54e5de8ae10276f45c16db4fd912",
+    'limit m3 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --q 3/2 --n 12':
+        "d3b8a3ae4d47b4df16fdd8f2dd876617cf44e90ec0ab6e9463de9399997d90c7",
+    'limit m3 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --q 1 --n 12':
+        "92ffe18a9062a08f2f54584196a8e323e963dc3e433e2e66a6e04c4386ba638c",
+    'limit m3 --tableau {"outer":[2,2],"rows":[[1,3],[2,4]]} --q 1/2 --n 12':
+        "331870274fda22c1706105b36d1c1a8ce7b18e5669e273520295d96af31b8eac",
+    'limit m3 --tableau {"outer":[2,2],"rows":[[1,3],[2,4]]} --q 3/2 --n 12':
+        "8d56b5102f549e827897b3980b444b7be389225918ca0fbf531fac33d15d44d0",
+    'limit m3 --tableau {"outer":[2,2],"rows":[[1,3],[2,4]]} --q 1 --n 12':
+        "622e5b425980decaba0fcc471353154753754819dd07dbf30d7c982ebb0ec13b",
+    'limit m2-1 --sigma 132 --tau 213 --p 1/2 --q 2/3 --n 10':
+        "66aae953a5dbdb99f794c639a17df7018772f1fbe0383deb2aa04b6139d5a8ea",
+    'limit m2-1 --sigma 132 --tau 213 --p 3 --q 3/2 --n 10':
+        "f30d7cd1bec6be02a15f64a7ceac499978d2e27b92f81cd899cb74d5c5d3537a",
+    'limit m2-1 --sigma 132 --tau 213 --p 1/2 --q 3 --n 10':
+        "9666d9d5d5a88c3d6bf8a1b05e0a202eed0b4dc39041bde6d4aab67d1103a007",
+    'limit m2-1 --sigma 132 --tau 213 --p 1 --q 1 --n 10':
+        "f6a99467abef293afcfe481461d387e4fd9ccf44a30554f84892537be5a410f9",
+    'limit m2-1 --sigma 21 --tau 312 --p 1/2 --q 2/3 --n 10':
+        "bd2630735ef7c431322a89495146b1dd34066405112843ef6e50370363f865b8",
+    'limit m2-1 --sigma 21 --tau 312 --p 3 --q 3/2 --n 10':
+        "b4cda175eeb580bb90c8263c274e72c7763272f639f6caba3237920ca7e16ade",
+    'limit m2-1 --sigma 21 --tau 312 --p 1/2 --q 3 --n 10':
+        "334a5b81eb7e42146f92bf28aef542f58d335162e3ff9fdb26062d821a7b3890",
+    'limit m2-1 --sigma 21 --tau 312 --p 1 --q 1 --n 10':
+        "f38cf82ad3add0c4eb6309b0dff55ec548e814ad0532e54635f9d9fa1c2d28e8",
+    'limit m2-1 --sigma 2413 --tau 231 --p 1/2 --q 2/3 --n 10':
+        "c2e262d0912227cec3cabdd568b6258ce2aa988c1d58d0d0d344a54ef7166f9c",
+    'limit m2-1 --sigma 2413 --tau 231 --p 3 --q 3/2 --n 10':
+        "5742b6d08c1faeefa164bd27602cdb69af2a3776e1d0f01dbfa62d7bc31ef2fc",
+    'limit m2-1 --sigma 2413 --tau 231 --p 1/2 --q 3 --n 10':
+        "d4dc2ce15eb26bd78f592f0602c91c9250653b09d755007283db1b5effa084eb",
+    'limit m2-1 --sigma 2413 --tau 231 --p 1 --q 1 --n 10':
+        "3e0479131a7d4bcf4c0e20644cd17df0bc36c8935ee4e3d3bfc3c76db005ccee",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[2,1],"rows":[[1,3],[2]]} --p 1/2 --q 2/3 --n 10':
+        "01f9215d0287b1c17b16378944e07120c512f060b7517ee7d0380f6f348981a4",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[2,1],"rows":[[1,3],[2]]} --p 3 --q 3/2 --n 10':
+        "2ac418c8d8c31f52bf917ab4401724d3a93ad9fff9996713199d0684b4785275",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[2,1],"rows":[[1,3],[2]]} --p 1/2 --q 3 --n 10':
+        "45cf91e3862ece0f26244dd44e37bea5961459795ef7b6083e24c1f5f91d7679",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[2,1],"rows":[[1,3],[2]]} --p 1 --q 1 --n 10':
+        "7a2a17eb33dbe4ad62f6b8c274f28ac1abeebc967f3d077829f983ed84d3c233",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[1,1],"rows":[[1],[2]]} --p 1/2 --q 2/3 --n 10':
+        "ddc8755262027bbd54b5d9e3e03887be4022c9ae58d709c98ad1885341295ec8",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[1,1],"rows":[[1],[2]]} --p 3 --q 3/2 --n 10':
+        "b322b5efbe32a71731692b845aa290c58d52ce383deda96b3282b416bdb09799",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[1,1],"rows":[[1],[2]]} --p 1/2 --q 3 --n 10':
+        "0235c290ad7993a76de46bbd5f9cc1736a386489b1bb723b7a70b6d088556c47",
+    'limit m3-1 --tableau {"outer":[2,1],"rows":[[1,2],[3]]} --tableau2 {"outer":[1,1],"rows":[[1],[2]]} --p 1 --q 1 --n 10':
+        "886985f976d54952f18802a8bc39910c9d2b7701054df9a6c9f48661609cff0b",
+    'limit m3-1 --tableau {"outer":[1,1],"rows":[[1],[2]]} --tableau2 {"outer":[2,2],"rows":[[1,3],[2,4]]} --p 1/2 --q 2/3 --n 10':
+        "99dcf8ae939f86d06228f58e0a9b9650e22398518a33be6290879ac0c5dfc898",
+    'limit m3-1 --tableau {"outer":[1,1],"rows":[[1],[2]]} --tableau2 {"outer":[2,2],"rows":[[1,3],[2,4]]} --p 3 --q 3/2 --n 10':
+        "9321bf845dd956c38c98f24f5edbd5a62b9b1739b52b54bdde1f22139f5d0d3c",
+    'limit m3-1 --tableau {"outer":[1,1],"rows":[[1],[2]]} --tableau2 {"outer":[2,2],"rows":[[1,3],[2,4]]} --p 1/2 --q 3 --n 10':
+        "e9455e1854edd36b2f9fc6f396166775b69f80037e069619bb3970a607df7348",
+    'limit m3-1 --tableau {"outer":[1,1],"rows":[[1],[2]]} --tableau2 {"outer":[2,2],"rows":[[1,3],[2,4]]} --p 1 --q 1 --n 10':
+        "377d8d4aa0c522ac2884de22e453e20c32a97b6b306c41fdd38a36bf8f484a68",
+}
+
+
+@pytest.mark.parametrize("command", list(LIMIT_JSON_SHA256))
+def test_limit_json_is_pinned(command, capsys):
+    assert run([*command.split(), "--json"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == LIMIT_JSON_SHA256[command]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

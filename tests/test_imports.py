@@ -221,20 +221,20 @@ def test_importing_containment_loads_no_family_or_command_code():
 
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 9,303 for
-# qlim1|m2-1, 10,900 for m3|m3-1, 6,619 for tlim|alim|xi and 7,211 for eq8,
+# each limit kind loads (the package included), which are 9,291 for
+# qlim1|m2-1, 10,888 for m3|m3-1, 6,435 for tlim|alim|xi and 7,027 for eq8,
 # by about 700 nodes; they fail a change that puts code no limit kind runs
-# back on their path, such as the formal polynomials of `bivar` (1,748 nodes)
-# or, for tlim|alim|xi|eq8, the weights (768).
+# back on their path, such as the formal polynomials of `bivar` (1,539 nodes)
+# or, for tlim|alim|xi|eq8, the weights (940).
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_000,
     "m2-1": 10_000,
     "m3": 11_600,
     "m3-1": 11_600,
-    "tlim": 7_300,
-    "alim": 7_300,
-    "xi": 7_300,
-    "eq8": 7_900,
+    "tlim": 7_100,
+    "alim": 7_100,
+    "xi": 7_100,
+    "eq8": 7_700,
 }
 _LIMIT_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "limit"]
 
@@ -262,10 +262,10 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,647 and 5,584 nodes.  These ceilings, about 12% and 16% above, fail a
+# 4,647 and 5,375 nodes.  These ceilings, about 12% and 13% above, fail a
 # change that puts the verify handler and report loops (about 800 nodes) back
 # in `commands`.
-_HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_450}
+_HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_100}
 
 
 @pytest.mark.parametrize("argv", list(_HANDLER_COMPILE_CEILING), ids=" ".join)
@@ -273,8 +273,8 @@ def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
-# Each verify kind compiles 12,035 (permcont1, permcont2), 16,010 (permtotab)
-# or 13,632 (majgen, majgen1) nodes.  These ceilings, about 8% above, fail a
+# Each verify kind compiles 12,244 (permcont1, permcont2), 16,219 (permtotab)
+# or 13,841 (majgen, majgen1) nodes.  These ceilings, about 6% above, fail a
 # change that puts another kind's code, such as a top-level import of every
 # family in `containment`, the tableau code of the A_k hook sum on the
 # permutation sweeps, the formal polynomials of `bivar` or the other

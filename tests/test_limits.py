@@ -286,12 +286,12 @@ def test_rhs_pinned_off_the_unit_parameter():
 
 
 def test_weight_evaluation_is_the_polynomial_evaluation():
-    # the kernel evaluates a weight's coefficient table as BivarPoly.evaluate
-    # does the polynomial: both are the table's term-by-term sum, exactly,
-    # with the parameters on either side of 1
-    from qtab import limits
+    # weights.evaluate, which the limit kernel and BivarPoly.evaluate both
+    # read, is a table's term-by-term sum, exactly, with the parameters on
+    # either side of 1
     from qtab.weights import (
-        involution_weight_sum, m2_1_weight, m3_1_weight, m3_weight, pair_weight_sum, qlim1_weight,
+        evaluate, involution_weight_sum, m2_1_weight, m3_1_weight, m3_weight, pair_weight_sum,
+        qlim1_weight,
     )
 
     patterns = [sigma for size in range(4) for sigma in permutations(size)]
@@ -311,7 +311,7 @@ def test_weight_evaluation_is_the_polynomial_evaluation():
     for table in tables:
         for p, q in points:
             value = sum((c * Fraction(p) ** i * q**k for (i, k), c in table.items()), Fraction(0))
-            assert limits._evaluate(table, p, q) == value == BivarPoly(table).evaluate(p, q), table
+            assert evaluate(table, p, q) == value == BivarPoly(table).evaluate(p, q), table
 
 
 def test_opposite_sides_limit_is_the_first_cut():
@@ -339,6 +339,62 @@ def test_opposite_sides_limit_is_the_first_cut():
         limit = rhs(*args)
         gaps = [abs(lhs(*args, n) - limit) for n in (10, 20, 40)]
         assert gaps[0] > gaps[1] > gaps[2], (lhs.__name__, args[-2:])
+
+
+_TAB_21 = Tableau.from_rows([[1, 2], [3]])
+_TAB_11 = Tableau.from_rows([[1], [2]])
+_SIZES_1_3 = range(1, 4)
+
+
+# weight sum: (the sizes it is planted at, the verify command that checks it,
+# the limits that divide by it)
+WEIGHT_SUM_PLANTS = {
+    "involution_weight_sum": (
+        [(m,) for m in _SIZES_1_3],
+        ["verify", "permcont1", "--max-size", "2", "--max-total", "4"],
+        lambda: (qlim1_lhs(Permutation.parse("132"), HALF, 8), m3_rhs(_TAB_21, HALF)),
+    ),
+    "pair_weight_sum": (
+        list(itertools.product(_SIZES_1_3, repeat=2)),
+        ["verify", "permcont2", "--max-size", "2", "--max-total", "4"],
+        lambda: (
+            m2_1_lhs(Permutation.parse("21"), Permutation.parse("312"), HALF, Fraction(2, 3), 8),
+            m3_1_rhs(_TAB_21, _TAB_11, HALF, Fraction(2, 3)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_SUM_PLANTS)
+def test_limits_divide_by_the_weight_sums_verify_checks(name, monkeypatch, capsys):
+    # a fault planted in the cached weight sums W(j), +q at the cut j = 0,
+    # fails the verify kind that checks them and moves every limit that
+    # divides by them: the kernel has no denominator of its own
+    from qtab import weights
+    from qtab.cli import run
+
+    sizes, argv, limits_of = WEIGHT_SUM_PLANTS[name]
+    weight_sum, frozen = getattr(weights, name), weights._frozen
+    before = limits_of()
+
+    def plus_q(tables):
+        tables[0][0, 1] = tables[0].get((0, 1), 0) + 1
+        return frozen(tables)
+
+    weight_sum.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(weights, "_frozen", plus_q)
+            for size in sizes:
+                weight_sum(*size)
+        after = limits_of()
+        assert run(argv) == 1
+    finally:
+        weight_sum.cache_clear()  # drop the planted tables
+    assert all(x != y for x, y in zip(before, after)), (before, after)
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith(" FAIL") for line in lines[:-1])
+    assert limits_of() == before
 
 
 @pytest.mark.parametrize("q", [HALF, Fraction(3)])
