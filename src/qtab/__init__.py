@@ -18,14 +18,17 @@ _EXPORTS = {
     "bivar": "BivarPoly q_integer qbinomial qfactorial",
     "blocks": "BinaryWord PhiImage ZeroOneMatrix matrix_of phi phi_inverse shuffle",
     "bounds": "BoundReport Eq8Report check_bound eq8_check",
-    "containment": """IdentityReport contains enum_inv_containing enum_pair_containing
-        enum_perm_containing enum_tab_containing pair_contains tab_contains verify_majgen
-        verify_majgen1 verify_permcont1 verify_permcont2 verify_permtotab verify_permtotab_pair""",
+    "containment": "IdentityReport",
     "jcriteria": """JProfile delta delta_bar is_j2_set is_j_set j2_extend_ok j2_series
         j_extend_ok j_profile psi psi2""",
     "jsets": "j2_count j2_set j_set",
     "limits": """ConvergenceReport a_ratio contraction m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs
         m3_lhs m3_rhs qlim1_lhs qlim1_rhs t_ratio xi_partial xi_product_with_tail""",
+    "majgen": "verify_majgen verify_majgen1",
+    "permcont": """contains enum_inv_containing enum_perm_containing verify_permcont1
+        verify_permcont2""",
+    "permtotab": """enum_pair_containing enum_tab_containing pair_contains tab_contains
+        verify_permtotab verify_permtotab_pair""",
     "permutation": "Permutation involutions permutations standardize",
     "polynomial": "format_decimal",
     "rsk": "rs rs_inverse rs_involution rs_involution_inverse",

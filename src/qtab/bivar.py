@@ -15,13 +15,13 @@ rebuild the weights as the polynomials they were first defined as.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .polynomial import packed_digits, packed_qbinomial, packed_qfactorial, packed_width
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["BivarPoly", "ZERO", "ONE", "P", "Q", "q_integer", "unpack", "qfactorial", "qbinomial"]
 
@@ -151,8 +151,10 @@ class BivarPoly:
         """Exchange the roles of p and q."""
         return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
 
-    def evaluate(self, p_value: Scalar, q_value: Scalar) -> Fraction:
+    def evaluate(self, p_value: int | Fraction, q_value: int | Fraction) -> Fraction:
         """Exact rational evaluation at p = p_value, q = q_value (``weights.evaluate``)."""
+        from fractions import Fraction
+
         from .weights import evaluate
 
         return evaluate(self._terms, Fraction(p_value), Fraction(q_value))

@@ -70,34 +70,48 @@ def j_sets_of(n: int) -> frozenset[frozenset[int]]:
     return frozenset(_j_set_word(w) for w in itertools.permutations(range(1, n + 1)))
 
 
-def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
-    """Each w in S_n, as a ``bytes`` word, with J2(w, w), walking down from n to
-    the first kept cut j < n and reading the cuts up to j from ``_j2_memo(j)``
-    (see ``j2_sets_of``).  Those sets are shared objects, so n is added to
-    each distinct one once, and the sets yielded are shared too.
+def _j2_lowers(n: int) -> Iterator[frozenset[int]]:
+    """For each w in S_n, n >= 1, in the order ``_words`` gives: J2(u, u) for
+    its first kept cut j < n, where u = std(w[:j]) = low_j(w), read from
+    ``_j2_memo(j)``.  J2(w, w) is that set with n added (see ``j2_sets_of``).
 
-    A step is three C calls: ``translate`` pops the last letter r of the
-    standardized prefix and lowers the letters above r, ``replace`` drops j + 1
-    from the low restriction, and the two words are compared.  The tables are
-    built per call for letters up to n, so importing this module builds none."""
-    if n == 0:
-        yield b"", frozenset((0,))
-        return
+    A step is three C calls: ``translate`` deletes the last letter r of the
+    standardized prefix and lowers the letters above r (a permutation word
+    holds r once, so deleting r removes exactly its last letter), ``replace``
+    drops j + 1 from the low restriction, and the two words are compared.
+    The tables are built per call for letters up to n, so importing this
+    module builds none."""
     # drop[r] maps v to v - 1 above r; letter[v] is the one-letter word v
     drop = [bytes(range(r + 1)) + bytes(range(r, 255)) for r in range(n + 1)]
     letter = [bytes((v,)) for v in range(n + 1)]
     memos = [_j2_memo(j) for j in range(n)]
-    # J2(u, u) of the first kept cut -> that set with n added
-    tops: dict[frozenset[int], frozenset[int]] = {}
-    for w in map(bytes, itertools.permutations(range(1, n + 1))):
+    for w in _words(n):
         pre = low = w
         for j in range(n - 1, -1, -1):
-            pre = pre[:-1].translate(drop[pre[-1]])
+            r = pre[-1]
+            pre = pre.translate(drop[r], letter[r])
             low = low.replace(letter[j + 1], b"")
             if pre == low:
-                lower = memos[j][pre]
-                yield w, tops.get(lower) or tops.setdefault(lower, lower | {n})
+                yield memos[j][pre]
                 break
+
+
+def _words(n: int) -> Iterator[bytes]:
+    """The words of S_n as ``bytes``, in lexicographic order."""
+    return map(bytes, itertools.permutations(range(1, n + 1)))
+
+
+def _j2_word_sets(n: int) -> Iterator[tuple[bytes, frozenset[int]]]:
+    """Each w in S_n, as a ``bytes`` word, with J2(w, w): the set ``_j2_lowers``
+    reads, with n added.  Those sets are shared objects, so n is added to each
+    distinct one once, and the sets yielded are shared too."""
+    if n == 0:
+        yield b"", frozenset((0,))
+        return
+    # J2(u, u) of the first kept cut -> that set with n added
+    tops: dict[frozenset[int], frozenset[int]] = {}
+    for w, lower in zip(_words(n), _j2_lowers(n)):
+        yield w, tops.get(lower) or tops.setdefault(lower, lower | {n})
 
 
 @lru_cache(maxsize=None)
@@ -114,9 +128,13 @@ def j2_sets_of(n: int) -> frozenset[frozenset[int]]:
     Every j2-set with largest element n arises this way, so this is the full
     list of j2-sets with maximum n.  Each walk stops at its first kept cut
     j < n, where u = std(w[:j]) = low_j(w), and takes J2(u, u) for the cuts up
-    to j: for i <= j, std(w[:i]) = std(u[:i]) and low_i(w) = low_i(u).
+    to j: for i <= j, std(w[:i]) = std(u[:i]) and low_i(w) = low_i(u).  Past
+    n = 0 the walk of S_n keeps only the distinct lower sets, not a set per
+    word.
     """
-    return frozenset(cuts for _, cuts in _j2_word_sets(n))
+    if n == 0:
+        return frozenset(cuts for _, cuts in _j2_word_sets(0))
+    return frozenset(lower | {n} for lower in set(_j2_lowers(n)))
 
 
 def j2_count(n: int) -> int:
@@ -129,7 +147,8 @@ def j2_counts(n_max: int) -> list[int]:
 
     The walk of S_n_max fills ``_j2_memo(j)`` for every j < n_max, and the
     distinct values of that memo are the j2-sets with maximum j.  The top size
-    is not memoized: its n_max! words are not needed again.
+    is not memoized, since its n_max! words are not needed again: its walk
+    keeps only the distinct lower sets (``j2_sets_of``).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -13,9 +13,13 @@ tables, never load.
 
 from __future__ import annotations
 
-import decimal
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+# only ``format_decimal`` reads rationals, and imports `fractions` and
+# `decimal` when it runs
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "packed_width", "times_q_integer", "packed_qfactorial", "packed_qbinomial",
@@ -92,6 +96,9 @@ def format_decimal(value: Fraction, significant_digits: int = 12) -> str:
     without an exponent or trailing zeros.  Presentation only: rounding
     happens at the final step, never inside a computation.
     """
+    import decimal
+    from fractions import Fraction
+
     if significant_digits < 1:
         raise ValueError("need at least one significant digit")
     value = Fraction(value)

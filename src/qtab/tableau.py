@@ -16,16 +16,16 @@ off the packed value's digits; ``f_poly`` and the theorem weights of
 :mod:`qtab.weights` are built from them.
 ``maj_tally`` enumerates every filling and tallies it by maj; it is the
 oracle the test suite pins both paths to on an exhaustive band (as
-``f_poly_enum``, its polynomial), and the left-hand side of the ``majgen``
-identities.  ``conjecture_probe``, the exploratory tuple
-containment ratio, is a sum of products of these skew counts.
+``f_poly_enum``, its polynomial), and of the chain walk that enumerates
+the left-hand sides of the ``majgen`` identities (:mod:`qtab.majgen`).
+``conjecture_probe``, the exploratory tuple containment ratio, is a sum of
+products of these skew counts.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -42,6 +42,8 @@ from .values import Value, parse_ints
 # the polynomial functions import the formal type when they run, so the
 # commands that only count or read tableaux do not load it
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .bivar import BivarPoly
 
 __all__ = [
@@ -512,6 +514,8 @@ def conjecture_probe(patterns: list[Tableau], n: int) -> Fraction:
     so both counts reduce to skew counts.  Patterns must be straight.  No
     limit is asserted; this is an exploratory estimator.
     """
+    from fractions import Fraction
+
     if not patterns:
         raise ValueError("need at least one pattern")
     shapes = [pattern.straight_shape() for pattern in patterns]

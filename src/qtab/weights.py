@@ -1,12 +1,13 @@
 """The containment theorem weights: a coefficient table per cut size j.
 
-Each exact identity of :mod:`qtab.containment` and each limit theorem of
-:mod:`qtab.limits` is a sum over cut sizes j of a weight w(j) times a cut
-term.  The weights are defined here once: the pattern weights
-``qlim1_weight`` (read off the j-set of a permutation), ``m2_1_weight`` (the
-j2-set of a pair), ``m3_weight`` and ``m3_1_weight`` (skew maj sums inside a
-tableau shape), and the weight sums W(j) over all patterns of a size
-(``involution_weight_sum``, ``pair_weight_sum``).
+Each exact identity that ``qtab verify`` checks (:mod:`qtab.containment`
+and its family modules) and each limit theorem of :mod:`qtab.limits` is a
+sum over cut sizes j of a weight w(j) times a cut term.  The weights are
+defined here once: the pattern weights ``qlim1_weight`` (read off the j-set
+of a permutation), ``m2_1_weight`` (the j2-set of a pair), ``m3_weight`` and
+``m3_1_weight`` (skew maj sums inside a tableau shape), and the weight sums
+W(j) over all patterns of a size (``involution_weight_sum``,
+``pair_weight_sum``).
 
 A weight w(j) is a polynomial in p and q held as a plain table
 ``{(i, k): c}`` of its nonzero coefficients c of p^i q^k: q marks the maj
@@ -20,23 +21,25 @@ lists, so no formal polynomial is built.
 
 Each weight is computed once per pattern, or once per pattern size for the
 sums, and returned read-only; the tableau weights depend on the pattern's
-shape only.  The j-sets and the tableau functions are imported by
+shape only.  The j-sets, the tableau functions and t_count are imported by
 the weights that read them, so a limit over permutation patterns loads no
-tableau code and one over tableau patterns no permutation code.
+tableau code, one over tableau patterns no permutation code, and
+``verify permtotab`` no :mod:`qtab.stats`; ``fractions`` is imported only by
+``evaluate``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .polynomial import packed_digits, packed_qfactorial, packed_width
-from .stats import t_count
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .permutation import Permutation
     from .tableau import Partition
 
@@ -58,6 +61,8 @@ def evaluate(table: Table, p: Fraction, q: Fraction) -> Fraction:
     """A coefficient table at (p, q), exactly: with p = a/b, q = r/s and P, Q the
     largest degrees, the terms are summed as integers c a^i b^(P-i) r^k s^(Q-k)
     over b^P s^Q, so one ``Fraction`` is built."""
+    from fractions import Fraction
+
     top_p = max([i for i, _ in table], default=0)
     top_q = max([k for _, k in table], default=0)
     a, b, r, s = p.numerator, p.denominator, q.numerator, q.denominator
@@ -142,6 +147,8 @@ def m3_1_weight(alpha: Partition, beta: Partition) -> Mapping[int, Table]:
 @lru_cache(maxsize=None)
 def involution_weight_sum(m: int) -> Mapping[int, Table]:
     """W(j) = t_j C(m, j) [m-j]_q!, the involution weights summed over the patterns of size m."""
+    from .stats import t_count
+
     return _frozen({
         j: _add_product({}, (1,), _qfactorial(m - j), t_count(j) * math.comb(m, j))
         for j in range(m + 1)

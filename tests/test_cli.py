@@ -262,15 +262,15 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 _NEGATIVE_PLANT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from qtab import containment
+from qtab import majgen
 from qtab.bivar import BivarPoly
-weight_of = containment.m3_weight
+weight_of = majgen.m3_weight
 def planted(alpha):
     return {
         j: dict((BivarPoly(w) - BivarPoly.monomial(0, 1)).sorted_terms())
         for j, w in weight_of(alpha).items()
     }
-containment.m3_weight = planted
+majgen.m3_weight = planted
 from qtab.cli import run
 sys.exit(run(["verify", "majgen", "--max-size", "1", "--max-total", "1", "--json"]))
 """
@@ -298,14 +298,14 @@ def test_verify_failure_with_a_negative_coefficient_prints_it():
 def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
     # a weight off by one fails every check it is the right side of, and the
     # failure prints the tally and the planted weight as polynomials
-    from qtab import containment
+    from qtab import permtotab
     from qtab.bivar import BivarPoly
     from qtab.tableau import Tableau
 
-    m3_weight, m3_1_weight = containment.m3_weight, containment.m3_1_weight
+    m3_weight, m3_1_weight = permtotab.m3_weight, permtotab.m3_1_weight
     plus_one = lambda weight: {j: dict((BivarPoly(w) + 1).sorted_terms()) for j, w in weight.items()}
-    monkeypatch.setattr(containment, "m3_weight", lambda *shapes: plus_one(m3_weight(*shapes)))
-    monkeypatch.setattr(containment, "m3_1_weight", lambda *shapes: plus_one(m3_1_weight(*shapes)))
+    monkeypatch.setattr(permtotab, "m3_weight", lambda *shapes: plus_one(m3_weight(*shapes)))
+    monkeypatch.setattr(permtotab, "m3_1_weight", lambda *shapes: plus_one(m3_1_weight(*shapes)))
     argv = ["verify", "permtotab", "--max-size", "2"]
     assert run(argv) == 1
     *lines, total = out_of(capsys).splitlines()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtab import containment
+from qtab import containment, majgen, permcont, permtotab
 from qtab.bivar import ZERO, BivarPoly, qbinomial, qfactorial
 from qtab.containment import (
     conjecture_probe,
@@ -58,6 +58,7 @@ from qtab.tableau import (
     enumerate_syt,
     f_poly,
     f_poly_enum,
+    maj_tally,
     partitions,
     partitions_inside,
     skew_syt_count,
@@ -164,15 +165,20 @@ def _tally(buckets, key, stat):
 
 
 def test_permcont1_buckets_equal_per_word_statistics():
-    # reference: every statistic from the word kernel, one size m at a time
-    for total in range(9):
-        sizes = range(min(3, total) + 1)
-        swept = permcont1_buckets(total, sizes)
-        for m in sizes:
-            expected = {}
-            for w in involution_words(total):
-                _tally(expected, word_low(w, m), (0, word_maj(w[m:])))
-            assert swept[m] == expected, (m, total)
+    # reference: every statistic from the word kernel, one size m at a time,
+    # through the oracle's ambient size 10; the sweep counts one key per
+    # involution and fills the buckets after, for sizes in any order
+    for total in range(11):
+        square = range(min(3, total) + 1)
+        sparse = [3, 1] if total >= 3 else []
+        for sizes in (square, sparse):
+            swept = permcont1_buckets(total, sizes)
+            assert list(swept) == list(sizes)
+            for m in sizes:
+                expected = {}
+                for w in involution_words(total):
+                    _tally(expected, word_low(w, m), (0, word_maj(w[m:])))
+                assert swept[m] == expected, (m, total)
 
 
 def test_involution_low_restriction_is_a_function_of_the_raw_prefix_through_9():
@@ -521,7 +527,7 @@ def test_outer_majs_are_the_outer_shapes_maj_terms():
     for size in range(5):
         for base in partitions(size):
             for added in range(6):
-                majs = containment._outer_majs(base, added)
+                majs = majgen._outer_majs(base, added)
                 shapes = list(partitions(size + added))
                 assert len(majs) == len(shapes)
                 for lam, terms in zip(shapes, majs):
@@ -532,13 +538,30 @@ def test_outer_majs_are_the_outer_shapes_maj_terms():
                     assert poly == f_poly_enum(SkewShape(lam, base)), (lam, base)
                     assert [maj for maj, _ in terms] == sorted({maj for maj, _ in terms})
                 for width in (0, 8, 24):
-                    packed = containment._outer_packed(base, added, width)
+                    packed = majgen._outer_packed(base, added, width)
                     assert packed == tuple(
                         f_poly_enum(SkewShape(lam, base)).evaluate(1, 2**width)
                         if lam.contains(base)
                         else 0
                         for lam in shapes
                     )
+
+
+def test_chain_walk_tallies_are_the_enumerated_maj_tallies():
+    # one walk from each base up to 5 added cells tallies every outer shape's
+    # fillings by maj as enumerating the fillings of that skew shape does
+    for size in range(6):
+        for base in partitions(size):
+            walked = majgen._chain_walk(base, 5)
+            assert len(walked) == 6
+            for added, majs in enumerate(walked):
+                assert majs == tuple(
+                    tuple(maj_tally(SkewShape(lam, base))) if lam.contains(base) else ()
+                    for lam in partitions(size + added)
+                ), (base, added)
+            # a shallower read comes off the deepest walk made from the base
+            assert majgen._outer_majs(base, 5) == walked[5]
+            assert [majgen._outer_majs(base, added) for added in range(6)] == list(walked)
 
 
 def test_report_failure_shape():
@@ -850,27 +873,27 @@ def _failing_sides(theorem, params):
     if theorem == "permcont1":
         sigma = Permutation.parse("21")
         m, n = params["m"], params["n"]
-        return _permcont1_lhs(m, n, sigma), _involution_rhs(containment.qlim1_weight(sigma), m, n)
+        return _permcont1_lhs(m, n, sigma), _involution_rhs(permcont.qlim1_weight(sigma), m, n)
     if theorem == "permcont2":
         sigma = tau = Permutation.parse("21")
         a, b, total = params["a"], params["b"], params["total"]
-        weight = containment.m2_1_weight(sigma, tau)
+        weight = permcont.m2_1_weight(sigma, tau)
         return (
             _permcont2_lhs(a, b, total, sigma, tau),
             _pair_rhs(weight, a, b, total - a, total - b),
         )
     if theorem == "permtotab":
         tab = Tableau.from_rows(params["tableau"])
-        return _permtotab_lhs(tab, params["j"]), BivarPoly(containment.m3_weight(_SHAPE)[params["j"]])
+        return _permtotab_lhs(tab, params["j"]), BivarPoly(permtotab.m3_weight(_SHAPE)[params["j"]])
     if theorem == "permtotab-pair":
         a_tab = Tableau.from_rows(params["tableau_a"])
         lhs = _permtotab_pair_lhs(a_tab, Tableau.from_rows(params["tableau_b"]), params["j"])
-        return lhs, BivarPoly(containment.m3_1_weight(_SHAPE, _SHAPE)[params["j"]])
+        return lhs, BivarPoly(permtotab.m3_1_weight(_SHAPE, _SHAPE)[params["j"]])
     if theorem == "majgen":
         n = params["n"]
-        return _majgen_lhs(_SHAPE, n), _involution_rhs(containment.m3_weight(_SHAPE), 3, n)
+        return _majgen_lhs(_SHAPE, n), _involution_rhs(majgen.m3_weight(_SHAPE), 3, n)
     m, n = params["m"], params["n"]
-    weight = containment.m3_1_weight(_SHAPE, _SHAPE)
+    weight = majgen.m3_1_weight(_SHAPE, _SHAPE)
     return _majgen1_lhs(_SHAPE, _SHAPE, m, n), _pair_rhs(weight, 3, 3, m, n)
 
 
@@ -926,6 +949,13 @@ PLANTED = {
 }
 
 
+# the module each verify kind reads its weights in
+FAMILY = {
+    "permcont1": permcont, "permcont2": permcont, "permtotab": permtotab, "majgen": majgen,
+    "majgen1": majgen,
+}
+
+
 def _plus_one(poly, stride):
     return poly + 1
 
@@ -943,7 +973,8 @@ def test_planted_fault_fails_with_the_dict_sides(family, fault, monkeypatch, cap
 
     argv, name, pattern, edge_lhs, reached = PLANTED[family]
     stride = 1 << edge_lhs().degree_q().bit_length()  # the left side's alone
-    weight_of = getattr(containment, name)
+    home = FAMILY[argv[1]]
+    weight_of = getattr(home, name)
 
     def planted(*args):
         weight = weight_of(*args)
@@ -951,7 +982,7 @@ def test_planted_fault_fails_with_the_dict_sides(family, fault, monkeypatch, cap
             return weight
         return {**weight, 0: _table(fault(BivarPoly(weight[0]), stride))}
 
-    monkeypatch.setattr(containment, name, planted)
+    monkeypatch.setattr(home, name, planted)
     assert run(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.endswith(" FAIL") for line in lines[:-1]) == len(reached)

@@ -113,15 +113,17 @@ _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats", "values"}
 _PERMUTATION_LIMIT = _LIMIT_KERNEL | {"weights", "permutation", "jsets"}
 _TABLEAU_LIMIT = _LIMIT_KERNEL | {"weights", "tableau"}
 _COMMANDS = {"cli", "commands"}
-# verify loads `containment`, which holds its handler, and no `commands`; each
-# kind adds only what its identity reads: the permutation sweeps no tableau
-# code (their cut terms read t_k and A_k off the series), the tableau
-# sweeps the tableaux and insertion, and the skew maj sweeps no permutation
-# or j-set code; none loads `bivar`, which only a failing check's printing reads
-_VERIFY_KERNEL = {"cli", "containment", "polynomial", "stats", "values", "weights"}
-_PERMCONT1 = _VERIFY_KERNEL | {"permutation", "jsets"}
-_PERMTOTAB = _PERMCONT1 | {"tableau", "rsk"}
-_MAJGEN = _VERIFY_KERNEL | {"tableau"}
+# verify loads `containment`, the check kernel, which holds its handler, and
+# no `commands`; each kind adds its identity family's module and only what
+# that family reads: the permutation sweeps no tableau code (their cut terms
+# read t_k and A_k off the series of `stats`), the tableau sweeps the
+# tableaux and insertion but no `stats` (they pack nothing), and the skew
+# maj sweeps no permutation or j-set code; none loads `bivar`, which only a
+# failing check's printing reads
+_VERIFY_KERNEL = {"cli", "containment", "polynomial", "values", "weights"}
+_PERMCONT1 = _VERIFY_KERNEL | {"permcont", "permutation", "jsets", "stats"}
+_PERMTOTAB = _VERIFY_KERNEL | {"permtotab", "permutation", "jsets", "tableau", "rsk"}
+_MAJGEN = _VERIFY_KERNEL | {"majgen", "stats", "tableau"}
 
 
 COMMAND_MODULES = [
@@ -180,9 +182,10 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     # nor does any command parse its arguments with argparse, which loads
     # gettext, and locale when a parser is built
     assert not {"argparse", "gettext", "locale"} & (loaded - bare_modules)
-    # and a command that neither reads a rational nor loads a module computing
-    # with them does not load `fractions`, which imports `decimal`
-    if not modules & {"polynomial", "bivar", "stats", "tableau", "limits"}:
+    # and a command that evaluates no rational, neither a series of `stats`
+    # (every limit reads them) nor the probe's ratio, loads neither
+    # `fractions` nor `decimal`, which `fractions` imports
+    if "stats" not in modules and argv[0] != "probe":
         assert not {"fractions", "decimal"} & (loaded - bare_modules)
     # nor does a command load `json` unless it reads a tableau operand or
     # prints --json: text `verify` and `qpoly an|fshape` load none
@@ -212,20 +215,25 @@ def test_importing_limits_loads_no_polynomial_type_or_command_code():
 
 
 def test_importing_containment_loads_no_family_or_command_code():
-    kernel = {"containment", "weights", "stats", "polynomial"}
+    kernel = {"containment", "polynomial"}
     assert loaded_after("import qtab.containment") == kernel
-    # the re-exported probe loads the tableau code on first use
+    # each re-exported name imports its home module on first use: the probe
+    # loads the tableau code, and a family's name that family and the
+    # modules it imports
     probe = "from qtab.containment import conjecture_probe"
     assert loaded_after(probe) == kernel | {"tableau", "values"}
+    family = "from qtab.containment import verify_permtotab"
+    reads = {"permtotab", "permutation", "rsk", "tableau", "values", "weights"}
+    assert loaded_after(family) == kernel | reads
 
 
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 9,291 for
-# qlim1|m2-1, 10,888 for m3|m3-1, 6,435 for tlim|alim|xi and 7,027 for eq8,
-# by about 700 nodes; they fail a change that puts code no limit kind runs
+# each limit kind loads (the package included), which are 9,394 for
+# qlim1|m2-1, 10,905 for m3|m3-1, 6,448 for tlim|alim|xi and 7,040 for eq8,
+# by 600 nodes or more; they fail a change that puts code no limit kind runs
 # back on their path, such as the formal polynomials of `bivar` (1,539 nodes)
-# or, for tlim|alim|xi|eq8, the weights (940).
+# or, for tlim|alim|xi|eq8, the weights (942).
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_000,
     "m2-1": 10_000,
@@ -262,7 +270,7 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,647 and 5,375 nodes.  These ceilings, about 12% and 13% above, fail a
+# 4,653 and 5,388 nodes.  These ceilings, about 12% and 13% above, fail a
 # change that puts the verify handler and report loops (about 800 nodes) back
 # in `commands`.
 _HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_100}
@@ -273,18 +281,20 @@ def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
-# Each verify kind compiles 12,244 (permcont1, permcont2), 16,219 (permtotab)
-# or 13,841 (majgen, majgen1) nodes.  These ceilings, about 6% above, fail a
-# change that puts another kind's code, such as a top-level import of every
-# family in `containment`, the tableau code of the A_k hook sum on the
+# Each verify kind compiles 10,468 (permcont1, permcont2), 12,768
+# (permtotab) or 11,588 (majgen, majgen1) nodes.  These ceilings, about 6%
+# above, fail a change that puts another family's code back on a kind's
+# path, such as a top-level import of every family in `containment` (each
+# family module compiles 1,185 nodes or more), the series of `stats` on the
+# tableau sweeps (1,093), the tableau code of the A_k hook sum on the
 # permutation sweeps, the formal polynomials of `bivar` or the other
-# commands' handlers back on a kind's path.
+# commands' handlers.
 _VERIFY_COMPILE_CEILING = {
-    "permcont1": 13_000,
-    "permcont2": 13_000,
-    "permtotab": 17_300,
-    "majgen": 14_700,
-    "majgen1": 14_700,
+    "permcont1": 11_100,
+    "permcont2": 11_100,
+    "permtotab": 13_550,
+    "majgen": 12_250,
+    "majgen1": 12_250,
 }
 _VERIFY_ROWS = [argv for argv, _ in COMMAND_MODULES if argv[0] == "verify"]
 
