@@ -15,7 +15,7 @@ import importlib
 
 # home module -> the names it exports at package level
 _EXPORTS = {
-    "bivar": "BivarPoly q_integer qbinomial qfactorial",
+    "bivar": "qbinomial qfactorial",
     "blocks": "BinaryWord PhiImage ZeroOneMatrix matrix_of phi phi_inverse shuffle",
     "bounds": "BoundReport Eq8Report check_bound eq8_check",
     "containment": "IdentityReport",
@@ -35,7 +35,7 @@ _EXPORTS = {
     "stats": """a_poly a_poly_enum a_value q_factorial_value t_count t_poly
         t_poly_enum t_value""",
     "tableau": """Partition SkewShape Tableau conjecture_probe enumerate_syt f_poly f_poly_enum
-        f_poly_hook partitions skew_syt_count syt_count""",
+        partitions skew_syt_count""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -69,7 +69,7 @@ def _parse_tableau(text: str):
             text = handle.read()
     try:
         return Tableau.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse tableau: {exc}") from exc
 
 

@@ -5,7 +5,8 @@ these commands, :mod:`qtab.limits`, which holds the ``limit`` handler, only
 for ``limit``, and :mod:`qtab.containment`, which holds the ``verify``
 handler, only for ``verify``, so none compiles another's handlers.  Each
 handler imports the ``qtab`` modules its computation reads when it runs
-(``qpoly factorial`` loads only ``polynomial`` and ``bivar``).
+(``qpoly factorial`` loads only ``polynomial`` and ``bivar``, which reads
+and prints the coefficient tables every polynomial is held as).
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def _cmd_rs(args) -> int:
 # -- qpoly ----------------------------------------------------------------------
 
 
-def _poly_payload(poly, **extra) -> dict:
-    return {"terms": poly.to_json_terms(), **extra}
-
-
 def _size_operand(which: str, text: str) -> int:
     try:
         return int(text)
@@ -88,25 +85,23 @@ def _size_operand(which: str, text: str) -> int:
 
 
 def _cmd_qpoly(args) -> int:
-    from .bivar import qbinomial, qfactorial
+    from .bivar import json_terms, qbinomial, qfactorial, text
 
-    which = args.which
+    which, method = args.which, args.method
     arity = 2 if which == "binomial" else 1
     if len(args.args) != arity:
         raise UsageError(f"qpoly {which} needs {arity} operand(s), got {len(args.args)}")
-    if args.method and which in ("factorial", "binomial"):
+    if method and which in ("factorial", "binomial"):
         raise UsageError(f"qpoly {which} does not read --method")
     if which in ("factorial", "binomial"):
         sizes = [_size_operand(which, x) for x in args.args]
         poly = qfactorial(*sizes) if which == "factorial" else qbinomial(*sizes)
-        _emit(args, [str(poly)], _poly_payload(poly))
     elif which in ("tn", "an"):
         from . import stats
 
         n = _size_operand(which, args.args[0])
         if n < 0:
             raise UsageError(f"n must be nonnegative, got {n}")
-        method = args.method
         if method == "enum":
             kind = "involution" if which == "tn" else "permutation"
             _check_enum_size(n, f"{kind} enumeration")
@@ -115,16 +110,19 @@ def _cmd_qpoly(args) -> int:
             method, poly = "series", stats.t_poly(n)
         else:
             method, poly = "hook", stats.a_poly(n)
-        _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
     else:  # fshape
         from .tableau import SkewShape, f_poly, f_poly_enum
 
         shape = SkewShape.parse(args.args[0])
-        method = args.method or ("hook" if shape.is_straight else "determinant")
+        method = method or ("hook" if shape.is_straight else "determinant")
         if method == "enum":
             _check_enum_size(shape.size, "tableau enumeration")
         poly = f_poly_enum(shape) if method == "enum" else f_poly(shape)
-        _emit(args, [f"method={method}", str(poly)], _poly_payload(poly, method=method))
+    payload = {"terms": json_terms(poly)}
+    if method is None:  # factorial and binomial have one path
+        _emit(args, [text(poly)], payload)
+    else:
+        _emit(args, [f"method={method}", text(poly)], {**payload, "method": method})
     return 0
 
 

@@ -22,9 +22,8 @@ This module holds what they share: ``IdentityReport``, the packed checks
 report loops of ``qtab verify`` (``sweep_reports``), which import only the
 family of the kind they run, and ``cmd_verify``, its handler, at the end of
 the module.  ``qtab.cli`` imports it only for ``verify``, and the handler
-imports ``qtab.cli`` only when it runs.  Every name of the families, the
-theorem weights of :mod:`qtab.weights` and ``conjecture_probe`` stay
-importable here, each imported from its home module on first use.
+imports ``qtab.cli`` only when it runs.  The families' names are imported
+from the family modules, where they are defined.
 
 Each identity is a sum over cut sizes j of a weight w(j) times a cut term
 T(j), and so is each limit theorem, which is the ratio of two such sums.  The
@@ -32,9 +31,10 @@ weights, a coefficient table {(i, k): c} of a polynomial in p and q per j,
 are defined once in :mod:`qtab.weights`: the pattern weights
 ``qlim1_weight``, ``m2_1_weight``, ``m3_weight`` and ``m3_1_weight``, and the
 weight sums W(j) over all patterns of a size (``involution_weight_sum``,
-``pair_weight_sum``).  The cut terms read t_k and A_k from the series that
-:mod:`qtab.limits` evaluates at rational points (``t_value``, ``a_value``),
-here at the packing point, and import :mod:`qtab.stats` only when they run.
+``pair_weight_sum``).  The cut terms read t_k and A_k from the integer series
+that :mod:`qtab.limits` evaluates at rational points (``t_value``,
+``a_value``), here at the packing point, and import :mod:`qtab.stats` only
+when they run.
 
 Single and pair versions share one path per kind of check, with a pair flag
 where they differ, as the limit kernel's families do.  ``_cut_check`` checks
@@ -61,29 +61,7 @@ from .polynomial import packed_qbinomial, packed_width
 if TYPE_CHECKING:
     from .weights import Table
 
-# the names re-exported here, by home module: the family of each identity,
-# the weights and the probe, each imported on first use
-_REEXPORTS = {
-    "permcont": """contains enum_inv_containing enum_perm_containing permcont1_buckets
-        permcont1_report verify_permcont1 permcont2_buckets permcont2_report verify_permcont2""",
-    "permtotab": """tab_contains pair_contains enum_tab_containing enum_pair_containing
-        perms_with_insertion_tableau perms_with_recording_tableau permtotab_reports
-        verify_permtotab permtotab_pair_reports verify_permtotab_pair""",
-    "majgen": "verify_majgen verify_majgen1",
-    "weights": """qlim1_weight m2_1_weight m3_weight m3_1_weight involution_weight_sum
-        pair_weight_sum""",
-    "tableau": "conjecture_probe",
-}
-_HOME = {name: home for home, names in _REEXPORTS.items() for name in names.split()}
-
-__all__ = ["IdentityReport", "sweep_reports", *_HOME]
-
-
-def __getattr__(name: str):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{home}"), name)
+__all__ = ["IdentityReport", "sweep_reports"]
 
 
 class IdentityReport:
@@ -152,9 +130,9 @@ def _json_text(params: dict) -> str:
 
 def _show(table: Table) -> str:
     """A coefficient table as its polynomial prints, for a failing check."""
-    from .bivar import BivarPoly
+    from .bivar import text
 
-    return str(BivarPoly(table))
+    return text(table)
 
 
 # -- packed identity checks ------------------------------------------------------
@@ -228,12 +206,12 @@ def _check(report: IdentityReport, instance: str, lhs: Side, rhs: Side) -> int:
 def _cut_term(pair: bool, m: int, n: int, k: int, width: int, stride: int) -> int:
     """The cut term at q = 2^width, p = 2^(width * stride), t_k and A_k from the limits'
     series: [m choose k]_p [n choose k]_q A_k(p, q) for pairs, else [n choose k]_q t_k(q)."""
-    from .stats import a_value, t_value
+    from .stats import _series
 
     term, q, p = packed_qbinomial(n, k, width), 1 << width, 1 << width * stride
     if pair:
-        return term * packed_qbinomial(m, k, width * stride) * a_value(k, p, q).numerator
-    return term * t_value(k, q).numerator
+        return term * packed_qbinomial(m, k, width * stride) * _series(k, p, q)
+    return term * _series(k, q)
 
 
 def _cut_side(weight: Mapping[int, Table], pair: bool, m: int, n: int, offset: int) -> Side:

@@ -6,9 +6,9 @@ at q = 2^width (Kronecker substitution).  Evaluation is a ring homomorphism,
 so sums, products and exact quotients of packed values are those of the
 polynomials, and the base-2^width digits of a packed value are its
 coefficients.  At width 0 every q-integer [h] is h, so the same formulas
-count.  The formal polynomial type is in :mod:`qtab.bivar`, which the limit
-computations, reading the series as integers and the weights as coefficient
-tables, never load.
+count.  :mod:`qtab.bivar` reads coefficient tables off packed values and
+prints them; the limit computations, reading the series as integers and the
+weights as tables, never load it.
 """
 
 from __future__ import annotations

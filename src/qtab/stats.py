@@ -12,20 +12,24 @@ demand, so every caller at one point shares a single series; the scaled
 evaluators that :mod:`qtab.limits` reads divide it by q-factorials, whose
 values at each point are a cached prefix of their own.  The test
 suite pins each closed form to enumeration and to the partition/hook-length
-sums, and the CLI reports which path produced a polynomial.
+sums, and the CLI reports which path produced a polynomial.  Each
+polynomial is returned as a read-only coefficient table ``{(i, k): c}`` of
+p^i q^k (p marks imaj, q maj), cached per size.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-# The polynomial functions import the formal type and the packed kernel when
-# they run, so the series and the scaled evaluators, which limits read, load neither.
+# The polynomial functions import the packed kernel when they run, so the
+# series and the scaled evaluators, which limits read, do not load it; only
+# the functions that build a rational import `fractions`.
 if TYPE_CHECKING:
-    from .bivar import BivarPoly
+    from fractions import Fraction
+
+    from .weights import Table
 
 __all__ = [
     "t_count",
@@ -61,36 +65,42 @@ def t_count(n: int) -> int:
     return _INVOLUTION_COUNTS[n]
 
 
+def _tally(keys) -> Table:
+    """The read-only table of how often each (i, k) occurs."""
+    from collections import Counter
+    from types import MappingProxyType
+
+    return MappingProxyType(dict(Counter(keys)))
+
+
 @lru_cache(maxsize=None)
-def t_poly_enum(n: int) -> BivarPoly:
+def t_poly_enum(n: int) -> Table:
     """Maj generating polynomial over involutions, by direct enumeration."""
-    from .bivar import BivarPoly
     from .permutation import involutions
 
-    return BivarPoly(((0, perm.maj()), 1) for perm in involutions(n))
+    return _tally((0, perm.maj()) for perm in involutions(n))
 
 
 @lru_cache(maxsize=None)
-def t_poly(n: int) -> BivarPoly:
+def t_poly(n: int) -> Table:
     """Maj generating polynomial over involutions: the series at the packing point."""
     from .bivar import unpack
     from .polynomial import packed_width
 
     width = packed_width(t_count(n))
-    return unpack(width, _series(n, Fraction(1 << width)).numerator)
+    return unpack(width, _series(n, 1 << width))
 
 
 @lru_cache(maxsize=None)
-def a_poly_enum(n: int) -> BivarPoly:
+def a_poly_enum(n: int) -> Table:
     """Joint (imaj, maj) generating polynomial over all permutations."""
-    from .bivar import BivarPoly
     from .permutation import permutations
 
-    return BivarPoly(((perm.imaj(), perm.maj()), 1) for perm in permutations(n))
+    return _tally((perm.imaj(), perm.maj()) for perm in permutations(n))
 
 
 @lru_cache(maxsize=None)
-def a_poly(n: int) -> BivarPoly:
+def a_poly(n: int) -> Table:
     """Joint (imaj, maj) polynomial as a sum of products of hook polynomials.
 
     Each partition contributes its maj polynomial in p times the same
@@ -115,12 +125,10 @@ def a_poly(n: int) -> BivarPoly:
 
 
 def q_integer_value(h: int, q: Fraction) -> Fraction:
-    """Value of 1 + q + ... + q^(h-1) at a rational point."""
+    """Value of 1 + q + ... + q^(h-1) at a rational point, of q's type."""
     if h < 0:
         raise ValueError("h must be nonnegative")
-    if q == 1:
-        return Fraction(h)
-    return (q**h - 1) / (q - 1)
+    return h * q if q == 1 else (q**h - 1) / (q - 1)
 
 
 # Per point q, the prefix [0]_q!, [1]_q!, ...; like _SERIES it only ever grows.
@@ -129,6 +137,8 @@ _Q_FACTORIALS: dict[Fraction, list[Fraction]] = {}
 
 def q_factorial_value(n: int, q: Fraction) -> Fraction:
     """Value of [n]_q! = [1]_q [2]_q ... [n]_q at a rational point."""
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = Fraction(q)
@@ -150,18 +160,20 @@ def q_factorial_value(n: int, q: Fraction) -> Fraction:
 # involutions.  At v = r/s every factor is homogenized: s^i - r^i stands for
 # 1 - v^i, and the Gaussian rows follow H[m][k] = s^(m-k) H[m-1][k-1] +
 # r^k H[m-1][k].  So x_m is the series at r/s times s^(m(m-1)/2) for each
-# variable: an integer, and m divides the sum exactly.  At q = 2^w it is the
-# packed polynomial.
+# variable: an integer, and m divides the sum exactly.  ``_series`` returns
+# that integer; at q = 2^w it is the packed polynomial.
 #
-# Per parameter tuple the cache holds the last Gaussian row of each variable
-# (the whole table would hold O(n^4) bits), the weights g_0..g_m and the
-# prefix x_0..x_m; g_0 is an unused placeholder so that g[k] is g_k.  The
+# Per tuple of parameters the cache holds the last Gaussian row of each
+# variable (the whole table would hold O(n^4) bits), the weights g_0..g_m and
+# the prefix x_0..x_m; g_0 is an unused placeholder so that g[k] is g_k.  The
 # lists only ever grow.
 _SERIES: dict[tuple[Fraction, ...], tuple[list[list[int]], list[int], list[int]]] = {}
 
 
-def _series(n: int, *params: Fraction) -> Fraction:
-    """The involution series (one parameter) or the permutation series (two) at n."""
+def _series(n: int, *params: Fraction) -> int:
+    """x_n of the involution series (one parameter) or the permutation series
+    (two).  A parameter is read through its numerator and denominator, so an
+    int, such as a packing point, needs no ``Fraction``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     points = [(v.numerator, v.denominator) for v in params]
@@ -187,12 +199,14 @@ def _series(n: int, *params: Fraction) -> Fraction:
                 term *= row[k]
             total += term
         x.append(total // m)
-    return Fraction(x[n], math.prod(s for _, s in points) ** (n * (n - 1) // 2))
+    return x[n]
 
 
 def t_value(n: int, q: Fraction) -> Fraction:
     """Maj generating function over involutions of [n], evaluated at q."""
-    return _series(n, Fraction(q))
+    from fractions import Fraction
+
+    return Fraction(_series(n, q), q.denominator ** (n * (n - 1) // 2))
 
 
 def t_scaled_value(n: int, q: Fraction) -> Fraction:
@@ -202,10 +216,11 @@ def t_scaled_value(n: int, q: Fraction) -> Fraction:
 
 def a_value(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Joint (imaj, maj) generating function over permutations, at (p, q)."""
-    return _series(n, Fraction(p), Fraction(q))
+    from fractions import Fraction
+
+    return Fraction(_series(n, p, q), (p.denominator * q.denominator) ** (n * (n - 1) // 2))
 
 
 def a_scaled_value(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Joint (imaj, maj) polynomial at (p, q), divided by both factorials."""
-    p, q = Fraction(p), Fraction(q)
     return a_value(n, p, q) / (q_factorial_value(n, p) * q_factorial_value(n, q))

@@ -6,7 +6,8 @@ high restriction of a tableau keeps its anchor: two skew tableaux are equal
 only if both shapes and all entries agree.
 
 ``f_poly`` is the sum of q^maj over the standard fillings of a (possibly
-skew) shape.  Straight shapes take the hook-length product q^b [n]! / prod [h]
+skew) shape, as a read-only coefficient table ``{(0, maj): count}``.
+Straight shapes take the hook-length product q^b [n]! / prod [h]
 (``hook_packed``).  Skew shapes take Jacobi-Trudi with the principal
 specialization (Stanley, EC2 7.16 and Prop. 7.19.11), a signed sum of
 q-multinomials.  Both run on the packed kernel of :mod:`qtab.polynomial`, and
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .polynomial import (
@@ -39,12 +41,10 @@ from .polynomial import (
 )
 from .values import Value, parse_ints
 
-# the polynomial functions import the formal type when they run, so the
-# commands that only count or read tableaux do not load it
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .bivar import BivarPoly
+    from .weights import Table
 
 __all__ = [
     "Partition",
@@ -56,10 +56,8 @@ __all__ = [
     "f_poly",
     "f_coefficients",
     "f_poly_enum",
-    "f_poly_hook",
     "maj_tally",
     "hook_packed",
-    "syt_count",
     "skew_syt_count",
     "conjecture_probe",
 ]
@@ -327,14 +325,17 @@ class Tableau(Value):
         """The tableau of a JSON object or its text: ``outer`` and the optional
         ``inner`` list integers, ``rows`` lists of integers, each row either
         bare or led by one null per inner cell.  Any other value, booleans and
-        floats included, or a null out of place raises a ValueError naming the
-        field; a missing field raises KeyError."""
+        floats included, a null out of place or a missing field raises a
+        ValueError naming the field."""
         if isinstance(data, str):
             import json
 
             data = json.loads(data)
         if type(data) is not dict:
             raise ValueError("expected a JSON object with fields 'outer' and 'rows'")
+        for field in ("outer", "rows"):
+            if field not in data:
+                raise ValueError(f"missing field {field!r}")
         outer = Partition(_json_list(data["outer"], "outer"))
         inner = Partition(_json_list(data.get("inner", []), "inner"))
         rows = []
@@ -411,12 +412,10 @@ def maj_tally(shape: SkewShape) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def f_poly_enum(shape: SkewShape) -> BivarPoly:
+def f_poly_enum(shape: SkewShape) -> Table:
     """Maj generating polynomial by enumerating every standard filling: the
-    polynomial of ``maj_tally``."""
-    from .bivar import BivarPoly
-
-    return BivarPoly({(0, maj): c for maj, c in maj_tally(shape)})
+    table of ``maj_tally``."""
+    return MappingProxyType({(0, maj): c for maj, c in maj_tally(shape)})
 
 
 def _jacobi_trudi(shape: SkewShape, width: int) -> int:
@@ -465,11 +464,10 @@ def f_coefficients(shape: SkewShape) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def f_poly(shape: SkewShape) -> BivarPoly:
-    """Maj generating polynomial of the shape: hook product or Jacobi-Trudi."""
-    from .bivar import BivarPoly
-
-    return BivarPoly({(0, maj): c for maj, c in enumerate(f_coefficients(shape))})
+def f_poly(shape: SkewShape) -> Table:
+    """Maj generating polynomial of the shape, hook product or Jacobi-Trudi, as
+    the read-only table of the nonzero ``f_coefficients``."""
+    return MappingProxyType({(0, maj): c for maj, c in enumerate(f_coefficients(shape)) if c})
 
 
 def hook_packed(shape: Partition, width: int) -> int:
@@ -483,16 +481,6 @@ def hook_packed(shape: Partition, width: int) -> int:
         denominator = times_q_integer(denominator, h, width)
     value = divide_packed(packed_qfactorial(shape.size, width), denominator)
     return value << width * sum(i * p for i, p in enumerate(shape.parts))
-
-
-def f_poly_hook(shape: Partition) -> BivarPoly:
-    """Maj generating polynomial of a straight shape via the hook-length product."""
-    return f_poly(SkewShape.straight(shape))
-
-
-def syt_count(shape: Partition) -> int:
-    """Number of standard fillings of a straight shape (hook-length formula)."""
-    return hook_packed(shape, 0)
 
 
 @lru_cache(maxsize=None)

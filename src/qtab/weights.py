@@ -11,9 +11,9 @@ W(j) over all patterns of a size (``involution_weight_sum``,
 
 A weight w(j) is a polynomial in p and q held as a plain table
 ``{(i, k): c}`` of its nonzero coefficients c of p^i q^k: q marks the maj
-side and p the imaj side.  Its readers need no polynomial type: ``evaluate``,
-the one table evaluator, gives its exact value at (p, q) to the limits and to
-``BivarPoly.evaluate``, and ``qtab verify`` packs a table or compares it with
+side and p the imaj side; every polynomial the package returns is such a
+table.  ``evaluate``, the one table evaluator, gives its exact value at
+(p, q) to the limits, and ``qtab verify`` packs a table or compares it with
 a tally.  The skew maj sums and the q-factorials are read off the digits of
 packed values (``tableau.f_coefficients``, ``packed_qfactorial``), and a
 product of a p side and a q side is the outer product of their coefficient

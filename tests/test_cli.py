@@ -263,13 +263,10 @@ _NEGATIVE_PLANT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from qtab import majgen
-from qtab.bivar import BivarPoly
 weight_of = majgen.m3_weight
 def planted(alpha):
-    return {
-        j: dict((BivarPoly(w) - BivarPoly.monomial(0, 1)).sorted_terms())
-        for j, w in weight_of(alpha).items()
-    }
+    minus_q = lambda w: {key: c for key, c in {**w, (0, 1): w.get((0, 1), 0) - 1}.items() if c}
+    return {j: minus_q(w) for j, w in weight_of(alpha).items()}
 majgen.m3_weight = planted
 from qtab.cli import run
 sys.exit(run(["verify", "majgen", "--max-size", "1", "--max-total", "1", "--json"]))
@@ -298,12 +295,13 @@ def test_verify_failure_with_a_negative_coefficient_prints_it():
 def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
     # a weight off by one fails every check it is the right side of, and the
     # failure prints the tally and the planted weight as polynomials
+    from polys import add
     from qtab import permtotab
-    from qtab.bivar import BivarPoly
+    from qtab.bivar import text
     from qtab.tableau import Tableau
 
     m3_weight, m3_1_weight = permtotab.m3_weight, permtotab.m3_1_weight
-    plus_one = lambda weight: {j: dict((BivarPoly(w) + 1).sorted_terms()) for j, w in weight.items()}
+    plus_one = lambda weight: {j: add(w, 1) for j, w in weight.items()}
     monkeypatch.setattr(permtotab, "m3_weight", lambda *shapes: plus_one(m3_weight(*shapes)))
     monkeypatch.setattr(permtotab, "m3_1_weight", lambda *shapes: plus_one(m3_1_weight(*shapes)))
     argv = ["verify", "permtotab", "--max-size", "2"]
@@ -323,8 +321,8 @@ def test_verify_permtotab_failure_prints_both_polynomials(monkeypatch, capsys):
             a_tab, b_tab = (Tableau.from_rows(params[key]) for key in ("tableau_a", "tableau_b"))
             weight = m3_1_weight(a_tab.shape.outer, b_tab.shape.outer)
         [failure] = report["failures"]
-        right = BivarPoly(weight[params["j"]])
-        assert (failure["lhs"], failure["rhs"]) == (str(right), str(right + 1))
+        right = weight[params["j"]]
+        assert (failure["lhs"], failure["rhs"]) == (text(right), text(add(right, 1)))
 
 
 @pytest.mark.parametrize(
@@ -444,6 +442,94 @@ def test_oracle_json_is_pinned(command, capsys):
     assert run([*command.split(), "--json"]) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == ORACLE_JSON_SHA256[command]
+
+
+# sha256 of the default and --json stdout of every qpoly command the poly_skew
+# benchmark pool runs, and of each enumeration path at a small size, recorded
+# while the polynomials were still a ring class; each command exits 0 and
+# writes nothing to stderr
+QPOLY_STDOUT_SHA256 = {
+    "qpoly tn 20":
+        "c0f9196fabcf61df28fc7ff89e581cc633b38603823fc1ac836b7132d596f97d",
+    "qpoly tn 20 --json":
+        "33689a9c4706755e03d7c5bee1f3eb3ede1d4dd384d8eca2bc8f5b6f0767b31c",
+    "qpoly an 16":
+        "d689c7c73e4cb760d668c3250e6df51cdb2b312dd82aa3cc3f0b0ef41213e24d",
+    "qpoly an 16 --json":
+        "2cae0d2d1a5dd197b6ae7b7fbcd246099ff5a27c266772344f6092b733a975dd",
+    "qpoly binomial 40 15":
+        "d86fc790c543459c851b7fb1b508ea5babbbc92be9e6031d301dba113e020e51",
+    "qpoly binomial 40 15 --json":
+        "ba0eface1dee7dfe74c1d5ffb724cb7a2945839056cf378cbe118943de50b8b9",
+    "qpoly binomial 40 25":
+        "d86fc790c543459c851b7fb1b508ea5babbbc92be9e6031d301dba113e020e51",
+    "qpoly binomial 40 25 --json":
+        "ba0eface1dee7dfe74c1d5ffb724cb7a2945839056cf378cbe118943de50b8b9",
+    "qpoly factorial 40":
+        "145348d836772539edff8cdbd4f66808d215b47932667c94db4ccda113b52088",
+    "qpoly factorial 40 --json":
+        "028610b0d5e46b68e5e2b8419b25b4b1d9a969d9ef8769a798d14d379a1948a6",
+    "qpoly fshape 5,4,3,2/2,1":
+        "fbd9a4bf1f3a5290b9b5cf4769a782ebc9d0fd264e05a18bf3980da60d9df8f0",
+    "qpoly fshape 5,4,3,2/2,1 --json":
+        "30931d2fce952e75cc7ca76cba0b19ae155efeb20d49391f24a45e3bb217043f",
+    "qpoly fshape 5,5,4,3/3,2,1":
+        "fbd9a4bf1f3a5290b9b5cf4769a782ebc9d0fd264e05a18bf3980da60d9df8f0",
+    "qpoly fshape 5,5,4,3/3,2,1 --json":
+        "30931d2fce952e75cc7ca76cba0b19ae155efeb20d49391f24a45e3bb217043f",
+    "qpoly fshape 6,5,3/2":
+        "07f90367cca981594ed6751d7a74df440ad840ce84d9309355eed7b8cbfb5c2e",
+    "qpoly fshape 6,5,3/2 --json":
+        "7bbaaa17bdd631ea170c59700aea6b1247587081fede66bcdf88e831fa04789a",
+    "qpoly fshape 6,6,4/3,1":
+        "07f90367cca981594ed6751d7a74df440ad840ce84d9309355eed7b8cbfb5c2e",
+    "qpoly fshape 6,6,4/3,1 --json":
+        "7bbaaa17bdd631ea170c59700aea6b1247587081fede66bcdf88e831fa04789a",
+    "qpoly tn 6 --method enum":
+        "4252c63beb671f3773bac22509ab04ea9b87addf063ce1544105b4f28ef88d6f",
+    "qpoly tn 6 --method enum --json":
+        "50b4c0057f9bfc9edbf68984d3eab8c3b4200a04bf38f55459e1f71943d3a48d",
+    "qpoly an 5 --method enum":
+        "a2bbf3242fa8099d6e992ad00ce90255fbc7fd266097378c2210e038be2ee23b",
+    "qpoly an 5 --method enum --json":
+        "3f4fdbb8c9541f4d344134c1b64e0bf16a62f4e9b4b06de6cae1f79cce4f3464",
+    "qpoly fshape 3,2/1 --method enum":
+        "20b1e18e41c94ce2894124785dc369c88d76af67d438a54a97851e880e65d2af",
+    "qpoly fshape 3,2/1 --method enum --json":
+        "a7d10720753b60476e787872aa3f3a4543f6ffe55fecc20db85efb0148472a0b",
+    "qpoly fshape 3,3,1 --method enum":
+        "3ddb00ab5382efc7b1d84e6c4ffded88e2c7a46f823b3568ff5c33c4dc8cc74e",
+    "qpoly fshape 3,3,1 --method enum --json":
+        "6ec7e382943ab044c2920a1bef209f31906734017e269d37873c5ba040210f4c",
+}
+
+
+@pytest.mark.parametrize("command", list(QPOLY_STDOUT_SHA256))
+def test_qpoly_stdout_is_pinned(command, capsys):
+    assert run(command.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == QPOLY_STDOUT_SHA256[command]
+
+
+_NO_OUTER = '{"rows": [[1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stat", "tab", _NO_OUTER],
+        ["rs", "--inverse", _NO_OUTER, '{"outer": [1], "rows": [[1]]}'],
+        ["limit", "m3", "--tableau", _NO_OUTER, "--q", "1/2", "--n", "3"],
+        ["probe", "conjecture", "--tableaux", _NO_OUTER, "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_tableau_missing_a_field_names_it(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse tableau: missing field 'outer'\n"
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -31,12 +31,12 @@ EXPORTED = [
     "m2_1_rhs", "m3_1_lhs", "m3_1_rhs", "m3_lhs", "m3_rhs", "qlim1_lhs", "qlim1_rhs",
     "t_ratio", "xi_partial", "xi_product_with_tail", "BinaryWord", "Permutation",
     "PhiImage", "ZeroOneMatrix", "involutions", "matrix_of", "permutations", "phi",
-    "phi_inverse", "shuffle", "standardize", "BivarPoly", "format_decimal", "q_integer",
+    "phi_inverse", "shuffle", "standardize", "format_decimal",
     "qbinomial", "qfactorial", "rs", "rs_inverse", "rs_involution", "rs_involution_inverse",
     "a_poly", "a_poly_enum", "a_value", "q_factorial_value", "t_count",
     "t_poly", "t_poly_enum", "t_value", "Partition", "SkewShape", "Tableau",
-    "enumerate_syt", "f_poly", "f_poly_enum", "f_poly_hook", "partitions",
-    "skew_syt_count", "syt_count",
+    "enumerate_syt", "f_poly", "f_poly_enum", "partitions",
+    "skew_syt_count",
 ]
 
 
@@ -63,7 +63,7 @@ def bare_modules() -> set[str]:
 
 
 def test_all_lists_the_eager_exports():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 85
+    assert len(EXPORTED) == len(set(EXPORTED)) == 81
     assert sorted(qtab.__all__) == sorted(EXPORTED)
 
 
@@ -93,7 +93,8 @@ def test_unknown_name_raises_attribute_error():
 def test_conjecture_probe_has_one_definition():
     from qtab import containment, tableau
 
-    assert qtab.conjecture_probe is containment.conjecture_probe is tableau.conjecture_probe
+    assert qtab.conjecture_probe is tableau.conjecture_probe
+    assert not hasattr(containment, "conjecture_probe")
 
 
 def test_import_qtab_loads_no_submodule():
@@ -105,8 +106,8 @@ _TAB_1 = json.dumps({"outer": [1], "rows": [[1]]})
 # the series (eq8 adds its ratios); the pattern theorems add the weights and
 # what the weights read: the j-sets of permutation patterns, or the skew
 # polynomials of tableau shapes, never the oracle modules, the j-set criteria
-# or the handlers of the other commands.  No limit kind loads the formal
-# polynomials of `bivar`: the weights are coefficient tables.  Every command
+# or the handlers of the other commands.  No limit kind loads `bivar`, which
+# reads and prints polynomials: the weights are coefficient tables.  Every command
 # that builds a value class (a permutation, shape, tableau, j-profile or
 # report) loads their base, `values`.
 _LIMIT_KERNEL = {"cli", "limits", "polynomial", "stats", "values"}
@@ -182,10 +183,11 @@ def test_command_loads_only_its_modules(argv, modules, bare_modules):
     # nor does any command parse its arguments with argparse, which loads
     # gettext, and locale when a parser is built
     assert not {"argparse", "gettext", "locale"} & (loaded - bare_modules)
-    # and a command that evaluates no rational, neither a series of `stats`
-    # (every limit reads them) nor the probe's ratio, loads neither
-    # `fractions` nor `decimal`, which `fractions` imports
-    if "stats" not in modules and argv[0] != "probe":
+    # and no command but `limit`, which evaluates at rational points, and the
+    # probe, which prints a ratio, loads `fractions` or `decimal`, which
+    # `fractions` imports: `verify` and `qpoly tn|an` read the series of
+    # `stats` as integers
+    if argv[0] not in ("limit", "probe"):
         assert not {"fractions", "decimal"} & (loaded - bare_modules)
     # nor does a command load `json` unless it reads a tableau operand or
     # prints --json: text `verify` and `qpoly an|fshape` load none
@@ -215,25 +217,17 @@ def test_importing_limits_loads_no_polynomial_type_or_command_code():
 
 
 def test_importing_containment_loads_no_family_or_command_code():
-    kernel = {"containment", "polynomial"}
-    assert loaded_after("import qtab.containment") == kernel
-    # each re-exported name imports its home module on first use: the probe
-    # loads the tableau code, and a family's name that family and the
-    # modules it imports
-    probe = "from qtab.containment import conjecture_probe"
-    assert loaded_after(probe) == kernel | {"tableau", "values"}
-    family = "from qtab.containment import verify_permtotab"
-    reads = {"permtotab", "permutation", "rsk", "tableau", "values", "weights"}
-    assert loaded_after(family) == kernel | reads
+    assert loaded_after("import qtab.containment") == {"containment", "polynomial"}
 
 
 # Where no bytecode cache is written, a process compiles every module it
 # imports.  These ceilings are above the AST node counts of the qtab modules
-# each limit kind loads (the package included), which are 9,394 for
-# qlim1|m2-1, 10,905 for m3|m3-1, 6,448 for tlim|alim|xi and 7,040 for eq8,
+# each limit kind loads (the package included), which are 9,392 for
+# qlim1|m2-1, 10,888 for m3|m3-1, 6,446 for tlim|alim|xi and 7,038 for eq8,
 # by 600 nodes or more; they fail a change that puts code no limit kind runs
-# back on their path, such as the formal polynomials of `bivar` (1,539 nodes)
-# or, for tlim|alim|xi|eq8, the weights (942).
+# back on their path, such as the verify kernel (`containment`, 1,727 nodes)
+# or, for tlim|alim|xi|eq8, the weights (942).  A smaller module, such as
+# `bivar` (401), fails the module sets above instead.
 _LIMIT_COMPILE_CEILING = {
     "qlim1": 10_000,
     "m2-1": 10_000,
@@ -270,10 +264,11 @@ def test_limit_compiles_at_most_its_ceiling(argv):
 
 
 # The benchmark's set-up probe and the lightest handler command compile
-# 4,653 and 5,388 nodes.  These ceilings, about 12% and 13% above, fail a
+# 4,621 and 4,218 nodes.  These ceilings, about 13% and 11% above, fail a
 # change that puts the verify handler and report loops (about 800 nodes) back
-# in `commands`.
-_HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 6_100}
+# in `commands`, or a polynomial class back in `bivar` (the ring class it
+# held compiled 1,539 nodes, against 401 for its table functions).
+_HANDLER_COMPILE_CEILING = {("stat", "perm", "1"): 5_200, ("qpoly", "factorial", "5"): 4_700}
 
 
 @pytest.mark.parametrize("argv", list(_HANDLER_COMPILE_CEILING), ids=" ".join)
@@ -281,14 +276,13 @@ def test_handler_command_compiles_at_most_its_ceiling(argv):
     _assert_compiles_at_most(list(argv), _HANDLER_COMPILE_CEILING[argv])
 
 
-# Each verify kind compiles 10,468 (permcont1, permcont2), 12,768
-# (permtotab) or 11,588 (majgen, majgen1) nodes.  These ceilings, about 6%
+# Each verify kind compiles 10,361 (permcont1, permcont2), 12,646
+# (permtotab) or 11,466 (majgen, majgen1) nodes.  These ceilings, about 7%
 # above, fail a change that puts another family's code back on a kind's
 # path, such as a top-level import of every family in `containment` (each
-# family module compiles 1,185 nodes or more), the series of `stats` on the
+# family module compiles 1,189 nodes or more), the series of `stats` on the
 # tableau sweeps (1,093), the tableau code of the A_k hook sum on the
-# permutation sweeps, the formal polynomials of `bivar` or the other
-# commands' handlers.
+# permutation sweeps or the other commands' handlers.
 _VERIFY_COMPILE_CEILING = {
     "permcont1": 11_100,
     "permcont2": 11_100,
@@ -317,17 +311,3 @@ def test_every_limit_kind_has_its_module_set_pinned():
 
     pinned = {argv[1] for argv, _ in COMMAND_MODULES if argv[0] == "limit"}
     assert pinned == set(cli._LIMIT_KINDS) == set(_LIMIT_COMPILE_CEILING)
-
-
-WEIGHTS = [
-    "qlim1_weight", "m2_1_weight", "m3_weight", "m3_1_weight",
-    "involution_weight_sum", "pair_weight_sum",
-]
-
-
-@pytest.mark.parametrize("name", WEIGHTS)
-def test_containment_reexports_each_weight(name):
-    from qtab import containment, weights
-
-    assert name in weights.__all__ and name in containment.__all__
-    assert getattr(containment, name) is getattr(weights, name)
