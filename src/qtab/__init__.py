@@ -2,9 +2,9 @@
 
 The package pairs brute-force enumeration oracles at small sizes with
 closed-form polynomial and rational formulas at larger sizes: permutation and
-tableau statistics (descents, maj), the row-insertion correspondence, j-set
-and j2-set criteria, exact containment identities, and rational convergence
-checks for the associated limit values.
+tableau statistics (descents, maj), the row-insertion correspondence, j-sets,
+j2-sets and the j2-set criterion, exact containment identities, and rational
+convergence checks for the associated limit values.
 
 The public names below are loaded lazily (PEP 562): ``import qtab`` loads no
 submodule, and ``qtab.X`` or ``from qtab import X`` imports the module that
@@ -16,22 +16,16 @@ import importlib
 # home module -> the names it exports at package level
 _EXPORTS = {
     "bivar": "qbinomial qfactorial",
-    "blocks": "BinaryWord PhiImage ZeroOneMatrix matrix_of phi phi_inverse shuffle",
-    "bounds": "BoundReport Eq8Report check_bound eq8_check",
+    "bounds": "Eq8Report eq8_check",
     "containment": "IdentityReport",
-    "jcriteria": """JProfile delta delta_bar is_j2_set is_j_set j2_extend_ok j2_series
-        j_extend_ok j_profile psi psi2""",
+    "jcriteria": "JProfile delta delta_bar is_j2_set j2_series j_profile psi psi2",
     "jsets": "j2_count j2_set j_set",
     "limits": """ConvergenceReport a_ratio contraction m2_1_lhs m2_1_rhs m3_1_lhs m3_1_rhs
         m3_lhs m3_rhs qlim1_lhs qlim1_rhs t_ratio xi_partial xi_product_with_tail""",
     "majgen": "verify_majgen verify_majgen1",
-    "permcont": """contains enum_inv_containing enum_perm_containing verify_permcont1
-        verify_permcont2""",
-    "permtotab": """enum_pair_containing enum_tab_containing pair_contains tab_contains
-        verify_permtotab verify_permtotab_pair""",
-    "permutation": "Permutation involutions permutations standardize",
+    "permutation": "Permutation involutions permutations",
     "polynomial": "format_decimal",
-    "rsk": "rs rs_inverse rs_involution rs_involution_inverse",
+    "rsk": "rs rs_inverse",
     "stats": """a_poly a_poly_enum a_value q_factorial_value t_count t_poly
         t_poly_enum t_value""",
     "tableau": """Partition SkewShape Tableau conjecture_probe enumerate_syt f_poly f_poly_enum

@@ -1,7 +1,7 @@
 """The check kernel of ``qtab verify``: machine verification of the identities.
 
-The ``verify_*`` functions each pit a brute-force enumeration of one side of
-an identity against an independently assembled closed form and return a
+Each check pits a brute-force enumeration of one side of an identity
+against an independently assembled closed form and records the outcome in a
 structured report, so a failing instance is a reproducible fixture rather
 than a bare assertion.  Each identity family is a module of its own:
 
@@ -76,12 +76,9 @@ class IdentityReport:
         self.checked = checked
         self.failures = [] if failures is None else failures
 
-    def _fields(self) -> tuple:
-        return (self.theorem, self.params, self.checked, self.failures)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return vars(self) == vars(other)
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
-"""j-set and j2-set membership criteria, read off a set's difference sequence.
+"""The j2-set membership criterion, read off a set's difference sequence.
 
-Membership of an arbitrary finite set is decided from its top-down difference
-sequence:
+The profile of a finite set is its top-down difference sequence and the
+blocks it splits into:
 
 * ``delta``      -- differences of consecutive elements, largest pair first;
 * ``delta_bar``  -- the same sequence after the 1-merge pass (a 1 that is not
@@ -9,13 +9,13 @@ sequence:
 * ``psi``        -- ``delta_bar`` split into blocks after each overlined 2;
 * ``psi2``       -- ``delta`` split into blocks after each 1.
 
-A set containing 0 is a j-set when every psi block except the last is an
-overpartition ending in an overlined 2 and the last block is (1) or empty; it
-is a j2-set when the psi2 blocks cover the whole difference sequence and each
-is weakly decreasing with its single 1 at the end.  Both criteria are checked
-against the brute-force lists of :mod:`qtab.jsets` in the test suite, as is
-``j2_series``, the generating function of the j2-set counts by largest
-element.
+A set containing 0 is a j2-set when the psi2 blocks cover the whole
+difference sequence and each is weakly decreasing with its single 1 at the
+end (``is_j2_set``).  ``j2_series`` is the generating function of the j2-set
+counts by largest element.  The test suite checks both against the
+brute-force lists of :mod:`qtab.jsets`.  The j-set criterion, which reads the
+psi blocks, and the brute-force j-sets it is checked against are test code,
+since no command runs them.
 
 Overlined entries are written with a trailing apostrophe in text (``2'``) and
 carry a boolean flag in JSON.
@@ -34,11 +34,7 @@ __all__ = [
     "delta_bar",
     "psi",
     "psi2",
-    "is_overpartition",
-    "is_j_set",
     "is_j2_set",
-    "j_extend_ok",
-    "j2_extend_ok",
     "j2_series",
     "parse_int_set",
     "format_int_set",
@@ -175,32 +171,6 @@ def j_profile(values: Iterable[int]) -> JProfile:
     return JProfile(delta(values), delta_bar(values), psi(values), blocks2)
 
 
-def is_overpartition(entries: Iterable[Entry]) -> bool:
-    """Weakly decreasing positive entries, overlines only on a value's last occurrence."""
-    entries = list(entries)
-    values = [v for v, _ in entries]
-    if any(v <= 0 for v in values):
-        return False
-    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-        return False
-    for i, (v, over) in enumerate(entries):
-        if over and any(u == v for u, _ in entries[i + 1 :]):
-            return False
-    return True
-
-
-def is_j_set(values: Iterable[int]) -> bool:
-    """Decide j-set membership from the merged difference sequence."""
-    values = set(values)
-    if 0 not in values:
-        return False
-    blocks = psi(values)
-    for block in blocks[:-1]:
-        if not is_overpartition(block):
-            return False
-    return blocks[-1] in ((), ((1, False),))
-
-
 def is_j2_set(values: Iterable[int]) -> bool:
     """Decide j2-set membership from the difference-sequence blocks."""
     values = set(values)
@@ -215,44 +185,6 @@ def is_j2_set(values: Iterable[int]) -> bool:
         if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
             return False
     return True
-
-
-def j_extend_ok(j_values: Iterable[int], n: int) -> bool:
-    """Whether appending n keeps a j-set a j-set.
-
-    Requires a j-set with largest element m >= 2 and n > m.  True exactly
-    when n = m + 1 or n - m >= m - M, where M is the largest element of the
-    set that is <= m - 2 (0 qualifies, and is always present).
-    """
-    j_values = set(j_values)
-    if not is_j_set(j_values):
-        raise ValueError("not a j-set")
-    m = max(j_values)
-    if m < 2:
-        raise ValueError("largest element must be at least 2")
-    if n <= m:
-        raise ValueError("extension point must exceed the largest element")
-    if n == m + 1:
-        return True
-    reachable = max(x for x in j_values if x <= m - 2)
-    return n - m >= m - reachable
-
-
-def j2_extend_ok(j_values: Iterable[int], m: int) -> bool:
-    """Whether appending (largest + m) keeps a j2-set a j2-set.
-
-    Requires a j2-set with at least two elements; with top gap k between the
-    two largest elements, the extension works exactly when m = 1 or m >= k.
-    """
-    ordered = sorted(set(j_values))
-    if not is_j2_set(ordered):
-        raise ValueError("not a j2-set")
-    if len(ordered) < 2:
-        raise ValueError("need at least two elements")
-    if m < 1:
-        raise ValueError("extension gap must be positive")
-    k = ordered[-1] - ordered[-2]
-    return m == 1 or m >= k
 
 
 def j2_series(n_max: int) -> list[int]:

@@ -1,10 +1,10 @@
-"""j-sets and j2-sets of permutations, and their lists by size (brute force).
+"""j-sets and j2-sets of permutations, and the j2-sets by size (brute force).
 
 The j-set of a permutation collects the cut points j at which the
 standardized prefix is an involution; the j2-set of a pair collects the cuts
 where the prefix of one equals the low restriction of the other.  The
-criteria that decide membership of an arbitrary set from its difference
-sequence, and the generating function of the counts, are in
+criterion that decides j2-set membership of an arbitrary set from its
+difference sequence, and the generating function of the counts, are in
 :mod:`qtab.jcriteria`; the test suite checks them against the lists here.
 
 Brute-force j2-sets walk the cuts down from min(len sigma, len tau): a step
@@ -28,7 +28,6 @@ from .permutation import Permutation, word_low, word_std
 __all__ = [
     "j_set",
     "j2_set",
-    "j_sets_of",
     "j2_sets_of",
     "j2_count",
     "j2_counts",
@@ -62,12 +61,6 @@ def j_set(perm: Permutation) -> frozenset[int]:
 def j2_set(sigma: Permutation, tau: Permutation) -> frozenset[int]:
     """Cut points j where the prefix of sigma equals the low restriction of tau."""
     return _j2_set_words(sigma.word, tau.word)
-
-
-@lru_cache(maxsize=None)
-def j_sets_of(n: int) -> frozenset[frozenset[int]]:
-    """All j-sets arising from permutations of [n] (brute force)."""
-    return frozenset(_j_set_word(w) for w in itertools.permutations(range(1, n + 1)))
 
 
 def _j2_lowers(n: int) -> Iterator[frozenset[int]]:

@@ -11,9 +11,8 @@ the j2-set.  Both check through ``_cut_check`` of :mod:`qtab.containment`.
 ``permcont1_buckets``/``permcont2_buckets`` sweep the involutions or the
 permutations of [total] once for every pattern size asked for at that total,
 and ``permcont1_report``/``permcont2_report``, both ``_pattern_report``,
-check one instance on the buckets; ``verify_permcont1``/``verify_permcont2``
-are the one-instance case.  ``sweep`` runs the report loops of ``qtab verify
-permcont1|permcont2``.
+check one instance on the buckets.  ``sweep`` runs the report loops of
+``qtab verify permcont1|permcont2``.
 """
 
 from __future__ import annotations
@@ -23,49 +22,14 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .containment import IdentityReport, _cut_check, _pack, _suffix_majs
-from .permutation import involution_words, involutions, permutations, word_low, word_std
+from .permutation import involution_words, permutations, word_low, word_std
 from .weights import involution_weight_sum, m2_1_weight, pair_weight_sum, qlim1_weight
 
 if TYPE_CHECKING:
     from .containment import Side
-    from .permutation import Permutation
     from .weights import Table
 
-__all__ = [
-    "contains",
-    "enum_inv_containing",
-    "enum_perm_containing",
-    "permcont1_buckets",
-    "permcont1_report",
-    "verify_permcont1",
-    "permcont2_buckets",
-    "permcont2_report",
-    "verify_permcont2",
-]
-
-
-def contains(perm: Permutation, pattern: Permutation) -> bool:
-    """Whether the low restriction at the pattern's size equals the pattern."""
-    if pattern.size > perm.size:
-        return False
-    return perm.restrict_low(pattern.size) == pattern
-
-
-def enum_inv_containing(pattern: Permutation, n: int) -> list[Permutation]:
-    """Involutions of [n] whose low restriction equals the pattern."""
-    return [pi for pi in involutions(n) if contains(pi, pattern)]
-
-
-def enum_perm_containing(sigma: Permutation, tau: Permutation, n: int) -> list[Permutation]:
-    """Permutations of [n] with low restriction sigma and standardized prefix tau."""
-    a, b = sigma.size, tau.size
-    if a > n or b > n:
-        return []
-    return [
-        pi
-        for pi in permutations(n)
-        if pi.restrict_low(a) == sigma and pi.prefix(b) == tau
-    ]
+__all__ = ["permcont1_buckets", "permcont1_report", "permcont2_buckets", "permcont2_report"]
 
 
 def _tally_side(tally: Mapping[tuple[int, int], int]) -> Side:
@@ -132,11 +96,6 @@ def permcont1_report(m: int, n: int, by_low: dict) -> IdentityReport:
     return _pattern_report(report, involution_weight_sum(m), qlim1_weight, (m,), by_low, 0, n)
 
 
-def verify_permcont1(m: int, n: int) -> IdentityReport:
-    """Both involution identities at pattern size m, free size n: the one-size sweep."""
-    return permcont1_report(m, n, permcont1_buckets(n + m, [m])[m])
-
-
 def permcont2_buckets(total: int, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, int], dict]:
     """One sweep of the permutations of [total] for every pattern-size pair (a, b):
     counts of (imaj of the high restriction at a, maj of the suffix past b) by
@@ -188,11 +147,6 @@ def permcont2_report(a: int, b: int, total: int, by_key: dict) -> IdentityReport
     report = IdentityReport("permcont2", {"a": a, "b": b, "total": total})
     weight_sum = pair_weight_sum(a, b)
     return _pattern_report(report, weight_sum, m2_1_weight, (a, b), by_key, total - a, total - b)
-
-
-def verify_permcont2(a: int, b: int, total: int) -> IdentityReport:
-    """Both pair identities for patterns of sizes a and b in [total]: the one-pair sweep."""
-    return permcont2_report(a, b, total, permcont2_buckets(total, [(a, b)])[a, b])
 
 
 def sweep(which: str, k: int, cap: int) -> list[IdentityReport]:

@@ -1,18 +1,17 @@
 """The transport identities to tableaux: ``permtotab`` (single and pair).
 
-A tableau contains another when its low restriction does.  ``permtotab``
-checks the transport of the j-set sums to skew tableau polynomials: over the
-permutations with a given insertion tableau, the suffix majs at the cuts of
-their j-sets, against the inner skew maj sums of the tableau's shape
-(``m3_weight``), and the pair version over (insertion, recording) classes and
-j2-sets against ``m3_1_weight``.  A check compares a tally with one weight as
-coefficient tables, so nothing here packs or loads :mod:`qtab.stats`, and the
-instance labels are joined only to print a failure (``_Label``).
+``permtotab`` checks the transport of the j-set sums to skew tableau
+polynomials: over the permutations with a given insertion tableau, the suffix
+majs at the cuts of their j-sets, against the inner skew maj sums of the
+tableau's shape (``m3_weight``), and the pair version over (insertion,
+recording) classes and j2-sets against ``m3_1_weight``.  A check compares a
+tally with one weight as coefficient tables, so nothing here packs or loads
+:mod:`qtab.stats`, and the instance labels are joined only to print a
+failure (``_Label``).
 
 ``permtotab_reports``/``permtotab_pair_reports`` check every cut of one
-tableau (pair) from one j-set (j2-set) per permutation (pair), and
-``verify_permtotab``/``verify_permtotab_pair`` are the one-cut case.
-``sweep`` runs the report loops of ``qtab verify permtotab``.
+tableau (pair) from one j-set (j2-set) per permutation (pair).  ``sweep``
+runs the report loops of ``qtab verify permtotab``.
 """
 
 from __future__ import annotations
@@ -33,48 +32,11 @@ if TYPE_CHECKING:
     from .weights import Table
 
 __all__ = [
-    "tab_contains",
-    "pair_contains",
-    "enum_tab_containing",
-    "enum_pair_containing",
     "perms_with_insertion_tableau",
     "perms_with_recording_tableau",
     "permtotab_reports",
-    "verify_permtotab",
     "permtotab_pair_reports",
-    "verify_permtotab_pair",
 ]
-
-
-def tab_contains(tab: Tableau, pattern: Tableau) -> bool:
-    if pattern.size > tab.size:
-        return False
-    return tab.restrict_low(pattern.size) == pattern
-
-
-def pair_contains(p_tab: Tableau, q_tab: Tableau, a_tab: Tableau, b_tab: Tableau) -> bool:
-    return tab_contains(p_tab, a_tab) and tab_contains(q_tab, b_tab)
-
-
-def enum_tab_containing(pattern: Tableau, n: int) -> list[Tableau]:
-    """Standard Young tableaux of size n containing the pattern."""
-    out = []
-    for shape in partitions(n):
-        for tab in enumerate_syt(SkewShape.straight(shape)):
-            if tab_contains(tab, pattern):
-                out.append(tab)
-    return out
-
-
-def enum_pair_containing(a_tab: Tableau, b_tab: Tableau, n: int) -> list[tuple[Tableau, Tableau]]:
-    """Same-shape tableau pairs of size n containing the given pair."""
-    out = []
-    for shape in partitions(n):
-        tabs = list(enumerate_syt(SkewShape.straight(shape)))
-        firsts = [t for t in tabs if tab_contains(t, a_tab)]
-        seconds = [t for t in tabs if tab_contains(t, b_tab)]
-        out.extend((p, q) for p in firsts for q in seconds)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -140,11 +102,6 @@ def permtotab_reports(a_tab: Tableau, cuts: Sequence[int]) -> list[IdentityRepor
     return _permtotab("permtotab", params, ("shape=", alpha), by_cut, m3_weight(alpha))
 
 
-def verify_permtotab(a_tab: Tableau, j: int) -> IdentityReport:
-    """``permtotab_reports`` at the one cut j."""
-    return permtotab_reports(a_tab, [j])[0]
-
-
 @lru_cache(maxsize=None)
 def _recording_class(b_tab: Tableau) -> tuple[tuple[Permutation, list[int]], ...]:
     """The permutations with recording tableau B, each with its inverse's suffix majs:
@@ -178,11 +135,6 @@ def permtotab_pair_reports(
     params = {"tableau_a": a_tab.to_json()["rows"], "tableau_b": b_tab.to_json()["rows"]}
     label = ("shapes=", alpha, ";", beta)
     return _permtotab("permtotab-pair", params, label, by_cut, m3_1_weight(alpha, beta))
-
-
-def verify_permtotab_pair(a_tab: Tableau, b_tab: Tableau, j: int) -> IdentityReport:
-    """``permtotab_pair_reports`` at the one cut j."""
-    return permtotab_pair_reports(a_tab, b_tab, [j])[0]
 
 
 def sweep(which: str, k: int, cap: int | None = None) -> list[IdentityReport]:

@@ -2,13 +2,12 @@
 
 A permutation is stored in one-line notation with values 1..n.  A kernel of
 plain tuple functions, with no validation, computes its statistics and its
-four restriction operators: ``word_std`` (standardization), ``word_low`` /
-``word_high`` (the subword of values <= k / of values > k shifted down by k),
-``word_maj``, ``word_imaj`` and ``word_is_involution``.  ``standardize`` and
-the ``Permutation`` methods -- ``restrict_low``, ``restrict_high``, ``prefix``
-and ``suffix`` (the letters before / after a cut, standardized), ``maj``,
-``imaj``, ``is_involution`` -- are validated wrappers over it.  Brute-force
-sweeps run the kernel on ``itertools.permutations`` and ``involution_words``.
+restrictions: ``word_std`` (standardization), ``word_low`` / ``word_high``
+(the subword of values <= k / of values > k shifted down by k), ``word_maj``
+and ``word_imaj``.  The ``Permutation`` methods -- ``restrict_high``,
+``suffix`` (the letters after a cut, standardized), ``maj`` and ``imaj`` --
+are validated wrappers over it.  Brute-force sweeps run the kernel on
+``itertools.permutations`` and ``involution_words``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .values import Value, parse_ints
 
 __all__ = [
     "Permutation",
-    "standardize",
     "permutations",
     "involutions",
 ]
@@ -50,15 +48,6 @@ def word_imaj(word: Sequence[int]) -> int:
     return word_maj(sorted(range(len(word)), key=word.__getitem__))
 
 
-def word_is_involution(word: Sequence[int]) -> bool:
-    return all(word[v - 1] == i for i, v in enumerate(word, start=1))
-
-
-def standardize(values: Sequence[int]) -> "Permutation":
-    """The permutation order-isomorphic to a sequence of distinct integers."""
-    return Permutation(word_std(values))
-
-
 class Permutation(Value):
     """A permutation of [n] in one-line notation; n = 0 is the empty permutation.
 
@@ -71,10 +60,6 @@ class Permutation(Value):
         if tuple(sorted(word)) != tuple(range(1, len(word) + 1)):
             raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
         Value.__init__(self, word)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -112,9 +97,6 @@ class Permutation(Value):
             inv[v - 1] = i
         return Permutation(tuple(inv))
 
-    def is_involution(self) -> bool:
-        return word_is_involution(self.word)
-
     # -- statistics ---------------------------------------------------------
 
     def descents(self) -> frozenset[int]:
@@ -136,20 +118,10 @@ class Permutation(Value):
         if not 0 <= k <= self.size:
             raise ValueError(f"cut point {k} out of range 0..{self.size}")
 
-    def restrict_low(self, k: int) -> "Permutation":
-        """Subword of values <= k; already a permutation of [k]."""
-        self._check_cut(k)
-        return Permutation(word_low(self.word, k))
-
     def restrict_high(self, k: int) -> "Permutation":
         """Subword of values > k, shifted down to a permutation of [n-k]."""
         self._check_cut(k)
         return Permutation(word_high(self.word, k))
-
-    def prefix(self, k: int) -> "Permutation":
-        """Standardization of the first k letters."""
-        self._check_cut(k)
-        return Permutation(word_std(self.word[:k]))
 
     def suffix(self, k: int) -> "Permutation":
         """Standardization of the letters after position k."""

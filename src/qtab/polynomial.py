@@ -94,13 +94,17 @@ def format_decimal(value: Fraction, significant_digits: int = 12) -> str:
     ``significant_digits`` significant digits at any magnitude, by the
     standard library's correctly rounded decimal arithmetic, and printed
     without an exponent or trailing zeros.  Presentation only: rounding
-    happens at the final step, never inside a computation.
+    happens at the final step, never inside a computation.  From 1 to
+    10,000 digits are printed; the work grows with the digits asked for,
+    so more raise ValueError instead of running on.
     """
     import decimal
     from fractions import Fraction
 
     if significant_digits < 1:
         raise ValueError("need at least one significant digit")
+    if significant_digits > 10_000:
+        raise ValueError("at most 10000 significant digits are printed")
     value = Fraction(value)
     if value == 0:
         return "0"

@@ -2,8 +2,9 @@
 
 ``rs`` sends a permutation to an (insertion, recording) pair of standard
 Young tableaux of the same shape; ``rs_inverse`` reverses it by extracting the
-largest recorded entry and reverse-bumping.  Involutions correspond to single
-tableaux because their insertion and recording tableaux coincide.
+largest recorded entry and reverse-bumping.  An involution's insertion and
+recording tableaux coincide, so involutions correspond to single tableaux;
+the tests check that correspondence.
 
 The descent sets transport through the correspondence: the recording tableau
 carries the descents of the permutation and the insertion tableau those of
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from .permutation import Permutation
 from .tableau import Tableau
 
-__all__ = ["rs", "rs_inverse", "rs_involution", "rs_involution_inverse"]
+__all__ = ["rs", "rs_inverse"]
 
 
 def rs(perm: Permutation) -> tuple[Tableau, Tableau]:
@@ -58,19 +59,3 @@ def rs_inverse(p_tab: Tableau, q_tab: Tableau) -> Permutation:
             row[i], x = x, row[i]
         word[step - 1] = x
     return Permutation(tuple(word))
-
-
-def rs_involution(perm: Permutation) -> Tableau:
-    """The single tableau corresponding to an involution."""
-    if not perm.is_involution():
-        raise ValueError(f"{perm} is not an involution")
-    p_tab, _ = rs(perm)
-    return p_tab
-
-
-def rs_involution_inverse(tab: Tableau) -> Permutation:
-    """The involution corresponding to a standard Young tableau."""
-    perm = rs_inverse(tab, tab)
-    if not perm.is_involution():
-        raise AssertionError("equal-pair preimage is not an involution")
-    return perm

@@ -1,9 +1,8 @@
 """Partitions, skew shapes, standard Young tableaux, and their maj polynomials.
 
 Cells are addressed (row, column), 1-based, rows drawn top-down (English
-convention).  A skew tableau remembers its inner shape explicitly, so the
-high restriction of a tableau keeps its anchor: two skew tableaux are equal
-only if both shapes and all entries agree.
+convention).  A skew tableau remembers its inner shape explicitly: two skew
+tableaux are equal only if both shapes and all entries agree.
 
 ``f_poly`` is the sum of q^maj over the standard fillings of a (possibly
 skew) shape, as a read-only coefficient table ``{(0, maj): count}``.
@@ -77,10 +76,6 @@ class Partition(Value):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"{parts} is not weakly decreasing")
         Value.__init__(self, parts)
-
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -190,9 +185,6 @@ class SkewShape(Value):
             return str(self.outer)
         return f"{self.outer}/{self.inner}"
 
-    def conjugate(self) -> "SkewShape":
-        return SkewShape(self.outer.conjugate(), self.inner.conjugate())
-
 
 class Tableau(Value):
     """A standard filling of a (possibly skew) shape with 1..n.
@@ -268,44 +260,6 @@ class Tableau(Value):
 
     def maj(self) -> int:
         return sum(self.descents())
-
-    # -- restrictions -----------------------------------------------------------
-
-    def restrict_low(self, k: int) -> "Tableau":
-        """The subtableau of entries <= k (entries increase, so a row prefix)."""
-        if not 0 <= k <= self.size:
-            raise ValueError(f"cut {k} out of range 0..{self.size}")
-        inner = self.shape.inner
-        new_rows = []
-        new_parts = []
-        for r, row in enumerate(self.rows, start=1):
-            kept = tuple(v for v in row if v <= k)
-            new_rows.append(kept)
-            new_parts.append(inner.part(r) + len(kept))
-        while new_parts and new_parts[-1] == 0:
-            new_parts.pop()
-            new_rows.pop()
-        outer = Partition(tuple(new_parts))
-        return Tableau(SkewShape(outer, inner), tuple(new_rows))
-
-    def restrict_high(self, k: int) -> "Tableau":
-        """Entries > k, each decreased by k, on the complementary skew shape."""
-        if not 0 <= k <= self.size:
-            raise ValueError(f"cut {k} out of range 0..{self.size}")
-        low_outer = self.restrict_low(k).shape.outer
-        new_rows = tuple(tuple(v - k for v in row if v > k) for row in self.rows)
-        return Tableau(SkewShape(self.shape.outer, low_outer), new_rows)
-
-    def conjugate(self) -> "Tableau":
-        """Transpose across the main diagonal."""
-        shape = self.shape.conjugate()
-        cells = {(c, r): v for (r, c), v in self.entries().items()}
-        inner = shape.inner
-        rows = tuple(
-            tuple(cells[(r, c)] for c in range(inner.part(r) + 1, shape.outer.part(r) + 1))
-            for r in range(1, shape.outer.length + 1)
-        )
-        return Tableau(shape, rows)
 
     # -- formats ------------------------------------------------------------------
 

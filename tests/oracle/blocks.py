@@ -4,9 +4,8 @@
 split at ``a`` and a row split at ``b``, and records each block's
 compression with the binary words that place it; ``phi_inverse``
 reassembles the permutation.  ``shuffle`` interleaves two permutations along
-a binary word.  The test suite checks ``phi`` against its inverse and the
-shuffle maj identity; neither :mod:`qtab.containment` nor any command
-imports this module.
+a binary word.  The tests check ``phi`` against its inverse and the shuffle
+maj identity; no command runs any of it.
 """
 
 from __future__ import annotations
@@ -14,19 +13,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .permutation import Permutation, standardize
-from .values import Value
+from qtab.permutation import Permutation
+from qtab.values import Value
 
-__all__ = [
-    "BinaryWord",
-    "binary_words",
-    "ZeroOneMatrix",
-    "matrix_of",
-    "PhiImage",
-    "phi",
-    "phi_inverse",
-    "shuffle",
-]
+from .permutation import standardize
 
 
 class BinaryWord(Value):

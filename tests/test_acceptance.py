@@ -27,13 +27,11 @@ from qtab import (
     a_poly,
     a_poly_enum,
     a_ratio,
-    check_bound,
     conjecture_probe,
     enumerate_syt,
     eq8_check,
     involutions,
     is_j2_set,
-    is_j_set,
     j2_count,
     j2_series,
     m2_1_lhs,
@@ -47,7 +45,6 @@ from qtab import (
     qlim1_rhs,
     rs,
     rs_inverse,
-    shuffle,
     skew_syt_count,
     t_count,
     t_poly,
@@ -55,17 +52,23 @@ from qtab import (
     t_ratio,
     verify_majgen,
     verify_majgen1,
-    verify_permcont1,
-    verify_permcont2,
-    verify_permtotab,
-    verify_permtotab_pair,
     xi_partial,
     xi_product_with_tail,
 )
+from oracle.blocks import binary_words, shuffle
+from oracle.bounds import check_bound
+from oracle.jsets import is_j_set, j_sets_of
+from oracle.permutation import (
+    is_involution,
+    prefix,
+    restrict_low,
+    verify_permcont1,
+    verify_permcont2,
+)
+from oracle.tableau import verify_permtotab, verify_permtotab_pair
 from polys import add, mul
-from qtab.blocks import binary_words
 from qtab.jcriteria import delta, delta_bar, format_entries, psi, psi2
-from qtab.jsets import j2_sets_of, j_sets_of
+from qtab.jsets import j2_sets_of
 from qtab.polynomial import format_decimal
 
 HALF = Fraction(1, 2)
@@ -274,7 +277,7 @@ def test_criterion_07_insertion_correspondence_suite():
             problems.append(f"descents {pi}")
         if p_tab.descents() != pi.inverse().descents():
             problems.append(f"inverse descents {pi}")
-        if (p_tab == q_tab) != pi.is_involution():
+        if (p_tab == q_tab) != is_involution(pi):
             problems.append(f"involution {pi}")
     # class cardinalities: tableau containment counts equal permutation ones
     from qtab.permtotab import perms_with_insertion_tableau, perms_with_recording_tableau
@@ -284,7 +287,7 @@ def test_criterion_07_insertion_correspondence_suite():
         inv_buckets: dict[tuple, int] = {}
         for pi in involutions(n):
             for a in range(min(3, n) + 1):
-                key = (a, pi.restrict_low(a).word)
+                key = (a, restrict_low(pi, a).word)
                 inv_buckets[key] = inv_buckets.get(key, 0) + 1
         for a_tab in patterns:
             if a_tab.size > n:
@@ -303,9 +306,9 @@ def test_criterion_07_insertion_correspondence_suite():
         pair_buckets: dict[tuple, int] = {}
         for pi in permutations(n):
             for a in range(min(3, n) + 1):
-                low = pi.restrict_low(a).word
+                low = restrict_low(pi, a).word
                 for b in range(min(3, n) + 1):
-                    key = (a, low, b, pi.prefix(b).word)
+                    key = (a, low, b, prefix(pi, b).word)
                     pair_buckets[key] = pair_buckets.get(key, 0) + 1
         for a_tab in patterns:
             for b_tab in patterns:

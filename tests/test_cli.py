@@ -792,6 +792,7 @@ def test_limit_json_is_pinned(command, capsys):
         ["limit", "xi", "--q", "1/2", "--n", "5", "--precision", "0"],
         ["limit", "xi", "--q", "1/2", "--n", "5", "--precision=-1/2"],
         ["limit", "tlim", "--q", "1/2", "--n", "5", "--digits", "0"],
+        ["limit", "tlim", "--q", "1/2", "--n", "3", "--digits", "100000000000"],
     ],
 )
 def test_limit_bad_precision_or_digits_prints_nothing(argv, capsys):

